@@ -259,7 +259,7 @@ class SQLiteWorkQueue(WorkQueue):
             isolation_level=None,
         )
         with self._lock:
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._enable_wal(timeout=30.0)
             self._conn.execute("PRAGMA busy_timeout=30000")
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS meta "
@@ -303,6 +303,21 @@ class SQLiteWorkQueue(WorkQueue):
                     f"{self.path} coordinates campaign {row[0][:12]}, "
                     f"refusing to serve {self.digest[:12]}"
                 )
+
+    def _enable_wal(self, timeout: float) -> None:
+        """Switch to WAL, retrying within the busy timeout: SQLite
+        answers a journal-mode change that races another connection's
+        open with an immediate "database is locked", without consulting
+        the busy handler."""
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
 
     def close(self) -> None:
         with self._lock:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 
+from ..engine.explorer import _shared_searches
 from ..engine.parallel import (
     ExplorationTask,
     SimulationTask,
@@ -116,7 +117,7 @@ def compute_shard_records(
     fault_point("campaign.shard", shard)
     tasks, meta = shard_tasks(spec, shard, cache_dir)
     function = _explore_one if spec.mode == "explore" else _simulate_batch
-    with _telemetry().span("campaign.shard"):
+    with _telemetry().span("campaign.shard"), _shared_searches():
         results = parallel_map_retrying(
             function,
             tasks,

@@ -96,7 +96,7 @@ class ActivationEntry:
         if set(reads) != set(channels):
             raise ValueError("f must be defined exactly on the processed channels")
         for channel, f in reads.items():
-            if f is INFINITY:
+            if f == INFINITY:
                 continue
             if not isinstance(f, int) or f < 0:
                 raise ValueError(f"f({channel!r}) = {f!r} is not in ℤ≥0 ∪ {{∞}}")
@@ -108,7 +108,7 @@ class ActivationEntry:
             f = reads[channel]
             if f == 0 and g:
                 raise ValueError("g(c) must be empty when f(c) = 0")
-            if f is not INFINITY and any(i > f for i in g):
+            if f != INFINITY and any(i > f for i in g):
                 raise ValueError(
                     f"drop indices {sorted(g)} exceed f({channel!r}) = {f}"
                 )
@@ -198,7 +198,7 @@ class ActivationEntry:
         for channel, f in self._reads:
             dropped = dict(self._drops).get(channel)
             suffix = f" drop{list(dropped)}" if dropped else ""
-            count = "∞" if f is INFINITY else f
+            count = "∞" if f == INFINITY else f
             parts.append(f"{channel}:{count}{suffix}")
         return f"ActivationEntry(U={sorted(map(str, self.nodes))}, {', '.join(parts)})"
 

@@ -115,6 +115,7 @@ def payload_checksum(payload: dict) -> str:
         {k: v for k, v in payload.items() if k != "checksum"},
         separators=(",", ":"),
         sort_keys=True,
+        allow_nan=False,
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -148,7 +149,7 @@ def verdict_key(
 # Witness translation: node names <-> canonical indices.
 
 def _encode_count(count) -> "int | str":
-    return "inf" if count is INFINITY else count
+    return "inf" if count == INFINITY else count
 
 
 def _decode_count(raw) -> "int | float":
@@ -477,7 +478,9 @@ class VerdictCache:
             try:
                 if path.exists():
                     return
-                blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+                blob = json.dumps(
+                    payload, separators=(",", ":"), sort_keys=True, allow_nan=False
+                )
                 atomic_write_text(
                     path, blob, fault_site="cache.write", retries=0
                 )

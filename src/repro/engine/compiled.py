@@ -285,7 +285,7 @@ def apply_packed(codec: InstanceCodec, state: tuple, node_ids, combo) -> tuple:
     for cid, count, drops in combo:
         queue = channels[cid]
         pending = len(queue)
-        take = pending if count is INFINITY else min(count, pending)
+        take = pending if count == INFINITY else min(count, pending)
         if not take:
             continue
         channels[cid] = queue[take:]
@@ -516,7 +516,7 @@ class CompiledExplorer:
             combos = []
             for count in self._count_options(pending):
                 effective = (
-                    pending if count is INFINITY else min(count, pending)
+                    pending if count == INFINITY else min(count, pending)
                 )
                 for dropped in self._drop_options(effective):
                     combos.append((count, dropped))
@@ -827,7 +827,7 @@ class CompiledExplorer:
                 if count == 0:
                     continue
                 pending = len(states[source][2][cid])
-                batch = pending if count is INFINITY else min(count, pending)
+                batch = pending if count == INFINITY else min(count, pending)
                 if any(index in dropped for index in range(1, batch + 1)):
                     dropped_from.add(cid)
                 if any(

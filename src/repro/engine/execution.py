@@ -91,7 +91,7 @@ def apply_entry(
             raise ValueError(f"entry processes unknown channel {channel!r}")
         queue = channels[channel]
         requested = reads[channel]
-        count = len(queue) if requested is INFINITY else min(requested, len(queue))
+        count = len(queue) if requested == INFINITY else min(requested, len(queue))
         taken = queue[:count]
         channels[channel] = queue[count:]
         processed[channel] = taken

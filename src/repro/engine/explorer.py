@@ -42,7 +42,10 @@ should raise the bounds.
 from __future__ import annotations
 
 import itertools
+import os
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 from ..config import RunConfig, resolve_config
@@ -340,7 +343,7 @@ class Explorer:
         :meth:`successors`."""
         total = 0
         for count in self._count_options(pending):
-            effective = pending if count is INFINITY else min(count, pending)
+            effective = pending if count == INFINITY else min(count, pending)
             total += len(self._drop_options(effective))
         return total
 
@@ -432,7 +435,7 @@ class Explorer:
                     combos = []
                     for count in self._count_options(pending):
                         effective = (
-                            pending if count is INFINITY else min(count, pending)
+                            pending if count == INFINITY else min(count, pending)
                         )
                         for dropped in self._drop_options(effective):
                             combos.append((channel, count, dropped))
@@ -652,7 +655,7 @@ class Explorer:
                 dropped = entry.drop_set(channel)
                 count = entry.reads[channel]
                 pending = states[source].message_count(channel)
-                batch = pending if count is INFINITY else min(count, pending)
+                batch = pending if count == INFINITY else min(count, pending)
                 if any(index in dropped for index in range(1, batch + 1)):
                     dropped_from.add(channel)
                 if any(
@@ -767,7 +770,10 @@ def can_oscillate(
     Prop. 3.3(1) every Rxy activation sequence is a Uxy sequence, so a
     reliable-twin witness *is* an unreliable-model witness, found in a
     state space that is orders of magnitude smaller.  Safety verdicts
-    still require (and get) the full lossy search.
+    still require (and get) the full lossy search.  Inside a fan-out
+    (:func:`repro.engine.parallel.run_explorations`, campaign shards)
+    that twin search and the batch's own task for the reliable model
+    share one run.
 
     ``config`` is the preferred way to tune the run: a
     :class:`repro.RunConfig` carrying the engine, partial-order
@@ -775,11 +781,15 @@ def can_oscillate(
     budget), and verdict-cache selection.  The cache — anything
     :func:`repro.engine.cache.as_cache` accepts — memoizes the result
     in the content-addressed verdict store, keyed by the instance's
-    canonical hash plus the search parameters (the ``engine`` is *not*
-    part of the key: compiled and reference runs are bit-identical by
-    construction).  The individual keyword arguments are a deprecated
-    shim kept for older callers; passing any of them emits a
-    :class:`DeprecationWarning` and overrides the config field.
+    canonical hash plus the search parameters.  The ``engine`` is *not*
+    part of the key, so an entry written by one engine answers them
+    all.  Oscillation verdicts agree across engines, but the results
+    are not bit-identical: on symmetric instances the packed engine
+    folds orbits, so its state counts are smaller and it can report
+    ``complete`` within a budget the other engines exhaust.  The
+    individual keyword arguments are a deprecated shim kept for older
+    callers; passing any of them emits a :class:`DeprecationWarning`
+    and overrides the config field.
     """
     config = resolve_config(
         config,
@@ -820,14 +830,9 @@ def can_oscillate(
     result = None
     if reliable_twin_first and model.reliability is Reliability.UNRELIABLE:
         twin = CommunicationModel(Reliability.RELIABLE, model.scope, model.count)
-        twin_result = Explorer(
-            instance,
-            twin,
-            queue_bound=queue_bound,
-            max_states=max_states,
-            engine=engine,
-            reduction=reduction,
-        ).explore()
+        twin_result = _search(
+            instance, twin, queue_bound, max_states, engine, reduction
+        )
         if twin_result.oscillates:
             result = ExplorationResult(
                 model_name=model.name,
@@ -840,18 +845,60 @@ def can_oscillate(
                 witness=twin_result.witness,
             )
     if result is None:
-        result = Explorer(
-            instance,
-            model,
-            queue_bound=queue_bound,
-            max_states=max_states,
-            engine=engine,
-            reduction=reduction,
-        ).explore()
+        result = _search(instance, model, queue_bound, max_states, engine, reduction)
     if cache is not None:
         cache.put(key, instance, result)
         result = replace(result, cache_hit=False)
     _record_verdict(tel, result, cache=cache_status)
+    return result
+
+
+#: The searches of the innermost live :func:`_shared_searches` block, as
+#: ``(owner pid, {key: (instance, result)})``; ``None`` outside one.
+_SHARED: ContextVar = ContextVar("repro_shared_searches", default=None)
+
+
+@contextmanager
+def _shared_searches():
+    """Within the block, run each search of this thread at most once.
+
+    A fan-out call enters this around its tasks, so the reliable-twin
+    pre-pass of an unreliable model and the batch's own task for that
+    reliable model share one search.  The memo dies with the block, so
+    a cold fan-out stays cold.  Pool workers forked inside the block
+    inherit it but ignore it: they unpickle a fresh instance per task,
+    so no entry could ever match there.
+    """
+    token = _SHARED.set((os.getpid(), {}))
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _search(instance, model, queue_bound, max_states, engine, reduction):
+    """``Explorer(...).explore()``, answered from the live fan-out memo
+    when the same instance object was already searched the same way.
+    Entries hold their instance, so its ``id`` cannot be reused while
+    the memo lives, and a hit is checked by identity."""
+    shared = _SHARED.get()
+    memo = shared[1] if shared is not None and shared[0] == os.getpid() else None
+    key = (id(instance), model, queue_bound, max_states, engine, reduction)
+    if memo is not None:
+        entry = memo.get(key)
+        if entry is not None and entry[0] is instance:
+            _telemetry().count("explore.shared")
+            return entry[1]
+    result = Explorer(
+        instance,
+        model,
+        queue_bound=queue_bound,
+        max_states=max_states,
+        engine=engine,
+        reduction=reduction,
+    ).explore()
+    if memo is not None:
+        memo[key] = (instance, result)
     return result
 
 

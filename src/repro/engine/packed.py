@@ -541,7 +541,7 @@ class PackedExplorer:
         pe = self._pe[cid]
         effects = []
         for count, drops in self._comp._combos_for(ln):
-            take = ln if count is INFINITY else min(count, ln)
+            take = ln if count == INFINITY else min(count, ln)
             if not take:
                 effects.append((0, pe[rho_val]))
                 continue
@@ -579,7 +579,7 @@ class PackedExplorer:
             if count != 0:
                 attempts |= 1 << cid
             pend = pending.get(cid, 0)
-            take = pend if count is INFINITY else min(count, pend)
+            take = pend if count == INFINITY else min(count, pend)
             takes += take
             if take:
                 if drops:

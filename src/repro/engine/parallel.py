@@ -3,10 +3,9 @@
 The matrix experiments multiply one bounded model-checking run across
 24 communication models (and the random-instance surveys multiply fair
 simulations across instance × model × seed grids).  Each unit of work
-is completely independent and deterministic — an exploration verdict
-depends only on its ``(instance, model, bounds)`` triple, a simulation
-only on its explicit seed — so the fan-out here is embarrassingly
-parallel *and* reproducible:
+is deterministic — an exploration verdict depends only on its
+``(instance, model, bounds)`` triple, a simulation only on its explicit
+seed — so the fan-out here is parallel *and* reproducible:
 
 * every task carries its own seed/bounds (no shared RNG, no ordering
   dependence between workers);
@@ -14,7 +13,11 @@ parallel *and* reproducible:
   so downstream aggregation is independent of completion order;
 * ``workers=1`` (or a single task) degrades to a plain in-process loop
   with no executor involved, which keeps the serial path exactly the
-  code the parallel path runs per worker.
+  code the parallel path runs per worker;
+* tasks that run in the calling process share searches:
+  :func:`run_explorations` runs each search at most once per call, so
+  an unreliable model's reliable-twin pre-pass reuses the batch's own
+  task for that reliable model (pool workers share nothing).
 
 Tasks and results travel by pickle: :class:`~repro.core.spp.SPPInstance`,
 :class:`~repro.engine.explorer.ExplorationResult`, and witnesses are
@@ -37,6 +40,7 @@ from ..core.spp import SPPInstance
 from ..faults import ensure_armed_from_env, fault_point
 from ..obs import active as _telemetry
 from ..obs import tracing as _tracing
+from .explorer import _shared_searches
 
 __all__ = [
     "ExplorationTask",
@@ -444,11 +448,13 @@ def run_explorations(
     core); the ``workers`` keyword is a deprecated alias that emits a
     :class:`DeprecationWarning`.  Verdicts are identical for every
     worker count: each exploration is a deterministic function of its
-    task, and merging follows task order.
+    task, and merging follows task order.  Within the call, tasks run
+    in this process search each ``(instance, model, bounds)`` once.
     """
     tasks = list(tasks)
     config = resolve_config(config, caller="run_explorations", workers=workers)
-    results = parallel_map(_explore_one, tasks, workers=config.workers)
+    with _shared_searches():
+        results = parallel_map(_explore_one, tasks, workers=config.workers)
     return [
         (task.resolved_key(), result)
         for task, result in zip(tasks, results)

@@ -90,7 +90,7 @@ class Scheduler:
                 and channel not in no_drop
             ):
                 pending = state.message_count(channel)
-                effective = pending if count is INFINITY else min(count, pending)
+                effective = pending if count == INFINITY else min(count, pending)
                 # Fairness (Def. 2.4): a dropped message needs a *later*
                 # non-dropped message on the same channel.  The sender
                 # may never speak again (the destination announces only
@@ -233,7 +233,7 @@ class RandomScheduler(Scheduler):
                 continue
             self._age[channel] = 0
             pending = state.message_count(channel)
-            effective = pending if count is INFINITY else min(count, pending)
+            effective = pending if count == INFINITY else min(count, pending)
             dropped = entry.drop_set(channel)
             if effective and len(dropped) >= effective:
                 self._consecutive_drops[channel] += 1

@@ -26,7 +26,7 @@ __all__ = [
 
 
 def _encode_count(count) -> "int | str":
-    return "inf" if count is INFINITY else count
+    return "inf" if count == INFINITY else count
 
 
 def _decode_count(raw) -> "int | float":

@@ -70,9 +70,9 @@ def _check_count(model, channel, count, violations) -> None:
     kind = model.count
     if kind is MessageCount.ONE and count != 1:
         violations.append(f"model {model}: f({channel!r}) must be 1, got {count}")
-    elif kind is MessageCount.ALL and count is not INFINITY:
+    elif kind is MessageCount.ALL and count != INFINITY:
         violations.append(f"model {model}: f({channel!r}) must be ∞, got {count}")
-    elif kind is MessageCount.FORCED and (count is not INFINITY and count < 1):
+    elif kind is MessageCount.FORCED and (count != INFINITY and count < 1):
         violations.append(f"model {model}: f({channel!r}) must be ≥ 1, got {count}")
     # MessageCount.SOME: unrestricted.
 

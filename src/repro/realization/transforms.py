@@ -251,7 +251,7 @@ def expand_r1s_to_r1o(
         (channel,) = sorted(entry.channels, key=repr)
         available = source.state.message_count(channel)
         requested = entry.read_count(channel)
-        batch = available if requested is INFINITY else min(requested, available)
+        batch = available if requested == INFINITY else min(requested, available)
         record = source.step(entry)
         if batch == 0:
             if record.announcements:
@@ -374,7 +374,7 @@ def expand_u1s_to_u1o(
         (channel,) = sorted(entry.channels, key=repr)
         available = source.state.message_count(channel)
         requested = entry.read_count(channel)
-        batch = available if requested is INFINITY else min(requested, available)
+        batch = available if requested == INFINITY else min(requested, available)
         dropped = entry.drop_set(channel)
         surviving = [i for i in range(1, batch + 1) if i not in dropped]
         used = surviving[-1] if surviving else None

@@ -41,8 +41,10 @@ header instead.
 Request ``config`` deliberately accepts only ``engine`` and
 ``reduction``: cache location, worker width, and telemetry are
 deployment decisions owned by the server, and neither accepted field
-changes the verdict (engines are pinned bit-identical by the
-differential suites; the reducer is part of the cache key).
+changes the verdict (the differential suites pin every engine to the
+same oscillation verdicts, though on symmetric instances packed counts
+fewer states and may finish complete within a smaller budget; the
+reducer is part of the cache key).
 """
 
 from __future__ import annotations

@@ -346,7 +346,9 @@ class VerdictService:
             request = parse_query(raw, default_engine=self.config.engine)
             req_span.note(instance=request.instance.name, models=len(request.models))
             response = self._resolve(request, tel, deadline_s=deadline_s)
-            body = json.dumps(response, separators=(",", ":"), sort_keys=True)
+            body = json.dumps(
+                response, separators=(",", ":"), sort_keys=True, allow_nan=False
+            )
             encoded = body.encode("utf-8")
             if self.config.response_cache_entries:
                 with self._lock:

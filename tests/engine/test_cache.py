@@ -340,6 +340,14 @@ class TestHotTier:
         with pytest.raises(ValueError):
             result_from_payload("not a dict", disagree)
 
+    def test_non_finite_floats_fail_when_written(self):
+        from repro.engine.cache import payload_checksum
+
+        # JSON has no ∞: a leaked float would otherwise be written as
+        # the non-standard token Infinity.
+        with pytest.raises(ValueError):
+            payload_checksum({"count": float("inf")})
+
 
 class TestSharedCache:
     def test_same_directory_returns_same_object(self, tmp_path):

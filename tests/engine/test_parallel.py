@@ -77,6 +77,31 @@ class TestExplorationFanOut:
                 assert a.witness.cycle == b.witness.cycle
                 assert a.witness.assignments == b.witness.assignments
 
+    def test_pool_witnesses_round_trip_as_payloads(self):
+        """A witness computed in a pool worker crosses a pickle, which
+        makes its ``∞`` read counts new float objects; they must still
+        encode as ``"inf"`` and decode to legal entries."""
+        from repro import RunConfig
+        from repro.engine.cache import result_from_payload, result_to_payload
+        from repro.models.constraints import is_legal_entry
+
+        instance = canonical.disagree()
+        names = ("RMS", "R1O", "UMS")
+        tasks = [
+            ExplorationTask(instance=instance, model_name=name)
+            for name in names
+        ]
+        results = run_explorations(tasks, config=RunConfig(workers=2))
+        for (_, name), result in results:
+            assert result.witness is not None, name
+            decoded = result_from_payload(
+                result_to_payload(result, instance), instance
+            )
+            assert decoded == result
+            witness = decoded.witness
+            for entry in witness.prefix + witness.cycle:
+                assert is_legal_entry(model(name), instance, entry), name
+
     def test_keys_preserve_task_order(self):
         instance = canonical.disagree()
         names = ("UMS", "R1O", "REA")
