@@ -55,9 +55,9 @@ def test_explorer_state_throughput_reference(benchmark):
     assert not result.oscillates
 
 
-def test_compiled_replay_throughput(benchmark):
-    """The compiled Def. 2.3 step on a fixed recorded schedule."""
-    from repro.engine.compiled import replay_schedule
+def test_codec_replay_throughput(benchmark):
+    """The codec's packed-tuple Def. 2.3 step on a fixed recorded schedule."""
+    from repro.engine.codec import replay_schedule
 
     instance = fig6_gadget()
     scheduler = RandomScheduler(instance, model("UMS"), seed=1, drop_prob=0.3)

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..config import RunConfig
+from ..config import DEFAULT_ENGINE, RunConfig
 from ..core.generators import POLICIES, random_instance
 
 __all__ = ["CampaignSpec", "MODES", "spec_digest"]
@@ -64,7 +64,7 @@ class CampaignSpec:
     drop_prob: float = 0.2
 
     # -- execution knobs (identical results either way) ----------------
-    engine: str = "compiled"
+    engine: str = DEFAULT_ENGINE
     reduction: str = "ample"
     #: Share a content-addressed verdict cache under the campaign
     #: directory (explore mode); retried and resumed tasks then answer

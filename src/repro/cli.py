@@ -41,7 +41,7 @@ from . import faults, obs
 from .analysis import experiments, reporting
 from .analysis.traces import format_trace_table
 from .campaign import Campaign, CampaignError, CampaignSpec, QueueError, render_report
-from .config import RunConfig
+from .config import DEFAULT_ENGINE, ENGINES, RunConfig
 from .core.instances import ALL_NAMED_INSTANCES
 from .engine.cache import DEFAULT_CACHE_DIR, VerdictCache
 from .engine.convergence import simulate
@@ -58,11 +58,10 @@ def _add_perf_flags(parser: argparse.ArgumentParser) -> None:
     """The shared engine/reduction/cache knobs of the search commands."""
     parser.add_argument(
         "--engine",
-        choices=("compiled", "packed", "reference"),
-        default="compiled",
-        help="execution core: the integer-interned fast path (default), "
-        "the bit-packed symmetry-quotienting engine, or the didactic "
-        "reference search (identical verdicts)",
+        choices=ENGINES,
+        default=DEFAULT_ENGINE,
+        help="execution core: the bit-packed symmetry-quotienting engine "
+        "(default) or the didactic reference search (identical verdicts)",
     )
     parser.add_argument(
         "--reduction",
@@ -249,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--engine",
-        choices=("compiled", "packed", "reference"),
-        default="compiled",
+        choices=ENGINES,
+        default=DEFAULT_ENGINE,
         help="default execution core for requests that do not pick one",
     )
     serve.add_argument(
@@ -333,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--max-states", type=int, default=None)
     query.add_argument(
         "--engine",
-        choices=("compiled", "packed", "reference"),
+        choices=ENGINES,
         default=None,
         help="execution core override (default: the server's)",
     )

@@ -6,8 +6,8 @@ drivers, the CLI) threaded the same five or six tuning knobs as ad-hoc
 keyword arguments.  :class:`RunConfig` replaces that with one frozen,
 picklable value object:
 
-* ``engine`` — execution core (``"compiled"``, ``"packed"``, or
-  ``"reference"``).
+* ``engine`` — execution core (``"packed"``, the default, or
+  ``"reference"``, the oracle); see :data:`ENGINES`.
 * ``reduction`` — partial-order reducer (``"ample"`` or ``"none"``).
 * ``cache`` / ``cache_dir`` — the content-addressed verdict cache:
   ``cache`` accepts anything :func:`repro.engine.cache.as_cache` does
@@ -38,17 +38,37 @@ import warnings
 from dataclasses import dataclass
 
 __all__ = [
+    "DEFAULT_ENGINE",
     "DEFAULT_MAX_STATES",
     "DEFAULT_MAX_STEPS",
+    "ENGINES",
     "RunConfig",
     "resolve_config",
+    "validate_engine",
 ]
+
+#: The execution cores: ``"packed"`` searches single-integer state
+#: words with orbit quotienting; ``"reference"`` is the direct
+#: Def. 2.1–2.3 implementation every fast path is pinned against.
+ENGINES = ("packed", "reference")
+
+#: The engine every entry point uses unless told otherwise.
+DEFAULT_ENGINE = "packed"
 
 #: Exploration state budget when ``step_bound`` is left ``None``.
 DEFAULT_MAX_STATES = 200_000
 
 #: Simulation step budget when ``step_bound`` is left ``None``.
 DEFAULT_MAX_STEPS = 600
+
+
+def validate_engine(engine) -> str:
+    """Return ``engine`` unchanged if it is one of :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of: {', '.join(ENGINES)}"
+        )
+    return engine
 
 
 @dataclass(frozen=True)
@@ -60,7 +80,7 @@ class RunConfig:
     checkpoint files.
     """
 
-    engine: str = "compiled"
+    engine: str = DEFAULT_ENGINE
     reduction: str = "ample"
     cache: object = None
     cache_dir: "str | None" = None
@@ -70,8 +90,7 @@ class RunConfig:
     telemetry: "str | None" = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ("compiled", "reference", "packed"):
-            raise ValueError(f"unknown engine {self.engine!r}")
+        validate_engine(self.engine)
         if self.reduction not in ("ample", "none"):
             raise ValueError(f"unknown reduction {self.reduction!r}")
         if self.queue_bound < 1:

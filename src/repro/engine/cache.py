@@ -16,10 +16,10 @@ accounting (``queue_bound``, ``max_states``, ``reliable_twin_first``,
 ``reduction``).  Bumping any revision constant invalidates every stale
 entry by construction — the cache never needs a migration step.  The
 ``engine`` choice is deliberately *not* part of the key: the
-differential tests pin compiled and reference bit-identical, and the
-packed engine bit-identical on trivial-symmetry instances and
-verdict-equal with monotone completeness on symmetric ones, so cached
-results are interchangeable across engines.  Because the instance key is the
+differential tests pin the packed engine bit-identical to the reference
+on trivial-symmetry instances and verdict-equal with monotone
+completeness on symmetric ones, so cached results are interchangeable
+across engines.  Because the instance key is the
 canonical hash, a renamed copy of a cached gadget hits the same entry;
 stored witnesses are encoded in canonical-index space and translated
 back into the requesting instance's node names on load.

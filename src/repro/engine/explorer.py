@@ -48,7 +48,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
-from ..config import RunConfig, resolve_config
+from ..config import DEFAULT_ENGINE, RunConfig, resolve_config, validate_engine
 from ..core.paths import EPSILON, Node
 from ..core.spp import SPPInstance
 from ..models.dimensions import MessageCount, NeighborScope, Reliability
@@ -139,20 +139,22 @@ class ExplorationResult:
 class Explorer:
     """Exhaustive bounded search of one (instance, model) state graph.
 
-    ``engine`` selects the execution core: ``"compiled"`` (default)
-    runs the search on integer-packed states via
-    :mod:`repro.engine.compiled` — same verdicts, same witnesses,
-    several times faster — while ``"reference"`` runs the direct
-    Def. 2.1–2.3 implementation below.  The differential tests assert
-    the two are bit-identical; keep the reference path around as the
-    semantics of record (cf. Daggitt–Griffin on verified reference
-    models for policy-rich DBF protocols).
+    ``engine`` selects the execution core: ``"packed"`` (default)
+    runs the search on single-integer state words via
+    :mod:`repro.engine.packed` — same verdicts, tens to hundreds of
+    times faster, and bit-identical results on instances without
+    symmetry —
+    while ``"reference"`` runs the direct Def. 2.1–2.3 implementation
+    below.  The differential tests pin packed against it; keep the
+    reference path around as the semantics of record (cf.
+    Daggitt–Griffin on verified reference models for policy-rich DBF
+    protocols).
     """
 
     #: Class-level defaults so subclasses that bypass ``__init__`` (the
     #: multi-node explorer) still resolve engine/reduction attributes —
     #: subclasses run unreduced unless they opt in explicitly.
-    engine = "compiled"
+    engine = DEFAULT_ENGINE
     reduction = "none"
     _rep_paths = None
     _absorb = False
@@ -164,13 +166,12 @@ class Explorer:
         model: CommunicationModel,
         queue_bound: int = 3,
         max_states: int = 200_000,
-        engine: str = "compiled",
+        engine: str = DEFAULT_ENGINE,
         reduction: str = "ample",
     ) -> None:
         if model.concurrency.name != "ONE":
             raise ValueError("the explorer supports one-node-per-step models only")
-        if engine not in ("compiled", "reference", "packed"):
-            raise ValueError(f"unknown explorer engine {engine!r}")
+        validate_engine(engine)
         self.instance = instance
         self.model = model
         self.queue_bound = queue_bound
@@ -467,16 +468,6 @@ class Explorer:
         # Fast path: the packed-integer port of this exact search.
         # Subclasses (e.g. the multi-node explorer) override successor
         # generation, so only the base class may take it.
-        if self.engine == "compiled" and type(self) is Explorer:
-            from .compiled import CompiledExplorer
-
-            return CompiledExplorer(
-                self.instance,
-                self.model,
-                queue_bound=self.queue_bound,
-                max_states=self.max_states,
-                reduction=self.reduction,
-            ).explore()
         if self.engine == "packed" and type(self) is Explorer:
             from .packed import PackedExplorer
 
@@ -786,7 +777,7 @@ def can_oscillate(
     all.  Oscillation verdicts agree across engines, but the results
     are not bit-identical: on symmetric instances the packed engine
     folds orbits, so its state counts are smaller and it can report
-    ``complete`` within a budget the other engines exhaust.  The
+    ``complete`` within a budget the reference engine exhausts.  The
     individual keyword arguments are a deprecated shim kept for older
     callers; passing any of them emits a :class:`DeprecationWarning`
     and overrides the config field.

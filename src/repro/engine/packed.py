@@ -1,11 +1,10 @@
 """Packed-word execution core: whole states as single integers.
 
-The compiled engine (:mod:`repro.engine.compiled`) already interns
-routes, nodes, and channels into dense ids, but a state is still a
-4-tuple of tuples and every successor allocates fresh tuples.  This
-module is the third engine tier: one canonical state is a **single
-Python integer** laid out in fixed-width bit fields derived from the
-:class:`~repro.engine.compiled.InstanceCodec` —
+The reference engine (:mod:`repro.engine.explorer`) searches rich
+``NetworkState`` values; this module is the fast default tier.  One
+canonical state is a **single Python integer** laid out in fixed-width
+bit fields derived from the dense ids of
+:class:`~repro.engine.codec.InstanceCodec` —
 
     ``[ π digits | announced digits | ρ digits | per-channel queues ]``
 
@@ -44,7 +43,7 @@ zero).  Three consequences drive the speed:
   instance labels.
 
 For instances with a trivial automorphism group (e.g. fig7) the search
-explores *exactly* the compiled engine's graph in the compiled
+explores *exactly* the reference engine's graph in the reference
 engine's order — same states, same truncation counts, same checkpoint
 early exits, same Tarjan-order witness selection — so verdicts, flags,
 counts, and witnesses are bit-identical; the differential suite pins
@@ -55,7 +54,7 @@ search: the quotient may certify *more* (its mid-search checkpoints
 never exit early, and covering the quotient covers the whole space),
 never less.  Truncation-zeroness is group-equivariant and the quotient
 is never larger than the concrete graph, so ``packed.complete >=
-compiled.complete`` always holds.
+reference.complete`` always holds.
 
 An optional vectorized path (auto-detected numpy/scipy, disabled via
 ``REPRO_NO_NUMPY=1``) accelerates the SCC/fairness passes: scipy's
@@ -79,7 +78,12 @@ from ..models.dimensions import MessageCount, NeighborScope, Reliability
 from ..models.taxonomy import CommunicationModel
 from ..obs import active as _telemetry
 from .activation import INFINITY
-from .compiled import CompiledExplorer, apply_packed, codec_for
+from .codec import apply_packed, codec_for
+from .reduction import (
+    absorption_allowed,
+    representative_tables,
+    validate_reduction,
+)
 
 __all__ = ["PackedExplorer"]
 
@@ -136,8 +140,8 @@ class _PackedOp:
 
 
 class PackedExplorer:
-    """Single-word port of :class:`repro.engine.compiled.CompiledExplorer`
-    with search-time orbit quotienting.  Constructed by
+    """Single-word port of the :class:`repro.engine.explorer.Explorer`
+    search with search-time orbit quotienting.  Constructed by
     ``Explorer.explore()`` when the engine is ``"packed"``."""
 
     def __init__(
@@ -148,18 +152,31 @@ class PackedExplorer:
         max_states: int = 200_000,
         reduction: str = "ample",
     ) -> None:
-        # The compiled explorer supplies the codec, the canonicalizer,
-        # the combo/kickoff enumerators, and validates the arguments.
-        self._comp = CompiledExplorer(
-            instance, model, queue_bound=queue_bound,
-            max_states=max_states, reduction=reduction,
-        )
+        if model.concurrency.name != "ONE":
+            raise ValueError("the explorer supports one-node-per-step models only")
         self.instance = instance
         self.model = model
         self.queue_bound = queue_bound
         self.max_states = max_states
-        self.reduction = self._comp.reduction
-        self.codec = codec = self._comp.codec
+        self.reduction = validate_reduction(reduction)
+        self.codec = codec = codec_for(instance)
+        self._collapse = (
+            model.count is MessageCount.ALL
+            and model.reliability is Reliability.RELIABLE
+        )
+        self._count_all = model.count is MessageCount.ALL
+        self._combo_cache: dict = {}
+        # Write-time canonicalization: stored queue/ρ digits are always
+        # ext-class representatives (the identity without reduction), so
+        # projection never needs a post-hoc pass — wval[cid][r] is the
+        # digit actually written when route r lands on channel cid.
+        if self.reduction == "ample":
+            self._wval = representative_tables(instance)
+            self._absorb = absorption_allowed(model)
+        else:
+            ident = tuple(range(len(codec.routes)))
+            self._wval = tuple(ident for _ in codec.channels)
+            self._absorb = False
 
         n_nodes = len(codec.nodes)
         n_channels = len(codec.channels)
@@ -187,18 +204,6 @@ class PackedExplorer:
         self._ann_dest_off = self._ann_off[codec.dest_id]
         self._total_bound = queue_bound * max(1, n_channels)
 
-        # ---- write-time canonicalization tables -------------------------
-        # Stored queue/ρ digits are always ext-class representatives, so
-        # projection never needs a post-hoc pass: wval[cid][r] is the
-        # digit actually written when route r lands on channel cid.
-        if self._comp._rep is not None:
-            self._wval = self._comp._rep
-        else:
-            ident = tuple(range(n_routes))
-            self._wval = tuple(ident for _ in range(n_channels))
-        self._collapse = self._comp._collapse
-        self._count_all = self._comp._count_all
-        self._absorb = self._comp._absorb
         self._recv = tuple(
             codec.node_id[channel[1]] for channel in codec.channels
         )
@@ -313,6 +318,86 @@ class PackedExplorer:
 
         # ---- optional vectorized path -----------------------------------
         self._np, self._sp = _detect_vector_libs()
+
+    # ------------------------------------------------------------------
+    # Tuple-level canonicalization and per-channel read combos
+    # ------------------------------------------------------------------
+    def canonicalize(self, packed: tuple) -> tuple:
+        """The codec-tuple twin of ``Explorer.canonicalize``: destination
+        in-channels cleared, reliable count-A queues collapsed to their
+        newest message, and every known route and queued message
+        written as its stored digit (see ``_wval``)."""
+        pi, rho, channels, announced = packed
+        dest_in = self._dest_in_set
+        wval = self._wval
+        rho = tuple(
+            0 if cid in dest_in else wval[cid][r] for cid, r in enumerate(rho)
+        )
+        channels = tuple(
+            ()
+            if cid in dest_in
+            else tuple(
+                wval[cid][m] for m in (queue[-1:] if self._collapse else queue)
+            )
+            for cid, queue in enumerate(channels)
+        )
+        return (pi, rho, channels, announced)
+
+    def _count_options(self, pending: int) -> tuple:
+        kind = self.model.count
+        if kind is MessageCount.ONE:
+            return (1,)
+        if kind is MessageCount.ALL:
+            return (INFINITY,)
+        if pending == 0:
+            return (1,)
+        behaviours = list(range(1, pending + 1))
+        behaviours[-1] = INFINITY
+        if (
+            kind is MessageCount.SOME
+            and self.model.scope is NeighborScope.EVERY
+        ):
+            behaviours.insert(0, 0)
+        return tuple(behaviours)
+
+    def _drop_options(self, effective: int) -> tuple:
+        if self.model.reliability is Reliability.RELIABLE or effective == 0:
+            return (_NO_DROPS,)
+        options = []
+        for survivor in range(effective, 0, -1):
+            options.append(frozenset(range(survivor + 1, effective + 1)))
+        options.append(frozenset(range(1, effective + 1)))
+        return tuple(options)
+
+    def _combos_for(self, pending: int) -> tuple:
+        """Behaviourally distinct ``(f, g)`` pairs for one channel."""
+        cached = self._combo_cache.get(pending)
+        if cached is None:
+            combos = []
+            for count in self._count_options(pending):
+                effective = (
+                    pending if count == INFINITY else min(count, pending)
+                )
+                for dropped in self._drop_options(effective):
+                    combos.append((count, dropped))
+            cached = tuple(combos)
+            self._combo_cache[pending] = cached
+        return cached
+
+    def _kickoff(self) -> tuple:
+        """The destination's kickoff entry ``(node_ids, combo)``."""
+        codec = self.codec
+        in_cids = codec.in_ch[codec.dest_id]
+        scope = self.model.scope
+        if scope is NeighborScope.ONE and in_cids:
+            cids: tuple = (in_cids[0],)
+        elif scope is NeighborScope.EVERY:
+            cids = in_cids
+        else:
+            cids = ()
+        count = INFINITY if self._count_all else 1
+        combo = tuple((cid, count, _NO_DROPS) for cid in cids)
+        return ((codec.dest_id,), combo)
 
     # ------------------------------------------------------------------
     # Symmetry machinery
@@ -468,7 +553,7 @@ class PackedExplorer:
         return tuple(out)
 
     # ------------------------------------------------------------------
-    # Word <-> compiled 4-tuple conversion
+    # Word <-> codec 4-tuple conversion
     # ------------------------------------------------------------------
     def _encode(self, packed: tuple) -> int:
         pi, rho, channels, announced = packed
@@ -540,7 +625,7 @@ class PackedExplorer:
         rho_shift = self._rho_off[cid]
         pe = self._pe[cid]
         effects = []
-        for count, drops in self._comp._combos_for(ln):
+        for count, drops in self._combos_for(ln):
             take = ln if count == INFINITY else min(count, ln)
             if not take:
                 effects.append((0, pe[rho_val]))
@@ -610,7 +695,7 @@ class PackedExplorer:
 
     def _build_menu(self, nid: int, sig: tuple) -> tuple:
         """All behaviourally distinct ops of node ``nid`` at queue-length
-        signature ``sig`` — exactly the compiled enumeration order."""
+        signature ``sig`` — exactly the reference enumeration order."""
         codec = self.codec
         in_cids = codec.in_ch[nid]
         pending = dict(zip(in_cids, sig))
@@ -636,7 +721,7 @@ class PackedExplorer:
                 [
                     (j, count, drops)
                     for j, (count, drops) in enumerate(
-                        self._comp._combos_for(pending[cid])
+                        self._combos_for(pending[cid])
                     )
                 ]
                 for cid in cids
@@ -658,7 +743,7 @@ class PackedExplorer:
 
     def _entry_count(self, word: int) -> int:
         """Unreduced entry count at ``word`` (states_pruned accounting);
-        the packed twin of CompiledExplorer._full_entry_count.  Depends
+        the packed twin of Explorer._full_entry_count.  Depends
         only on the destination's announced digit and the queue
         lengths, so it memoizes on the word masked down to those bits.
         """
@@ -695,7 +780,7 @@ class PackedExplorer:
         ``key`` is ``word & node_mask[nid]``; every bit the expansion
         reads lives inside the mask, so the resulting
         ``(entries, n_locally_truncated)`` pair — where each entry is
-        ``(op, word_delta, total_delta)`` in compiled enumeration order
+        ``(op, word_delta, total_delta)`` in reference enumeration order
         — is shared verbatim by every global state that agrees on the
         masked bits.  Only the message-total bound (which depends on the
         global total) is re-checked at the point of use.
@@ -796,7 +881,7 @@ class PackedExplorer:
 
     def _absorption_succ(self, word: int) -> "tuple | None":
         """(op, successor word) when the forced absorption step applies;
-        mirrors CompiledExplorer._absorption on packed digits (stored
+        mirrors Explorer._absorption on packed digits (stored
         digits are representatives, so the rep-table comparison is a
         plain digit equality)."""
         fmask = self._fmask
@@ -831,10 +916,10 @@ class PackedExplorer:
         """(op, successor word, total) for the destination kickoff, or
         ``None`` when the successor breaches the queue bounds.  Rare
         (only states where the destination has not yet announced), so
-        it goes through the compiled slow path."""
+        it goes through the codec-tuple slow path."""
         packed = self._decode(word)
-        kick = self._comp._kickoff(packed)
-        nxt = self._comp.canonicalize(
+        kick = self._kickoff()
+        nxt = self.canonicalize(
             apply_packed(self.codec, packed, kick[0], kick[1])
         )
         total = 0
@@ -849,7 +934,7 @@ class PackedExplorer:
         return op, self._encode(nxt), total
 
     # ------------------------------------------------------------------
-    # Search (packed twin of CompiledExplorer.explore)
+    # Search (packed twin of Explorer.explore)
     # ------------------------------------------------------------------
     def explore(self):
         from .explorer import ExplorationResult
@@ -860,9 +945,8 @@ class PackedExplorer:
         self._orbits_merged = 0
         batches = 0
 
-        comp = self._comp
         codec = self.codec
-        init4 = comp.canonicalize(codec.initial_packed())
+        init4 = self.canonicalize(codec.initial_packed())
         word0 = self._encode(init4)
         if self._gsize > 1:
             word0, self._init_tau = self._orbit_min(word0)
@@ -1054,12 +1138,12 @@ class PackedExplorer:
                     )
                 # Mid-search early exit is only taken on the trivial-
                 # group path, where the graph and visit order replicate
-                # the compiled engine exactly — so the exit (and the
+                # the reference engine exactly — so the exit (and the
                 # resulting ``complete=False``) fires at the same state
                 # count.  Under a nontrivial group the quotient reaches
                 # cycles at different prefixes than the concrete search,
                 # so an early exit could flip ``complete`` relative to
-                # compiled; the quotient is small enough to finish.
+                # reference; the quotient is small enough to finish.
                 if gsize == 1:
                     witness = self._find_fair_oscillation(graph)
                     if witness is not None:
@@ -1149,7 +1233,7 @@ class PackedExplorer:
         those are kept too.  The scipy path labels components in C but
         loses Tarjan's emission order (``tarjan_ordered=False``); the
         stdlib path runs Tarjan and preserves it.  The trivial-group
-        caller needs that order to pick the same component the compiled
+        caller needs that order to pick the same component the reference
         engine picks, and re-derives it when the fast path dropped it.
         """
         states, totals, adj_start, adj_end, edge_src, edge_op, edge_tgt, \
@@ -1282,7 +1366,7 @@ class PackedExplorer:
     def _find_fair_oscillation(self, graph):
         comps, ordered = self._candidate_components(graph)
         if self._gsize == 1:
-            # The compiled engine returns the *first* qualifying SCC in
+            # The reference engine returns the *first* qualifying SCC in
             # Tarjan emission order; replicate that exactly so trivial-
             # group witnesses stay bit-identical.  The scipy screen has
             # no such order: use it only to dismiss the (common) no-
@@ -1365,7 +1449,7 @@ class PackedExplorer:
         members = set(comp)
         anchor = min(comp)
         anchor_pi = states[anchor] & pimask
-        # ``comp`` is in Tarjan stack-pop order; the compiled engine
+        # ``comp`` is in Tarjan stack-pop order; the reference engine
         # picks the first differing-π member in that same order.
         other = next(s for s in comp if states[s] & pimask != anchor_pi)
         period = self._bfs_path(anchor, other, members, graph) + \
@@ -1494,7 +1578,7 @@ class PackedExplorer:
         return None
 
     def _threaded_fairness(self, tcomp, inner, states) -> bool:
-        """The compiled fairness predicate on the realized component."""
+        """The reference fairness predicate on the realized component."""
         ops = self._ops
         nperms = self._nperms
         mask_img = self._mask_img

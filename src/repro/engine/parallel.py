@@ -22,7 +22,7 @@ seed — so the fan-out here is parallel *and* reproducible:
 Tasks and results travel by pickle: :class:`~repro.core.spp.SPPInstance`,
 :class:`~repro.engine.explorer.ExplorationResult`, and witnesses are
 all plain picklable values.  Workers rebuild per-instance codec tables
-lazily on first use (see :func:`repro.engine.compiled.codec_for`), so
+lazily on first use (see :func:`repro.engine.codec.codec_for`), so
 shipping an instance costs one table build per process, not per task.
 """
 
@@ -35,7 +35,7 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass
 from functools import partial
 
-from ..config import RunConfig, resolve_config
+from ..config import DEFAULT_ENGINE, RunConfig, resolve_config, validate_engine
 from ..core.spp import SPPInstance
 from ..faults import ensure_armed_from_env, fault_point
 from ..obs import active as _telemetry
@@ -339,7 +339,7 @@ class ExplorationTask:
     queue_bound: int = 3
     max_states: int = 200_000
     reliable_twin_first: bool = True
-    engine: str = "compiled"
+    engine: str = DEFAULT_ENGINE
     reduction: str = "ample"
     #: Directory of a shared :class:`repro.engine.cache.VerdictCache`
     #: (``None`` disables caching).  Safe across workers: entries are
@@ -352,6 +352,9 @@ class ExplorationTask:
     #: from the task's identity-bearing fields by never entering
     #: :meth:`resolved_key` or the cache key.
     traceparent: "str | None" = None
+
+    def __post_init__(self) -> None:
+        validate_engine(self.engine)
 
     def resolved_key(self) -> tuple:
         return self.key or (self.instance.name, self.model_name)

@@ -12,7 +12,7 @@ One endpoint, ``POST /v1/query``, takes a JSON object::
         "reliable_twin_first": true
       },
       "config":   {                 # optional; server-safe fields only
-        "engine": "compiled",
+        "engine": "packed",
         "reduction": "ample"
       }
     }
@@ -52,7 +52,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ..config import DEFAULT_MAX_STATES
+from ..config import DEFAULT_ENGINE, DEFAULT_MAX_STATES, validate_engine
 from ..core.serialization import instance_from_dict
 from ..core.spp import SPPInstance
 
@@ -100,7 +100,6 @@ DEADLINE_HEADER = "X-Repro-Deadline"
 #: Request ``config`` fields a client may set.
 _CLIENT_CONFIG_FIELDS = frozenset({"engine", "reduction"})
 
-_ENGINES = ("compiled", "reference", "packed")
 _REDUCTIONS = ("ample", "none")
 
 
@@ -164,7 +163,7 @@ class QueryRequest:
     queue_bound: int = 3
     max_states: int = DEFAULT_MAX_STATES
     reliable_twin_first: bool = True
-    engine: str = "compiled"
+    engine: str = DEFAULT_ENGINE
     reduction: str = "ample"
 
     def group_key(self, canonical: str) -> tuple:
@@ -244,8 +243,10 @@ def _parse_config(raw) -> dict:
     )
     out = {}
     if "engine" in raw:
-        _require(raw["engine"] in _ENGINES, f"unknown engine {raw['engine']!r}")
-        out["engine"] = raw["engine"]
+        try:
+            out["engine"] = validate_engine(raw["engine"])
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
     if "reduction" in raw:
         _require(
             raw["reduction"] in _REDUCTIONS,
@@ -255,7 +256,7 @@ def _parse_config(raw) -> dict:
     return out
 
 
-def parse_query(body, *, default_engine: str = "compiled") -> QueryRequest:
+def parse_query(body, *, default_engine: str = DEFAULT_ENGINE) -> QueryRequest:
     """Parse and validate a ``/v1/query`` body (bytes, str, or dict).
 
     Raises :class:`ProtocolError` on any malformed field; never returns

@@ -43,7 +43,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..config import RunConfig
+from ..config import DEFAULT_ENGINE, RunConfig, validate_engine
 from ..core.canonical import canonical_hash
 from ..engine.cache import result_to_payload, shared_cache, verdict_key
 from ..engine.parallel import ExplorationTask, run_explorations
@@ -124,7 +124,7 @@ class ServeConfig:
     cache_dir: str
     host: str = "127.0.0.1"
     port: int = 0
-    engine: str = "compiled"
+    engine: str = DEFAULT_ENGINE
     workers: int = 2
     compute_procs: int = 1
     queue_cap: int = 64
@@ -135,8 +135,7 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if not self.cache_dir:
             raise ValueError("cache_dir is required")
-        if self.engine not in ("compiled", "reference", "packed"):
-            raise ValueError(f"unknown engine {self.engine!r}")
+        validate_engine(self.engine)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.compute_procs < 1:
@@ -203,6 +202,15 @@ _COUNTERS = (
     "shed",
     "errors",
 )
+
+
+#: The counter each ``served`` tier is tallied under.
+_TIER_COUNTERS = {
+    "memory": "mem_hits",
+    "disk": "disk_hits",
+    "computed": "computed",
+    "joined": "joined",
+}
 
 
 class VerdictService:
@@ -389,13 +397,6 @@ class VerdictService:
                 else:
                     missing[model_name] = key
             lookup_span.note(hits=len(served), misses=len(missing))
-        if served:
-            mem = sum(1 for tier in served.values() if tier == "memory")
-            if mem:
-                self._count("mem_hits", mem)
-            disk = len(served) - mem
-            if disk:
-                self._count("disk_hits", disk)
         if missing:
             owned, joined = self._register(request, canonical, missing, results, served)
             with _tracing.trace_span("serve.wait", timing=True) as wait_span:
@@ -410,6 +411,13 @@ class VerdictService:
                     wait_span.note(waited_on=",".join(leaders))
                 wait_span.note(owned=len(owned), joined=len(joined))
                 self._await(owned, joined, results, served, deadline)
+        # Every tier is tallied once, here, from what was served: a key
+        # that missed the lookup may still be answered from the memo at
+        # registration, which no earlier count would see.
+        for tier, counter in _TIER_COUNTERS.items():
+            count = sum(1 for value in served.values() if value == tier)
+            if count:
+                self._count(counter, count)
         return {
             "v": PROTOCOL_VERSION,
             "protocol": PROTOCOL_VERSION,
@@ -500,10 +508,6 @@ class VerdictService:
                     raise ComputeFailed(entry.error)
                 results[model_name] = entry.payload
                 served[model_name] = tier
-        if owned:
-            self._count("computed", len(owned))
-        if joined:
-            self._count("joined", len(joined))
 
     # -- compute path ---------------------------------------------------
     def _worker_loop(self) -> None:

@@ -1,13 +1,14 @@
-"""Differential tests for the packed frontier engine.
+"""Differential tests: the packed engine against the reference engine.
 
-``engine="packed"`` (``repro.engine.packed``) re-implements the
-compiled bounded search over single-integer state words and quotients
-the search by the instance's automorphism group.  These tests pin its
-external contract against the compiled engine:
+``engine="packed"`` (``repro.engine.packed``, the default) re-implements
+the reference bounded search (``repro.engine.explorer``, the oracle of
+Def. 2.1–2.3) over single-integer state words and quotients the search
+by the instance's automorphism group.  These tests pin its external
+contract against the reference engine:
 
 * on instances with a **trivial** automorphism group the quotient is
   the identity, so every field — verdict, completeness, state/prune
-  counts, and the witness itself — is **bit-identical** to compiled;
+  counts, and the witness itself — is **bit-identical** to reference;
 * on **symmetric** instances ``oscillates`` is identical, ``complete``
   is monotone (the quotient graph is never larger, so bounded coverage
   never shrinks), and witnesses — reconstructed by orbit-unwinding —
@@ -26,8 +27,9 @@ from repro.core import instances as gadgets
 from repro.core.canonical import automorphisms
 from repro.core.generators import random_instance
 from repro.engine.execution import Execution
-from repro.engine.explorer import Explorer
+from repro.engine.explorer import Explorer, can_oscillate
 from repro.engine.packed import PackedExplorer
+from repro.engine.state import NetworkState
 from repro.models.constraints import is_legal_entry
 from repro.models.taxonomy import ALL_MODELS, model
 
@@ -38,6 +40,11 @@ SLOW = dict(max_examples=25, deadline=None)
 SINGLE_NODE_MODELS = [m for m in ALL_MODELS if m.concurrency.name == "ONE"]
 
 SYMMETRIC = (gadgets.disagree, gadgets.bad_gadget, gadgets.good_gadget)
+
+#: fig6 models whose searches are truncated at any bound; against the
+#: reference engine they dominate the all-model sweep, so they run at
+#: a 5 000-state budget (truncation and overflow paths still covered).
+FIG6_TRUNCATED = frozenset({"UEO", "UES", "UEF", "UEA"})
 
 
 def result_tuple(result):
@@ -66,39 +73,51 @@ def explore(instance, m, engine, reduction="ample", queue_bound=2,
 
 def assert_bit_identical(instance, m, reduction="ample", queue_bound=2,
                          max_states=20_000):
-    compiled = explore(instance, m, "compiled", reduction, queue_bound,
-                       max_states)
+    reference = explore(instance, m, "reference", reduction, queue_bound,
+                        max_states)
     packed = explore(instance, m, "packed", reduction, queue_bound,
                      max_states)
-    assert result_tuple(packed) == result_tuple(compiled), m.name
-    assert packed.witness == compiled.witness, m.name
+    assert result_tuple(packed) == result_tuple(reference), m.name
+    assert packed.witness == reference.witness, m.name
     return packed
+
+
+def assert_monotone_results(packed, reference, name):
+    assert packed.oscillates == reference.oscillates, name
+    # The quotient graph is never larger than the concrete graph, so
+    # the packed search can only certify more, never less — the same
+    # monotonicity the ample reduction is pinned to.
+    assert packed.complete >= reference.complete, name
+    if reference.complete and packed.complete:
+        assert packed.states_explored <= reference.states_explored, name
 
 
 def assert_monotone_contract(instance, m, reduction="ample", queue_bound=2,
                              max_states=20_000):
-    compiled = explore(instance, m, "compiled", reduction, queue_bound,
-                       max_states)
+    reference = explore(instance, m, "reference", reduction, queue_bound,
+                        max_states)
     packed = explore(instance, m, "packed", reduction, queue_bound,
                      max_states)
-    assert packed.oscillates == compiled.oscillates, m.name
-    # The quotient graph is never larger than the concrete graph, so
-    # the packed search can only certify more, never less — the same
-    # monotonicity the ample reduction is pinned to.
-    assert packed.complete >= compiled.complete, m.name
-    if compiled.complete and packed.complete:
-        assert packed.states_explored <= compiled.states_explored, m.name
+    assert_monotone_results(packed, reference, m.name)
     return packed
 
 
+def assert_engines_agree(instance, m, **bounds):
+    """Bit-identity on trivial-group instances, the contract otherwise."""
+    if len(automorphisms(instance)) == 1:
+        return assert_bit_identical(instance, m, **bounds)
+    return assert_monotone_contract(instance, m, **bounds)
+
+
 class TestTrivialGroupBitIdentity:
-    """fig6/fig7 have identity-only groups: packed must equal compiled
+    """fig6/fig7 have identity-only groups: packed must equal reference
     in every observable, including the oscillation witness."""
 
     @pytest.mark.parametrize("m", SINGLE_NODE_MODELS, ids=lambda m: m.name)
     def test_fig6_all_models(self, fig6, m):
         assert len(automorphisms(fig6)) == 1
-        assert_bit_identical(fig6, m)
+        max_states = 5_000 if m.name in FIG6_TRUNCATED else 20_000
+        assert_bit_identical(fig6, m, max_states=max_states)
 
     @pytest.mark.parametrize("name", ("R1O", "REO", "RMS", "REA", "UEA"))
     def test_fig7_representative_models(self, fig7, name):
@@ -220,19 +239,23 @@ class TestOrbitCanonicalizer:
     @staticmethod
     def _sample_words(instance, name, limit=60):
         packed = PackedExplorer(instance, model(name), queue_bound=2)
-        comp = packed._comp
-        init = comp.canonicalize(comp.codec.initial_packed())
+        reference = Explorer(instance, model(name), queue_bound=2,
+                             engine="reference")
+        init = reference.canonicalize(NetworkState.initial(instance))
         seen = {init}
         frontier = [init]
         while frontier and len(seen) < limit:
             nxt = []
             for state in frontier:
-                for _entry, succ in comp.successors(state):
+                for _entry, succ in reference.successors(state):
                     if succ not in seen:
                         seen.add(succ)
                         nxt.append(succ)
             frontier = nxt
-        return packed, [packed._encode(state) for state in seen]
+        codec = packed.codec
+        return packed, [
+            packed._encode(codec.pack_state(state)) for state in seen
+        ]
 
     @pytest.mark.parametrize(
         "factory,name",
@@ -273,15 +296,62 @@ class TestOrbitCanonicalizer:
 
 class TestAccountingAndSelection:
     def test_orbit_merging_shrinks_disagree(self, disagree):
-        compiled = explore(disagree, model("R1O"), "compiled",
-                           queue_bound=3)
+        reference = explore(disagree, model("R1O"), "reference",
+                            queue_bound=3)
         packed = explore(disagree, model("R1O"), "packed", queue_bound=3)
-        assert packed.states_explored < compiled.states_explored
+        assert packed.states_explored < reference.states_explored
 
     def test_unknown_engine_rejected(self, disagree):
-        with pytest.raises(ValueError, match="unknown explorer engine"):
+        with pytest.raises(ValueError, match="unknown engine"):
             Explorer(disagree, model("R1O"), engine="vectorized")
 
     def test_packed_engine_attribute(self, disagree):
         explorer = Explorer(disagree, model("R1O"), engine="packed")
         assert explorer.engine == "packed"
+
+
+class TestExplorerEquivalence:
+    """Packed against reference on the gadgets and bounds the explorer
+    has always been pinned at, through ``Explorer`` and
+    ``can_oscillate`` (DISAGREE's all-model sweep and the unknown-engine
+    check live in the classes above)."""
+
+    def test_fig6_truncated_and_complete_searches(self, fig6):
+        # Includes truncated searches, checkpoint-triggered early exits,
+        # and the max_states overflow path.
+        for name in ("R1O", "REO", "RMS", "REA", "UMS"):
+            assert_engines_agree(
+                fig6, model(name), queue_bound=2, max_states=5_000
+            )
+
+    def test_fig7_verdicts(self, fig7):
+        for name in ("R1O", "REA", "U1S"):
+            assert_engines_agree(
+                fig7, model(name), queue_bound=2, max_states=5_000
+            )
+
+    @settings(**SLOW)
+    @given(seeds, model_indexes)
+    def test_random_instances_identical_results(self, seed, model_index):
+        m = ALL_MODELS[model_index]
+        if m.concurrency.name != "ONE":
+            return
+        instance = random_instance(seed % 40, n_nodes=3)
+        assert_engines_agree(instance, m, queue_bound=2, max_states=3_000)
+
+    def test_can_oscillate_engine_parameter(self, disagree):
+        for name in ("R1O", "REA", "UMS", "UEA"):
+            packed = can_oscillate(
+                disagree, model(name), queue_bound=3, engine="packed"
+            )
+            reference = can_oscillate(
+                disagree, model(name), queue_bound=3, engine="reference"
+            )
+            assert_monotone_results(packed, reference, name)
+
+    def test_packed_explorer_rejects_multi_node_models(self, disagree):
+        from repro.models.dimensions import NodeConcurrency
+
+        multi = model("R1A").with_concurrency(NodeConcurrency.UNRESTRICTED)
+        with pytest.raises(ValueError):
+            PackedExplorer(disagree, multi)

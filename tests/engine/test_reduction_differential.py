@@ -8,8 +8,10 @@ tests pin its external contract against the unreduced search:
 * ``complete`` is monotone — the reduced search may certify more
   (absorption shortens queues, so bounded coverage grows), never less;
 * witnesses remain replayable, model-legal, periodic oscillations;
-* the compiled and reference engines stay **bit-identical** under
-  reduction, including ``states_explored`` and ``states_pruned``.
+* the packed engine stays **bit-identical** to the reference engine
+  under reduction — including ``states_explored`` and
+  ``states_pruned`` — on instances without symmetry, and keeps the
+  verdict with monotone completeness on symmetric ones.
 """
 
 import pytest
@@ -24,6 +26,11 @@ from repro.engine.reduction import validate_reduction
 from repro.models.constraints import is_legal_entry
 from repro.models.taxonomy import ALL_MODELS, model
 
+from .test_packed_differential import (
+    assert_engines_agree,
+    assert_monotone_contract,
+)
+
 model_indexes = st.integers(min_value=0, max_value=len(ALL_MODELS) - 1)
 seeds = st.integers(min_value=0, max_value=10_000)
 SLOW = dict(max_examples=25, deadline=None)
@@ -31,19 +38,7 @@ SLOW = dict(max_examples=25, deadline=None)
 SINGLE_NODE_MODELS = [m for m in ALL_MODELS if m.concurrency.name == "ONE"]
 
 
-def result_tuple(result):
-    return (
-        result.model_name,
-        result.instance_name,
-        result.oscillates,
-        result.complete,
-        result.states_explored,
-        result.truncated_states,
-        result.states_pruned,
-    )
-
-
-def explore(instance, m, reduction, engine="compiled", queue_bound=2,
+def explore(instance, m, reduction, engine="packed", queue_bound=2,
             max_states=20_000):
     return Explorer(
         instance,
@@ -96,15 +91,14 @@ class TestVerdictIdentity:
 
 
 class TestEngineBitIdentityUnderReduction:
+    """Packed against reference with the reducer on: bit-identical where
+    the automorphism group is trivial, the monotone contract otherwise
+    (DISAGREE is symmetric, so packed folds its orbits)."""
+
     @pytest.mark.parametrize("m", SINGLE_NODE_MODELS, ids=lambda m: m.name)
     def test_disagree(self, disagree, m):
-        compiled = explore(disagree, m, "ample", engine="compiled",
-                           queue_bound=3)
-        reference = explore(disagree, m, "ample", engine="reference",
-                            queue_bound=3)
-        assert result_tuple(compiled) == result_tuple(reference)
-        if compiled.witness is not None:
-            assert compiled.witness == reference.witness
+        assert_monotone_contract(disagree, m, reduction="ample",
+                                 queue_bound=3)
 
     @settings(**SLOW)
     @given(seeds, model_indexes)
@@ -113,13 +107,8 @@ class TestEngineBitIdentityUnderReduction:
         if m.concurrency.name != "ONE":
             return
         instance = random_instance(seed % 40, n_nodes=3)
-        compiled = explore(instance, m, "ample", engine="compiled",
-                           max_states=5_000)
-        reference = explore(instance, m, "ample", engine="reference",
-                            max_states=5_000)
-        assert result_tuple(compiled) == result_tuple(reference)
-        if compiled.witness is not None:
-            assert compiled.witness == reference.witness
+        assert_engines_agree(instance, m, reduction="ample",
+                             max_states=5_000)
 
 
 class TestReducedWitnesses:
@@ -156,7 +145,7 @@ class TestReducedWitnesses:
 
 class TestAccounting:
     def test_no_reduction_means_no_pruning(self, disagree):
-        for engine in ("compiled", "reference"):
+        for engine in ("packed", "reference"):
             result = explore(disagree, model("R1O"), "none", engine=engine,
                              queue_bound=3)
             assert result.states_pruned == 0

@@ -41,7 +41,7 @@ def explore_both_ways(instance, model_name, tmp_path, **kwargs):
 
 class TestVerdictsUnchanged:
     @pytest.mark.parametrize("model_name", ["R1O", "REA", "RMS", "U1A"])
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    @pytest.mark.parametrize("engine", ["packed", "reference"])
     def test_disagree(self, model_name, engine, tmp_path):
         plain, instrumented = explore_both_ways(
             disagree(), model_name, tmp_path, queue_bound=2, engine=engine
@@ -121,7 +121,7 @@ class TestEventStream:
         assert beats, "search past 1024 states must heartbeat"
         for beat in beats:
             assert beat["phase"] == "explore"
-            assert beat["engine"] == "compiled"
+            assert beat["engine"] == "packed"
             assert beat["states"] >= 1024
             assert beat["elapsed_s"] >= 0.0
         states = [beat["states"] for beat in beats]

@@ -27,7 +27,7 @@ class TestParseQuery:
         assert request.queue_bound == 3
         assert request.max_states == 200_000
         assert request.reliable_twin_first is True
-        assert request.engine == "compiled"
+        assert request.engine == "packed"
         assert request.reduction == "ample"
         assert request.instance.name == disagree.name
 

@@ -98,6 +98,38 @@ class TestSingleflight:
             "disk_hits"
         ] == 16
 
+    def test_registration_race_memo_answer_is_counted(
+        self, tmp_path, disagree, monkeypatch
+    ):
+        # A key that misses the lookup probe but is found in the memo
+        # when its computation would be registered (the computation
+        # finished in between) is served from memory — and must be
+        # counted in some tier like every other verdict served.
+        service = make_service(tmp_path, response_cache_entries=0)
+        body = build_query_body(disagree, ["R1O"], queue_bound=2)
+        service.handle_query(body)  # computes R1O and warms the memo
+        real_get_payload = service.cache.get_payload
+        probes = []
+
+        def miss_once(key):
+            probes.append(key)
+            if len(probes) == 1:
+                return None, "miss"
+            return real_get_payload(key)
+
+        monkeypatch.setattr(service.cache, "get_payload", miss_once)
+        import json
+
+        raw, _ = service.handle_query(body)
+        service.close()
+        assert json.loads(raw)["served"] == {"R1O": "memory"}
+        stats = service.statz()["serve"]
+        assert stats["computed"] == 1
+        assert stats["mem_hits"] == 1
+        assert stats["mem_hits"] + stats["disk_hits"] + stats["computed"] + stats[
+            "joined"
+        ] == 2
+
     def test_joiners_share_the_leaders_error(self, tmp_path, disagree, monkeypatch):
         service = make_service(tmp_path, start_workers=False)
         body = build_query_body(disagree, ["R1O"], queue_bound=2)

@@ -41,7 +41,7 @@ EXPECTED_ALL = [
 ]
 
 EXPECTED_RUNCONFIG_FIELDS = {
-    "engine": "compiled",
+    "engine": "packed",
     "reduction": "ample",
     "cache": None,
     "cache_dir": None,

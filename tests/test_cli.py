@@ -172,7 +172,7 @@ class TestPerfFlags:
     def test_matrix_accepts_perf_flags(self, capsys, tmp_path):
         assert main([
             "matrix", "--figure", "3", "--reduction", "ample",
-            "--engine", "compiled", "--cache-dir", str(tmp_path),
+            "--engine", "packed", "--cache-dir", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out
         assert "Figure 3" in out

@@ -16,7 +16,7 @@ from repro.engine.cache import VerdictCache
 class TestRunConfigValidation:
     def test_defaults_are_valid(self):
         config = RunConfig()
-        assert config.engine == "compiled"
+        assert config.engine == "packed"
         assert config.reduction == "ample"
         assert config.workers is None
         assert config.queue_bound == 3
@@ -214,3 +214,138 @@ class TestEntryPointsAcceptConfig:
         )
         assert task.max_steps == 77
         assert task.seeds == (0, 1)
+
+
+def _reject_run_config():
+    RunConfig(engine="compiled")
+
+
+def _reject_explorer():
+    from repro.core import instances as canonical
+    from repro.engine.explorer import Explorer
+    from repro.models.taxonomy import model
+
+    Explorer(canonical.disagree(), model("R1O"), engine="compiled")
+
+
+def _reject_exploration_task():
+    from repro.core import instances as canonical
+    from repro.engine.parallel import ExplorationTask
+
+    ExplorationTask(canonical.disagree(), "R1O", engine="compiled")
+
+
+def _reject_serve_config():
+    from repro.serve import ServeConfig
+
+    ServeConfig(cache_dir="unused", engine="compiled")
+
+
+def _reject_campaign_spec():
+    from repro.campaign import CampaignSpec
+
+    CampaignSpec.from_dict({"name": "old", "count": 1, "engine": "compiled"})
+
+
+def _reject_parse_query():
+    from repro.core import instances as canonical
+    from repro.core.serialization import instance_to_dict
+    from repro.serve.protocol import parse_query
+
+    parse_query(
+        {
+            "instance": instance_to_dict(canonical.disagree()),
+            "config": {"engine": "compiled"},
+        }
+    )
+
+
+def _reject_stored_campaign(tmp_path):
+    import json
+
+    from repro.campaign import Campaign, CampaignSpec
+
+    Campaign.create(tmp_path / "camp", CampaignSpec(name="old", count=1))
+    spec_path = tmp_path / "camp" / "spec.json"
+    stored = json.loads(spec_path.read_text())
+    stored["engine"] = "compiled"
+    spec_path.write_text(json.dumps(stored))
+    Campaign.open(tmp_path / "camp")
+
+
+class TestRetiredCompiledEngine:
+    """``"compiled"`` was removed without an alias: every boundary that
+    takes an engine name refuses it and names the engines it accepts."""
+
+    @pytest.mark.parametrize(
+        "boundary",
+        [
+            pytest.param(_reject_run_config, id="RunConfig"),
+            pytest.param(_reject_explorer, id="Explorer"),
+            pytest.param(_reject_exploration_task, id="ExplorationTask"),
+            pytest.param(_reject_serve_config, id="ServeConfig"),
+            pytest.param(_reject_campaign_spec, id="CampaignSpec.from_dict"),
+            pytest.param(_reject_parse_query, id="parse_query"),
+            pytest.param(_reject_stored_campaign, id="stored-spec.json"),
+            pytest.param("http", id="http-400"),
+            pytest.param(
+                ["explore", "--instance", "disagree", "--model", "R1O"],
+                id="cli-search-flags",
+            ),
+            pytest.param(["serve", "--cache-dir", "unused"], id="cli-serve"),
+            pytest.param(["query"], id="cli-query"),
+        ],
+    )
+    def test_compiled_is_rejected(self, boundary, tmp_path, capsys):
+        if boundary == "http":
+            self._assert_http_400(tmp_path)
+        elif isinstance(boundary, list):
+            from repro.cli import build_parser
+
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(boundary + ["--engine", "compiled"])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "invalid choice: 'compiled'" in err
+            assert "'packed'" in err and "'reference'" in err
+        else:
+            from repro.serve.protocol import ProtocolError
+
+            args = (tmp_path,) if boundary is _reject_stored_campaign else ()
+            expected = ProtocolError if boundary is _reject_parse_query else ValueError
+            with pytest.raises(
+                expected,
+                match=r"unknown engine 'compiled'; expected one of: packed, reference",
+            ):
+                boundary(*args)
+
+    @staticmethod
+    def _assert_http_400(tmp_path):
+        import http.client
+        import json
+        from urllib.parse import urlsplit
+
+        from repro.core import instances as canonical
+        from repro.core.serialization import instance_to_dict
+        from repro.serve import ReproServer, ServeConfig, VerdictService
+
+        body = json.dumps(
+            {
+                "instance": instance_to_dict(canonical.disagree()),
+                "config": {"engine": "compiled"},
+            }
+        )
+        service = VerdictService(ServeConfig(cache_dir=str(tmp_path / "cache")))
+        with ReproServer(service) as server:
+            url = urlsplit(server.url)
+            conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+            try:
+                conn.request("POST", "/v1/query", body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                answer = json.loads(response.read())
+            finally:
+                conn.close()
+        assert response.status == 400
+        assert answer["code"] == "bad-request"
+        assert "unknown engine 'compiled'" in answer["error"]

@@ -1,7 +1,7 @@
 """Guards on the test/benchmark tooling itself.
 
 Performance work is only safe while the differential suite that pins
-compiled ≡ reference runs in the default tier-1 invocation
+packed ≡ reference runs in the default tier-1 invocation
 (``python -m pytest``) — these tests fail loudly if someone moves it
 out of ``testpaths`` or renames it out of collection.
 """
@@ -18,11 +18,11 @@ class TestTierOneContainsDifferentialSuite:
         pyproject = (REPO / "pyproject.toml").read_text()
         assert 'testpaths = ["tests"]' in pyproject
         assert (
-            REPO / "tests" / "engine" / "test_compiled_differential.py"
+            REPO / "tests" / "engine" / "test_packed_differential.py"
         ).is_file()
 
     def test_differential_suite_is_importable_and_nonempty(self):
-        import tests.engine.test_compiled_differential as diff
+        import tests.engine.test_packed_differential as diff
 
         test_classes = [
             obj
