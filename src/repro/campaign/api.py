@@ -162,7 +162,7 @@ def status(target) -> dict:
 
         client = CoordinatorClient(target)
         try:
-            return client._request("GET", "/statz")
+            return client.statz()
         finally:
             client.close()
     return attach(target).status()

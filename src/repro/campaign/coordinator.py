@@ -8,11 +8,12 @@ joining by URL therefore drain one queue, and killing the coordinator
 loses nothing (the queue and every checkpoint are durable; restart and
 the campaign continues).
 
-Transport reuses the ``serve/`` plumbing: the same
-:class:`~http.server.ThreadingHTTPServer` shape as
-:class:`repro.serve.server.ReproServer` (HTTP/1.1 keep-alive, Nagle
-off, drain-on-SIGTERM), the same v2 protocol envelopes, and the same
-``/metrics`` Prometheus exposition the dashboard scrapes.  Endpoints:
+The coordinator is a :class:`repro.serve.http.HttpServer`, the one
+transport :class:`repro.serve.server.ReproServer` also runs on
+(HTTP/1.1 keep-alive, Nagle off, shared error bodies, drain-on-SIGTERM):
+this module adds only its routes, its 64 MB body limit and closing the
+queue.  It speaks the v2 protocol envelopes and the same ``/metrics``
+Prometheus exposition the dashboard scrapes.  Endpoints:
 
 * ``GET  /healthz`` — liveness + completion flag.
 * ``GET  /v2/campaign`` — bootstrap: the spec, its digest, and this
@@ -47,20 +48,13 @@ here is a confused client, not a legacy one.
 
 from __future__ import annotations
 
-import json
-import signal
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..obs import active as _telemetry
 from ..obs import metrics as _metrics
 from ..obs import tracing
-from ..serve.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    check_version,
-    envelope,
-)
+from ..serve.http import HttpServer
+from ..serve.protocol import PROTOCOL_VERSION, ProtocolError, envelope
 from .queue import (
     DEFAULT_LEASE_TTL,
     DEFAULT_QUARANTINE_AFTER,
@@ -68,107 +62,19 @@ from .queue import (
     WorkQueue,
     open_queue,
 )
-from .runner import Campaign, CampaignError
+from .runner import Campaign
 
-__all__ = ["CampaignCoordinator", "DEFAULT_PORT", "open_coordinator"]
+__all__ = ["CampaignCoordinator", "DEFAULT_PORT"]
 
 #: Default coordinator port (verdict serving defaults to 8642 next door).
 DEFAULT_PORT = 8643
 
-MAX_BODY_BYTES = 64 * 1024 * 1024  # a completed shard's records
 
-
-class _CoordinatorHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-campaign"
-    sys_version = ""
-    disable_nagle_algorithm = True
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
-
-    @property
-    def coordinator(self) -> "CampaignCoordinator":
-        return self.server.coordinator  # type: ignore[attr-defined]
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-        raw = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def _send_error(self, status: int, message: str, code: "str | None" = None) -> None:
-        payload = {"error": message, "status": status}
-        if code is not None:
-            payload["code"] = code
-        self._send_json(status, payload)
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        coord = self.coordinator
-        if self.path == "/healthz":
-            self._send_json(
-                200,
-                {"status": "ok", "v": PROTOCOL_VERSION, "complete": coord.complete},
-            )
-        elif self.path == "/v2/campaign":
-            self._send_json(200, envelope(coord.describe()))
-        elif self.path == "/statz":
-            self._send_json(200, envelope(coord.statz()))
-        elif self.path == "/metrics":
-            raw = coord.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-            )
-            self.send_header("Content-Length", str(len(raw)))
-            self.end_headers()
-            self.wfile.write(raw)
-        else:
-            self._send_error(404, f"no such endpoint: {self.path}")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        routes = {
-            "/v2/campaign/claim": self.coordinator.handle_claim,
-            "/v2/campaign/heartbeat": self.coordinator.handle_heartbeat,
-            "/v2/campaign/complete": self.coordinator.handle_complete,
-            "/v2/campaign/fail": self.coordinator.handle_fail,
-        }
-        handler = routes.get(self.path)
-        if handler is None:
-            self._send_error(404, f"no such endpoint: {self.path}")
-            return
-        try:
-            length = int(self.headers.get("Content-Length", ""))
-        except ValueError:
-            self._send_error(411, "Content-Length required")
-            return
-        if length > MAX_BODY_BYTES:
-            self._send_error(413, f"request body over {MAX_BODY_BYTES} bytes")
-            return
-        raw = self.rfile.read(length)
-        try:
-            body = json.loads(raw)
-            if not isinstance(body, dict):
-                raise ProtocolError("request body must be a JSON object")
-            check_version(body, minimum=2)
-            response = handler(body)
-        except ProtocolError as exc:
-            self._send_error(400, str(exc), code=exc.code)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            self._send_error(400, f"request body is not valid JSON: {exc}")
-        except CampaignError as exc:
-            self._send_error(409, str(exc))
-        except Exception as exc:  # fault injection, bugs: still answer
-            self._send_error(500, f"internal error: {exc!r}")
-        else:
-            self._send_json(200, envelope(response))
-
-
-class CampaignCoordinator:
+class CampaignCoordinator(HttpServer):
     """One campaign directory served as a lease-brokering daemon."""
+
+    max_body = 64 * 1024 * 1024  # a completed shard's records
+    server_version = "repro-campaign"
 
     def __init__(
         self,
@@ -205,26 +111,29 @@ class CampaignCoordinator:
         self.trace = tracing.current() or tracing.TraceContext.root()
         self._lock = threading.Lock()
         self._report_written = campaign.paths.report_path.is_file()
-        self.httpd = ThreadingHTTPServer((host, port), _CoordinatorHandler)
-        self.httpd.daemon_threads = False
-        self.httpd.coordinator = self  # type: ignore[attr-defined]
-        self._thread: "threading.Thread | None" = None
         self._complete_event = threading.Event()
         if not self._unresolved_shards():
             self._complete_event.set()
+        routes = {
+            ("GET", "/healthz"): lambda request: {
+                "status": "ok",
+                "v": PROTOCOL_VERSION,
+                "complete": self.complete,
+            },
+            ("GET", "/v2/campaign"): lambda request: envelope(self.describe()),
+            ("GET", "/statz"): lambda request: envelope(self.statz()),
+            ("GET", "/metrics"): lambda request: self.metrics_text(),
+        }
+        for name in ("claim", "heartbeat", "complete", "fail"):
+            routes["POST", f"/v2/campaign/{name}"] = self._v2_route(f"handle_{name}")
+        super().__init__(host, port, routes)
 
-    # -- addressing ------------------------------------------------------
-    @property
-    def host(self) -> str:
-        return self.httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+    def _v2_route(self, method: str):
+        # The handler is looked up per request, so a method patched on
+        # the class after boot still serves.
+        return lambda request: envelope(
+            getattr(self, method)(request.json(minimum=2))
+        )
 
     @property
     def complete(self) -> bool:
@@ -361,27 +270,9 @@ class CampaignCoordinator:
             metrics=registry, counters=counters, gauges=gauges
         )
 
-    # -- lifecycle (mirrors ReproServer) ---------------------------------
-    def start_background(self) -> None:
-        self._thread = threading.Thread(
-            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.05}
-        )
-        self._thread.start()
-
-    def close(self) -> None:
-        self.httpd.shutdown()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self.httpd.server_close()
+    # -- lifecycle ---------------------------------------------------------
+    def _on_close(self) -> None:
         self.queue.close()
-
-    def __enter__(self) -> "CampaignCoordinator":
-        self.start_background()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def wait_complete(self, timeout: "float | None" = None) -> bool:
         return self._complete_event.wait(timeout)
@@ -391,45 +282,11 @@ class CampaignCoordinator:
     ) -> None:
         """Run until SIGTERM/SIGINT — or, with ``until_complete``, until
         the campaign report lands (the CI smoke mode)."""
-        stop = threading.Thread(target=self.httpd.shutdown)
-
-        def _on_signal(signum, frame):
-            threading.Thread(target=self.httpd.shutdown).start()
-
-        if install_signals:
-            signal.signal(signal.SIGTERM, _on_signal)
-            signal.signal(signal.SIGINT, _on_signal)
-        watcher = None
         if until_complete:
 
             def _watch():
                 self._complete_event.wait()
-                stop.start()
+                self.stop()
 
-            watcher = threading.Thread(target=_watch, daemon=True)
-            watcher.start()
-        try:
-            self.httpd.serve_forever(poll_interval=0.05)
-        finally:
-            self.httpd.server_close()
-            self.queue.close()
-
-
-def open_coordinator(
-    directory,
-    *,
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_PORT,
-    backend: str = "sqlite",
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-    quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
-) -> CampaignCoordinator:
-    """A coordinator over the existing campaign at ``directory``."""
-    return CampaignCoordinator(
-        Campaign.open(directory),
-        host=host,
-        port=port,
-        backend=backend,
-        lease_ttl=lease_ttl,
-        quarantine_after=quarantine_after,
-    )
+            threading.Thread(target=_watch, daemon=True).start()
+        super().serve_forever(install_signals)

@@ -62,6 +62,9 @@ _RESULT_KEYS = (
 class CampaignError(RuntimeError):
     """A campaign directory is missing, foreign, or inconsistent."""
 
+    #: The coordinator answers it as a conflict.
+    status = 409
+
 
 def shard_tasks(
     spec: CampaignSpec, shard: int, cache_dir: "str | None"

@@ -24,18 +24,19 @@ the telemetry run header (:mod:`repro.obs` already records host and
 pid), and visible in ``repro campaign status``/``/statz`` while a
 lease is live.
 
-**Resilience.**  Every wire call (claim/heartbeat/complete/fail) runs
-under the shared :mod:`repro.serve.retry` policy — capped backoff with
-deterministic jitter, per-endpoint circuit breakers, ``Retry-After``
-honored — so a flapping or restarting coordinator degrades a worker to
-slow progress, not death.  A shard whose *compute* raises is reported
-back through ``fail`` (the queue re-opens or quarantines it) and the
-worker moves on to the next claim instead of dying with the shard.
+**Resilience.**  Every wire call (claim/heartbeat/complete/fail) goes
+through the shared :class:`~repro.serve.http.HttpClient` — capped
+backoff with deterministic jitter, per-endpoint circuit breakers,
+``Retry-After`` honored, each call bounded by the client timeout and
+stamped with ``X-Repro-Deadline`` — so a flapping or restarting
+coordinator degrades a worker to slow progress, not death.  A shard
+whose *compute* raises is reported back through ``fail`` (the queue
+re-opens or quarantines it) and the worker moves on to the next claim
+instead of dying with the shard.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import sys
 import threading
@@ -43,17 +44,11 @@ import time
 import urllib.parse
 
 from ..config import RunConfig
-from ..faults import fault_point
 from ..obs import active as _telemetry
 from ..obs import tracing
+from ..serve.http import WIRE_ERRORS, HttpClient
 from ..serve.protocol import PROTOCOL_VERSION, envelope
-from ..serve.retry import (
-    CircuitBreaker,
-    RetryPolicy,
-    TransientError,
-    call_with_retry,
-    parse_retry_after,
-)
+from ..serve.retry import RetryPolicy
 from .queue import DEFAULT_LEASE_TTL, Lease, WorkQueue, default_worker_id, open_queue
 from .runner import Campaign, compute_shard_records
 from .spec import CampaignSpec
@@ -72,13 +67,6 @@ DEFAULT_JOIN_RETRY_POLICY = RetryPolicy(retries=8, base_delay_s=0.05, max_delay_
 #: Consecutive claim-call failures (each already retried under the
 #: policy) a joiner rides out before giving up on the coordinator.
 CLAIM_FAILURE_LIMIT = 5
-
-#: Wire fault-injection sites, keyed by coordinator endpoint.
-_FAULT_SITES = {
-    "/v2/campaign/claim": "campaign.claim",
-    "/v2/campaign/heartbeat": "campaign.heartbeat",
-    "/v2/campaign/complete": "campaign.complete",
-}
 
 
 class JoinError(RuntimeError):
@@ -217,14 +205,23 @@ class _PathTransport:
         self.queue.close()
 
 
-class CoordinatorClient:
-    """v2-envelope HTTP client for a ``repro campaign serve`` daemon.
+class CoordinatorClient(HttpClient):
+    """v2-envelope client for a ``repro campaign serve`` daemon.
 
-    Wire-level failures *and* 5xx/429/503 answers are retried under the
-    shared serve retry policy (the coordinator restarting mid-campaign
-    answers connection-refused for a few seconds — precisely the window
-    the backoff is shaped for), with one circuit breaker per endpoint.
+    Unlike :class:`~repro.serve.client.ServeClient`, 5xx and 429 answers
+    are retried too: a coordinator restarting mid-campaign answers
+    connection-refused or 503 for a few seconds, precisely the window
+    the backoff is shaped for.
     """
+
+    default_policy = DEFAULT_JOIN_RETRY_POLICY
+    breaker_cooldown_s = 0.5
+    fault_sites = {
+        "/v2/campaign/claim": "campaign.claim",
+        "/v2/campaign/heartbeat": "campaign.heartbeat",
+        "/v2/campaign/complete": "campaign.complete",
+    }
+    fault_site = "campaign.request"
 
     def __init__(
         self,
@@ -233,76 +230,23 @@ class CoordinatorClient:
         *,
         retry_policy: "RetryPolicy | None" = None,
     ) -> None:
-        parsed = urllib.parse.urlsplit(url)
-        if parsed.scheme != "http":
+        if urllib.parse.urlsplit(url).scheme != "http":
             raise JoinError(f"unsupported scheme in {url!r} (http only)")
-        self._conn = http.client.HTTPConnection(
-            parsed.hostname or "127.0.0.1", parsed.port or 80, timeout=timeout
-        )
-        self._policy = (
-            retry_policy if retry_policy is not None else DEFAULT_JOIN_RETRY_POLICY
-        )
-        self._breakers: dict = {}
+        super().__init__(url, timeout, retry_policy=retry_policy)
 
-    def close(self) -> None:
-        self._conn.close()
+    def _retryable(self, status: int) -> bool:
+        return status >= 500 or status == 429
 
-    def _breaker(self, path: str) -> CircuitBreaker:
-        breaker = self._breakers.get(path)
-        if breaker is None:
-            breaker = self._breakers[path] = CircuitBreaker(
-                failure_threshold=5, cooldown_s=0.5
-            )
-        return breaker
+    def _error(self, status: int, message: str, retry_after=None) -> JoinError:
+        return JoinError(f"coordinator HTTP {status}: {message}")
 
-    def _send_once(self, method: str, path: str, body, headers: dict):
-        try:
-            # Inside the wire-error net: an injected connreset must be
-            # retried exactly like a real one.
-            fault_point(_FAULT_SITES.get(path, "campaign.request"), path)
-            self._conn.request(method, path, body=body, headers=headers)
-            response = self._conn.getresponse()
-            raw = response.read()
-        except (http.client.HTTPException, OSError) as exc:
-            self._conn.close()
-            raise TransientError(str(exc), cause=exc) from exc
-        if response.status >= 500 or response.status == 429:
-            # The coordinator answered but cannot serve right now
-            # (restarting, shedding, transient disk error): retryable.
-            raise TransientError(
-                f"coordinator HTTP {response.status}",
-                retry_after=parse_retry_after(response.headers.get("Retry-After")),
-                cause=JoinError(
-                    f"coordinator HTTP {response.status}: "
-                    f"{raw[:200].decode('utf-8', 'replace')}"
-                ),
-            )
-        return response, raw
-
-    def _request(self, method: str, path: str, payload: "dict | None" = None) -> dict:
+    def _v2(self, method: str, path: str, payload: "dict | None" = None) -> dict:
         body = None
-        headers = {}
         if payload is not None:
             body = json.dumps(
                 envelope(payload), separators=(",", ":"), sort_keys=True
             ).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        response, raw = call_with_retry(
-            lambda: self._send_once(method, path, body, headers),
-            policy=self._policy,
-            endpoint=path,
-            breaker=self._breaker(path),
-        )
-        try:
-            data = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise JoinError(
-                f"coordinator sent non-JSON ({response.status}): {exc}"
-            ) from exc
-        if response.status != 200:
-            raise JoinError(
-                f"coordinator HTTP {response.status}: {data.get('error', raw[:200])}"
-            )
+        data, _ = self._request(method, path, body)
         version = data.get("v")
         if version != PROTOCOL_VERSION:
             raise JoinError(
@@ -312,20 +256,23 @@ class CoordinatorClient:
         return data
 
     def describe(self) -> dict:
-        return self._request("GET", "/v2/campaign")
+        return self._v2("GET", "/v2/campaign")
+
+    def statz(self) -> dict:
+        return self._v2("GET", "/statz")
 
     def claim(self, worker: str) -> dict:
-        return self._request("POST", "/v2/campaign/claim", {"worker": worker})
+        return self._v2("POST", "/v2/campaign/claim", {"worker": worker})
 
     def heartbeat(self, lease: Lease) -> "dict":
-        return self._request(
+        return self._v2(
             "POST",
             "/v2/campaign/heartbeat",
             {"shard": lease.shard, "token": lease.token, "worker": lease.worker},
         )
 
     def complete(self, lease: Lease, records: list) -> dict:
-        return self._request(
+        return self._v2(
             "POST",
             "/v2/campaign/complete",
             {
@@ -337,7 +284,7 @@ class CoordinatorClient:
         )
 
     def fail(self, lease: Lease, error: "str | None" = None) -> dict:
-        return self._request(
+        return self._v2(
             "POST",
             "/v2/campaign/fail",
             {
@@ -491,7 +438,7 @@ def join(
                 break
             try:
                 lease, complete = transport.claim(worker)
-            except (JoinError, http.client.HTTPException, OSError):
+            except (JoinError, *WIRE_ERRORS):
                 # The claim call exhausted its own retries — the
                 # coordinator is down harder than the per-call budget
                 # covers (a restart takes seconds).  Ride out a few of

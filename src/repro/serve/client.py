@@ -8,42 +8,27 @@ objects via :func:`repro.engine.cache.result_from_payload`, so a
 client-side result — witnesses included — is bit-identical to a local
 ``can_oscillate`` call with the same parameters.
 
-Wire-level failures (dropped keep-alive, connection reset, timeout) are
-retried under the shared :mod:`repro.serve.retry` policy with a
-per-endpoint circuit breaker; HTTP-level rejections (429/503 shedding,
-400s, 500s) still surface immediately as :class:`ServerShedding` /
-:class:`ServerError` so callers keep their own admission-control loops.
-Every request carries the remaining client timeout in the
-``X-Repro-Deadline`` header, which the server clamps its per-request
-deadline to.
+The transport is the shared :class:`~repro.serve.http.HttpClient`:
+wire-level failures (dropped keep-alive, connection reset, timeout) are
+retried with a per-endpoint circuit breaker, and every request carries
+the remaining client timeout in ``X-Repro-Deadline``.  HTTP-level
+rejections (429/503 shedding, 400s, 500s) are never retried here: they
+surface immediately as :class:`ServerShedding` / :class:`ServerError`
+so callers keep their own admission-control loops.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
-import time
-import urllib.parse
 from dataclasses import dataclass
 
 from ..core.serialization import instance_to_dict
 from ..core.spp import SPPInstance
 from ..engine.cache import result_from_payload
-from ..faults import fault_point
 from ..obs import tracing
-from .protocol import (
-    DEADLINE_HEADER,
-    PROTOCOL_VERSION,
-    TRACE_RESPONSE_HEADER,
-    TRACEPARENT_HEADER,
-)
-from .retry import (
-    CircuitBreaker,
-    RetryPolicy,
-    TransientError,
-    call_with_retry,
-    parse_retry_after,
-)
+from .http import HttpClient
+from .protocol import PROTOCOL_VERSION, TRACE_RESPONSE_HEADER, TRACEPARENT_HEADER
+from .retry import RetryPolicy
 
 __all__ = [
     "QueryResponse",
@@ -141,103 +126,17 @@ def build_query_body(
 DEFAULT_RETRY_POLICY = RetryPolicy(retries=3, base_delay_s=0.05, max_delay_s=1.0)
 
 
-class ServeClient:
+class ServeClient(HttpClient):
     """A persistent connection to one verdict server."""
 
-    def __init__(
-        self,
-        url: str,
-        timeout: float = 60.0,
-        *,
-        retry_policy: "RetryPolicy | None" = None,
-        breaker_threshold: int = 5,
-        breaker_cooldown_s: float = 1.0,
-    ) -> None:
-        parsed = urllib.parse.urlsplit(url)
-        if parsed.scheme not in ("http", ""):
-            raise ValueError(f"unsupported scheme in {url!r}")
-        host = parsed.hostname or "127.0.0.1"
-        port = parsed.port or 80
-        self._timeout = timeout
-        self._conn = http.client.HTTPConnection(host, port, timeout=timeout)
-        self._policy = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown_s = breaker_cooldown_s
-        self._breakers: dict = {}
+    default_policy = DEFAULT_RETRY_POLICY
+    breaker_cooldown_s = 1.0
+    fault_site = "serve.client.send"
 
-    def _breaker(self, path: str) -> CircuitBreaker:
-        breaker = self._breakers.get(path)
-        if breaker is None:
-            breaker = self._breakers[path] = CircuitBreaker(
-                self._breaker_threshold, self._breaker_cooldown_s
-            )
-        return breaker
-
-    def close(self) -> None:
-        self._conn.close()
-
-    def __enter__(self) -> "ServeClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _send_once(
-        self,
-        method: str,
-        path: str,
-        body: "bytes | None",
-        headers: dict,
-        deadline: float,
-    ):
-        """One wire attempt.  Wire-level failures become
-        :class:`TransientError` (retryable); anything the server actually
-        answered comes back as ``(response, raw)``."""
-        headers = dict(headers)
-        headers[DEADLINE_HEADER] = f"{max(0.0, deadline - time.monotonic()):.3f}"
-        try:
-            fault_point("serve.client.send", path)
-            self._conn.request(method, path, body=body, headers=headers)
-            response = self._conn.getresponse()
-            raw = response.read()
-        except (http.client.HTTPException, OSError) as exc:
-            # The keep-alive connection is in an unknown state after any
-            # wire-level failure; drop it so the next attempt redials.
-            self._conn.close()
-            raise TransientError(str(exc), cause=exc) from exc
-        return response, raw
-
-    def _request(
-        self,
-        method: str,
-        path: str,
-        body: "bytes | None" = None,
-        extra_headers: "dict | None" = None,
-    ):
-        headers = {"Content-Type": "application/json"} if body else {}
-        if extra_headers:
-            headers.update(extra_headers)
-        deadline = time.monotonic() + self._timeout
-        response, raw = call_with_retry(
-            lambda: self._send_once(method, path, body, headers, deadline),
-            policy=self._policy,
-            endpoint=path,
-            breaker=self._breaker(path),
-            deadline=deadline,
-        )
-        try:
-            data = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ServerError(
-                response.status, f"non-JSON response: {exc}"
-            ) from exc
-        if response.status != 200:
-            message = data.get("error", raw.decode("utf-8", "replace"))
-            retry = parse_retry_after(response.headers.get("Retry-After"))
-            if response.status in (429, 503):
-                raise ServerShedding(response.status, message, retry)
-            raise ServerError(response.status, message, retry)
-        return data, response.headers
+    def _error(self, status: int, message: str, retry_after=None) -> ServerError:
+        if status in (429, 503):
+            return ServerShedding(status, message, retry_after)
+        return ServerError(status, message, retry_after)
 
     def healthz(self) -> dict:
         data, _ = self._request("GET", "/healthz")
@@ -249,14 +148,7 @@ class ServeClient:
 
     def metrics_text(self) -> str:
         """``GET /metrics`` — the raw Prometheus text (``repro top``)."""
-        deadline = time.monotonic() + self._timeout
-        response, raw = call_with_retry(
-            lambda: self._send_once("GET", "/metrics", None, {}, deadline),
-            policy=self._policy,
-            endpoint="/metrics",
-            breaker=self._breaker("/metrics"),
-            deadline=deadline,
-        )
+        response, raw = self._call("GET", "/metrics")
         if response.status != 200:
             raise ServerError(response.status, raw.decode("utf-8", "replace"))
         return raw.decode("utf-8")

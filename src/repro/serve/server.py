@@ -1,8 +1,8 @@
 """HTTP transport for :class:`~repro.serve.service.VerdictService`.
 
-A :class:`http.server.ThreadingHTTPServer` speaking HTTP/1.1 (keep-alive
-matters: the hot-hit latency target is sub-millisecond, which a
-per-request TCP handshake would dominate).  Endpoints:
+A :class:`~repro.serve.http.HttpServer` (HTTP/1.1 keep-alive matters:
+the hot-hit latency target is sub-millisecond, which a per-request TCP
+handshake would dominate).  Endpoints:
 
 * ``POST /v1/query`` — the verdict query (see :mod:`repro.serve.protocol`).
   A ``traceparent`` request header joins the request to the client's
@@ -13,232 +13,77 @@ per-request TCP handshake would dominate).  Endpoints:
 * ``GET /metrics`` — Prometheus text: counters, queue gauges, and the
   latency histograms (``repro top`` and any scraper consume this).
 
-Error mapping: :class:`~repro.serve.protocol.ProtocolError` → 400,
+Error mapping (shared, see :mod:`repro.serve.http`):
+:class:`~repro.serve.protocol.ProtocolError` → 400,
 :class:`~repro.serve.service.Shed` → 429 with ``Retry-After``,
 :class:`~repro.serve.service.Draining` → 503 with ``Retry-After``,
 :class:`~repro.serve.service.DeadlineExceeded` → 504, anything else
-→ 500.  Every error body is ``{"error": ..., "status": ...}``; protocol
-errors add a machine-readable ``"code"`` (e.g. ``unsupported-version``
-when a client speaks an envelope version this server does not).
+→ 500.
 
-Shutdown: SIGTERM/SIGINT flip the service to draining (new queries get
-503), stop the accept loop, then ``server_close()`` joins the
-non-daemon handler threads — every admitted request finishes before the
-process exits.
+Shutdown: SIGTERM/SIGINT or :meth:`close` flip the service to draining
+(new queries get 503), stop the accept loop, wait for every admitted
+request, then stop the service's workers.
 """
 
 from __future__ import annotations
 
-import json
-import signal
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
 from ..obs import tracing
-from .protocol import (
-    DEADLINE_HEADER,
-    TRACE_RESPONSE_HEADER,
-    TRACEPARENT_HEADER,
-    ProtocolError,
-)
-from .service import Draining, ServeError, Shed, VerdictService
+from .http import HttpServer, Reply
+from .protocol import DEADLINE_HEADER, TRACE_RESPONSE_HEADER, TRACEPARENT_HEADER
+from .service import VerdictService
 
 __all__ = ["ReproServer"]
 
-#: Cap on accepted request bodies; a full 24-model query over the
-#: paper's gadgets is a few KB, so this is generous headroom, not a
-#: functional limit.
-MAX_BODY_BYTES = 8 * 1024 * 1024
 
+class ReproServer(HttpServer):
+    """A :class:`VerdictService` bound to an HTTP listener."""
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+    #: A full 24-model query over the paper's gadgets is a few KB, so
+    #: this is generous headroom, not a functional limit.
+    max_body = 8 * 1024 * 1024
     server_version = "repro-serve"
-    sys_version = ""
-    # Headers and body leave in separate writes; with Nagle on, the
-    # body write stalls ~40 ms behind the peer's delayed ACK — fatal
-    # for a sub-millisecond hot path.
-    disable_nagle_algorithm = True
 
-    # The access log would dominate hot-hit latency (and stderr); the
-    # telemetry stream is the intended observability channel.
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
+    def __init__(self, service: VerdictService) -> None:
+        self.service = service
+        super().__init__(
+            service.config.host,
+            service.config.port,
+            {
+                ("GET", "/healthz"): lambda request: {
+                    "status": "draining" if service.draining else "ok"
+                },
+                ("GET", "/statz"): lambda request: service.statz(),
+                ("GET", "/metrics"): lambda request: service.metrics_text(),
+                ("POST", "/v1/query"): self._query,
+            },
+        )
 
-    @property
-    def service(self) -> VerdictService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def _send(
-        self,
-        status: int,
-        body: bytes,
-        headers=(),
-        content_type: str = "application/json",
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, status: int, payload: dict, headers=()) -> None:
-        body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-        self._send(status, body.encode("utf-8"), headers)
-
-    def _send_error(
-        self, status: int, message: str, headers=(), code: "str | None" = None
-    ) -> None:
-        payload = {"error": message, "status": status}
-        if code is not None:
-            payload["code"] = code
-        self._send_json(status, payload, headers)
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        if self.path == "/healthz":
-            status = "draining" if self.service.draining else "ok"
-            self._send_json(200, {"status": status})
-        elif self.path == "/statz":
-            self._send_json(200, self.service.statz())
-        elif self.path == "/metrics":
-            self._send(
-                200,
-                self.service.metrics_text().encode("utf-8"),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
-            )
-        else:
-            self._send_error(404, f"no such endpoint: {self.path}")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        if self.path != "/v1/query":
-            self._send_error(404, f"no such endpoint: {self.path}")
-            return
-        try:
-            length = int(self.headers.get("Content-Length", ""))
-        except ValueError:
-            self._send_error(411, "Content-Length required")
-            return
-        if length > MAX_BODY_BYTES:
-            self._send_error(413, f"request body over {MAX_BODY_BYTES} bytes")
-            return
-        raw = self.rfile.read(length)
+    def _query(self, request) -> Reply:
         # A client-sent traceparent becomes this handler thread's
         # current context, so the service's serve.* spans chain under
         # the client's span; a malformed or absent header leaves the
         # request untraced (context None) at no cost to the query.
         context = tracing.TraceContext.from_traceparent(
-            self.headers.get(TRACEPARENT_HEADER)
-        )
-        trace_headers = (
-            [(TRACE_RESPONSE_HEADER, context.trace_id)] if context else []
+            request.headers.get(TRACEPARENT_HEADER)
         )
         # A client-declared time budget clamps the server's own
         # deadline; malformed or non-positive values are ignored (the
         # header is advisory — it can only tighten, never extend).
-        deadline_s = None
-        raw_deadline = self.headers.get(DEADLINE_HEADER)
-        if raw_deadline:
-            try:
-                parsed = float(raw_deadline)
-            except ValueError:
-                parsed = None
-            if parsed is not None and parsed > 0:
-                deadline_s = parsed
         try:
-            with tracing.use(context):
-                body, hot = self.service.handle_query(raw, deadline_s=deadline_s)
-        except ProtocolError as exc:
-            self._send_error(400, str(exc), code=exc.code)
-        except Shed as exc:
-            self._send_error(
-                429, str(exc), [("Retry-After", f"{exc.retry_after:g}")]
-            )
-        except Draining as exc:
-            self._send_error(
-                503,
-                str(exc),
-                [("Retry-After", f"{self.service.config.retry_after_s:g}")],
-            )
-        except ServeError as exc:
-            self._send_error(exc.status, str(exc))
-        except Exception as exc:  # fault injection, bugs: still answer
-            self._send_error(500, f"internal error: {exc!r}")
-        else:
-            headers = ([("X-Repro-Hot", "1")] if hot else []) + trace_headers
-            self._send(200, body, headers)
+            deadline_s = float(request.headers.get(DEADLINE_HEADER, ""))
+        except ValueError:
+            deadline_s = None
+        if deadline_s is not None and not deadline_s > 0:  # NaN too
+            deadline_s = None
+        with tracing.use(context):
+            body, hot = self.service.handle_query(request.body, deadline_s=deadline_s)
+        headers = [("X-Repro-Hot", "1")] if hot else []
+        if context:
+            headers.append((TRACE_RESPONSE_HEADER, context.trace_id))
+        return Reply(body, headers)
 
-
-class ReproServer:
-    """A :class:`VerdictService` bound to an HTTP listener."""
-
-    def __init__(self, service: VerdictService) -> None:
-        self.service = service
-        self.httpd = ThreadingHTTPServer(
-            (service.config.host, service.config.port), _Handler
-        )
-        # Handler threads must be joinable so drain (server_close) can
-        # wait for admitted requests instead of abandoning them.
-        self.httpd.daemon_threads = False
-        self.httpd.service = service  # type: ignore[attr-defined]
-        self._thread: "threading.Thread | None" = None
-
-    @property
-    def host(self) -> str:
-        return self.httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    # -- background mode (tests, benchmarks) ----------------------------
-    def start_background(self) -> None:
-        self._thread = threading.Thread(
-            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.05}
-        )
-        self._thread.start()
-
-    def close(self) -> None:
-        """Drain and shut down: stop accepting, finish admitted work."""
+    def _on_drain(self) -> None:
         self.service.drain()
-        self.httpd.shutdown()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self.httpd.server_close()  # joins handler threads
+
+    def _on_close(self) -> None:
         self.service.close()
-
-    def __enter__(self) -> "ReproServer":
-        self.start_background()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- foreground mode (the CLI) --------------------------------------
-    def serve_forever(self, install_signals: bool = True) -> None:
-        """Run until SIGTERM/SIGINT, then drain and return.
-
-        The signal handler flips the service to draining and stops the
-        accept loop from a helper thread (``shutdown()`` must not run on
-        the ``serve_forever`` thread — it would deadlock waiting for the
-        loop it interrupted).
-        """
-        if install_signals:
-
-            def _on_signal(signum, frame):
-                self.service.drain()
-                threading.Thread(target=self.httpd.shutdown).start()
-
-            signal.signal(signal.SIGTERM, _on_signal)
-            signal.signal(signal.SIGINT, _on_signal)
-        try:
-            self.httpd.serve_forever(poll_interval=0.05)
-        finally:
-            self.httpd.server_close()
-            self.service.close()

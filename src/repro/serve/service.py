@@ -87,8 +87,9 @@ class Draining(ServeError):
 
     status = 503
 
-    def __init__(self) -> None:
+    def __init__(self, retry_after: float) -> None:
         super().__init__("server is draining")
+        self.retry_after = retry_after
 
 
 class DeadlineExceeded(ServeError):
@@ -340,7 +341,7 @@ class VerdictService:
             self._count("requests")
             fault_point("serve.request", None)
             if self._draining:
-                raise Draining()
+                raise Draining(self.config.retry_after_s)
             body_key = hashlib.sha256(raw).hexdigest()
             with self._lock:
                 cached = self._responses.get(body_key)
@@ -410,7 +411,7 @@ class VerdictService:
                     # link (the leader belongs to another trace).
                     wait_span.note(waited_on=",".join(leaders))
                 wait_span.note(owned=len(owned), joined=len(joined))
-                self._await(owned, joined, results, served, deadline)
+                self._await(owned, joined, results, served, deadline, budget)
         # Every tier is tallied once, here, from what was served: a key
         # that missed the lookup may still be answered from the memo at
         # registration, which no earlier count would see.
@@ -493,14 +494,20 @@ class VerdictService:
         self._count("batches")
 
     def _await(
-        self, owned: dict, joined: dict, results: dict, served: dict, deadline: float
+        self,
+        owned: dict,
+        joined: dict,
+        results: dict,
+        served: dict,
+        deadline: float,
+        budget: float,
     ) -> None:
         for tier, waiting in (("computed", owned), ("joined", joined)):
             for model_name, entry in waiting.items():
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not entry.event.wait(remaining):
                     self._count("errors")
-                    raise DeadlineExceeded(self.config.deadline_s)
+                    raise DeadlineExceeded(budget)
                 if entry.error is not None:
                     self._count("errors")
                     if isinstance(entry.error, ServeError):

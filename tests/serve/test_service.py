@@ -246,12 +246,22 @@ class TestAdmissionControl:
         holder.join(timeout=10)
         service.close()
 
-    def test_deadline_exceeded_when_no_worker_answers(self, tmp_path, disagree):
+    # The 504 names the budget actually enforced: the configured
+    # deadline, or the client's tighter X-Repro-Deadline.
+    @pytest.mark.parametrize(
+        "config_s, client_s", [(0.05, None), (30.0, 0.05)]
+    )
+    def test_deadline_exceeded_when_no_worker_answers(
+        self, tmp_path, disagree, config_s, client_s
+    ):
         service = make_service(
-            tmp_path, start_workers=False, deadline_s=0.05
+            tmp_path, start_workers=False, deadline_s=config_s
         )
-        with pytest.raises(DeadlineExceeded):
-            service.handle_query(build_query_body(disagree, ["R1O"], queue_bound=2))
+        with pytest.raises(DeadlineExceeded, match=r"deadline of 0\.05s exceeded"):
+            service.handle_query(
+                build_query_body(disagree, ["R1O"], queue_bound=2),
+                deadline_s=client_s,
+            )
         service.start()  # let the orphaned batch finish, then drain
         service.close()
 

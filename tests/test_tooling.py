@@ -46,3 +46,35 @@ class TestTierOneContainsDifferentialSuite:
         assert "BENCH_matrix.json" in text
         assert "MIN_REDUCTION_SPEEDUP" in text
         assert "MIN_WARM_CACHE_SPEEDUP" in text
+
+
+class TestOneHttpTransport:
+    """Both daemons and both clients share ``repro.serve.http``; a second
+    module importing the stdlib HTTP stack means a copy is growing back."""
+
+    @staticmethod
+    def _importers(name: str) -> list:
+        import ast
+
+        found = []
+        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    # ``from http import client`` counts as ``http.client``.
+                    names = [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                if name in names:
+                    found.append(path.relative_to(REPO).as_posix())
+                    break
+        return found
+
+    def test_http_server_imported_once(self):
+        assert self._importers("http.server") == ["src/repro/serve/http.py"]
+
+    def test_http_client_imported_once(self):
+        assert self._importers("http.client") == ["src/repro/serve/http.py"]
