@@ -179,6 +179,7 @@ MATRIX_CERTIFIED_SAFE = frozenset(
 
 
 def matrix_certification(
+    *,
     workers: "int | None" = None,
     queue_bound: "int | None" = None,
     instance=None,

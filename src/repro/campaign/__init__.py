@@ -17,11 +17,13 @@ of the spec, and the report is a pure function of the checkpoints — so
 ``repro campaign run`` after a SIGKILL reproduces the uninterrupted
 report byte for byte.
 
-Campaigns also scale *across hosts*: shards become leasable rows in a
-durable :mod:`~repro.campaign.queue` (SQLite or file-lease backend),
-brokered either directly (shared filesystem) or over HTTP by a
-:mod:`~repro.campaign.coordinator` daemon (``repro campaign serve``)
-that any number of ``repro campaign join`` workers pull from — dead
+Campaigns also scale *across hosts*: shards become leasable rows in
+one durable SQLite table, the :mod:`~repro.campaign.queue` in the
+campaign directory's ``queue.sqlite``.  Workers on the same host (or a
+shared disk with reliable locks) pull from it directly; every other
+host joins by URL a :mod:`~repro.campaign.coordinator` daemon
+(``repro campaign serve``), which then alone opens the queue.  Any
+number of ``repro campaign join`` workers can pull shards — dead
 workers' leases are reclaimed after a heartbeat timeout, and the
 write-once determinism above makes the multi-host report byte-identical
 to a single-host run.
@@ -35,7 +37,7 @@ modules.  See ``docs/api.md`` and ``docs/distributed.md``.
 from .api import CampaignHandle, attach, create
 from .coordinator import CampaignCoordinator
 from .manifest import CAMPAIGN_SCHEMA, CampaignPaths, build_manifest
-from .queue import Lease, QueueError, WorkQueue, open_queue
+from .queue import Lease, QueueError, WorkQueue
 from .report import aggregate_report, render_report
 from .runner import Campaign, CampaignError, compute_shard_records
 from .spec import MODES, CampaignSpec, spec_digest
@@ -59,7 +61,6 @@ __all__ = [
     "compute_shard_records",
     "create",
     "join",
-    "open_queue",
     "render_report",
     "spec_digest",
 ]

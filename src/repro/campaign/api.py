@@ -16,8 +16,7 @@ so callers stop reaching into ``runner.py``/``manifest.py`` internals::
     campaigns.join("http://coord:8643")             # each worker host
 
 ``run`` is idempotent — it executes exactly the shards whose
-checkpoints are missing, so it *is* resume; the old ``Campaign.resume``
-survives as a :class:`DeprecationWarning` shim.
+checkpoints are missing, so it *is* resume.
 """
 
 from __future__ import annotations
@@ -133,7 +132,6 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
-    backend: str = "sqlite",
     lease_ttl: float = DEFAULT_LEASE_TTL,
     quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
 ) -> CampaignCoordinator:
@@ -142,7 +140,6 @@ def serve(
     return attach(directory).serve(
         host=host,
         port=port,
-        backend=backend,
         lease_ttl=lease_ttl,
         quarantine_after=quarantine_after,
     )

@@ -55,13 +55,7 @@ from ..obs import metrics as _metrics
 from ..obs import tracing
 from ..serve.http import HttpServer
 from ..serve.protocol import PROTOCOL_VERSION, ProtocolError, envelope
-from .queue import (
-    DEFAULT_LEASE_TTL,
-    DEFAULT_QUARANTINE_AFTER,
-    Lease,
-    WorkQueue,
-    open_queue,
-)
+from .queue import DEFAULT_LEASE_TTL, DEFAULT_QUARANTINE_AFTER, Lease, WorkQueue
 from .runner import Campaign
 
 __all__ = ["CampaignCoordinator", "DEFAULT_PORT"]
@@ -82,16 +76,13 @@ class CampaignCoordinator(HttpServer):
         *,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        backend: str = "sqlite",
         lease_ttl: float = DEFAULT_LEASE_TTL,
         quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
     ) -> None:
         self.campaign = campaign
-        self.backend = backend
-        self.queue: WorkQueue = open_queue(
-            campaign.paths.directory,
+        self.queue = WorkQueue(
+            campaign.paths.queue_db_path,
             campaign.digest,
-            backend=backend,
             lease_ttl=lease_ttl,
             quarantine_after=quarantine_after,
         )
@@ -156,7 +147,6 @@ class CampaignCoordinator(HttpServer):
         return {
             "spec": self.campaign.spec.as_dict(),
             "digest": self.campaign.digest,
-            "backend": self.queue.backend,
             "lease_ttl": self.queue.lease_ttl,
             "quarantine_after": self.queue.quarantine_after,
             "trace": self.trace.trace_id,

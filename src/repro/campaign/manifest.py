@@ -9,8 +9,7 @@ Layout of a campaign directory::
       report.json                the final aggregate (all shards done)
       cache/                     shared verdict cache (spec.cache=True)
       telemetry.jsonl            JSONL event stream (--telemetry)
-      queue.sqlite               shard work queue (multi-host, sqlite)
-      queue/                     shard work queue (multi-host, file leases)
+      queue.sqlite               shard work queue (multi-host)
 
 Every JSON artifact is written with :func:`atomic_write_json` — a
 tempfile in the destination directory followed by ``os.replace``
@@ -153,11 +152,6 @@ class CampaignPaths:
     def queue_db_path(self) -> Path:
         """SQLite work-queue database (multi-host coordination)."""
         return self.directory / "queue.sqlite"
-
-    @property
-    def queue_dir(self) -> Path:
-        """File-lease work-queue directory (shared-filesystem fallback)."""
-        return self.directory / "queue"
 
 
 def build_manifest(spec: CampaignSpec) -> dict:

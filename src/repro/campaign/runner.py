@@ -20,8 +20,6 @@ Retries and cache hits are visible in the telemetry counters
 
 from __future__ import annotations
 
-import warnings
-
 from ..engine.explorer import _shared_searches
 from ..engine.parallel import (
     ExplorationTask,
@@ -279,20 +277,6 @@ class Campaign:
         if not self.pending_shards():
             self.write_report()
         return executed
-
-    def resume(
-        self,
-        workers: "int | None" = None,
-        max_shards: "int | None" = None,
-    ) -> list:
-        """Deprecated alias for :meth:`run` (resume is automatic)."""
-        warnings.warn(
-            "Campaign.resume is deprecated; call Campaign.run — it resumes "
-            "from checkpoints automatically",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(workers=workers, max_shards=max_shards)
 
     # -- inspection ------------------------------------------------------
     def status(self) -> dict:

@@ -10,9 +10,9 @@ racing — converge on the same byte-identical ``report.json``.
 
 Two transports behind one :func:`join` entry point:
 
-* **path** — the campaign directory is reachable (same host or shared
-  filesystem).  The worker opens the on-disk :class:`WorkQueue`
-  directly and writes checkpoints itself.
+* **path** — the campaign directory is reachable (same host, or a
+  shared disk with reliable locks).  The worker opens the on-disk
+  :class:`WorkQueue` directly and writes checkpoints itself.
 * **url** — an ``http(s)://`` coordinator (``repro campaign serve``).
   :class:`CoordinatorClient` speaks the v2 envelopes: claims carry a
   ``traceparent`` minted from the coordinator's campaign trace (so this
@@ -49,7 +49,13 @@ from ..obs import tracing
 from ..serve.http import WIRE_ERRORS, HttpClient
 from ..serve.protocol import PROTOCOL_VERSION, envelope
 from ..serve.retry import RetryPolicy
-from .queue import DEFAULT_LEASE_TTL, Lease, WorkQueue, default_worker_id, open_queue
+from .queue import (
+    DEFAULT_LEASE_TTL,
+    DEFAULT_QUARANTINE_AFTER,
+    Lease,
+    WorkQueue,
+    default_worker_id,
+)
 from .runner import Campaign, compute_shard_records
 from .spec import CampaignSpec
 
@@ -116,25 +122,15 @@ class _HeartbeatThread:
 
 
 class _PathTransport:
-    """Direct campaign-directory access (same host / shared filesystem)."""
+    """Direct campaign-directory access (same host / shared disk)."""
 
-    def __init__(
-        self,
-        directory,
-        backend: str,
-        lease_ttl: float,
-        quarantine_after: "int | None" = None,
-    ) -> None:
+    def __init__(self, directory, lease_ttl: float, quarantine_after: int) -> None:
         self.campaign = Campaign.open(directory)
-        queue_kwargs = {}
-        if quarantine_after is not None:
-            queue_kwargs["quarantine_after"] = quarantine_after
-        self.queue: WorkQueue = open_queue(
-            self.campaign.paths.directory,
+        self.queue = WorkQueue(
+            self.campaign.paths.queue_db_path,
             self.campaign.digest,
-            backend=backend,
             lease_ttl=lease_ttl,
-            **queue_kwargs,
+            quarantine_after=quarantine_after,
         )
         self.queue.enroll(
             range(self.campaign.spec.n_shards),
@@ -200,7 +196,7 @@ class _PathTransport:
 
     def close(self) -> None:
         # Snapshot completion first: join() builds its summary after
-        # close(), and the SQLite queue cannot be queried once closed.
+        # close(), and the queue cannot be queried once closed.
         self._final = not self._unresolved()
         self.queue.close()
 
@@ -373,7 +369,6 @@ class _UrlTransport:
 def _open_transport(
     target,
     *,
-    backend: str,
     lease_ttl: float,
     cache_dir: "str | None",
     retry_policy: "RetryPolicy | None" = None,
@@ -381,14 +376,15 @@ def _open_transport(
 ):
     if isinstance(target, str) and target.startswith(("http://", "https://")):
         return _UrlTransport(target, cache_dir, retry_policy)
-    return _PathTransport(target, backend, lease_ttl, quarantine_after)
+    if quarantine_after is None:
+        quarantine_after = DEFAULT_QUARANTINE_AFTER
+    return _PathTransport(target, lease_ttl, quarantine_after)
 
 
 def join(
     target,
     *,
     workers: "int | None" = None,
-    backend: str = "sqlite",
     lease_ttl: float = DEFAULT_LEASE_TTL,
     max_shards: "int | None" = None,
     poll_s: float = DEFAULT_POLL_S,
@@ -417,7 +413,6 @@ def join(
         )
     transport = _open_transport(
         target,
-        backend=backend,
         lease_ttl=lease_ttl,
         cache_dir=cache_dir,
         retry_policy=retry_policy,

@@ -518,13 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (default: %(default)s)",
     )
     cserve.add_argument(
-        "--queue-backend",
-        choices=("sqlite", "file"),
-        default="sqlite",
-        help="work-queue backend inside the campaign directory "
-        "(file = shared-filesystem lease files; default: %(default)s)",
-    )
-    cserve.add_argument(
         "--lease-ttl",
         type=float,
         default=30.0,
@@ -580,13 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="leave after completing N shards (default: stay until the "
         "campaign completes)",
-    )
-    cjoin.add_argument(
-        "--queue-backend",
-        choices=("sqlite", "file"),
-        default="sqlite",
-        help="work-queue backend (path targets only; must match the "
-        "other workers'; default: %(default)s)",
     )
     cjoin.add_argument(
         "--lease-ttl",
@@ -1147,7 +1133,6 @@ def _cmd_campaign_serve(args) -> int:
                 campaign,
                 host=args.host,
                 port=args.port,
-                backend=args.queue_backend,
                 lease_ttl=args.lease_ttl,
                 quarantine_after=args.quarantine_after,
             )
@@ -1162,7 +1147,7 @@ def _cmd_campaign_serve(args) -> int:
             f"repro campaign serve: {campaign.spec.name} on "
             f"{coordinator.url}  ({status['shards_pending']} of "
             f"{status['shards_total']} shard(s) pending, "
-            f"queue {args.queue_backend}, lease TTL {args.lease_ttl:g}s)",
+            f"lease TTL {args.lease_ttl:g}s)",
             flush=True,
         )
         print(f"repro campaign serve: trace {coordinator.trace.trace_id}", flush=True)
@@ -1195,7 +1180,6 @@ def _cmd_campaign_join(args) -> int:
         summary = join(
             args.target,
             workers=args.workers,
-            backend=args.queue_backend,
             lease_ttl=args.lease_ttl,
             max_shards=args.max_shards,
             cache_dir=args.cache_dir,

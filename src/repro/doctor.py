@@ -34,12 +34,12 @@ Campaign directory (``spec.json`` present):
   the checkpoints (repair: rewritten when all shards are done,
   quarantined when some are pending); a *partial* report is accepted
   when its ``quarantined_shards`` exactly account for the pending ones,
-* the work-queue store — ``queue.sqlite`` and/or ``queue/`` — agrees
-  with the spec and the checkpoints: matching digest, in-range shard
-  ids, no expired or orphaned leases (repair: reclaimed), no ``done``
-  rows or markers without a valid checkpoint behind them (repair:
-  reset to open), no leftover reclaim tombstones (repair: removed),
-  with quarantined shards surfaced as info,
+* the work queue ``queue.sqlite`` agrees with the spec and the
+  checkpoints (:func:`repro.campaign.queue.audit`): matching digest
+  (repair: a foreign or corrupt database is quarantined), in-range
+  shard ids (repair: removed), no expired leases (repair: reclaimed),
+  no ``done`` rows without a valid checkpoint behind them (repair:
+  reset to open), with quarantined shards surfaced as info,
 * a nested ``cache/`` directory gets the full cache check.
 
 The doctor never invents data: everything it rewrites is derivable,
@@ -64,6 +64,7 @@ from .campaign.manifest import (
     checkpoint_issue,
     read_json,
 )
+from .campaign.queue import QueueError, audit
 from .campaign.report import aggregate_report
 from .campaign.spec import CampaignSpec, spec_digest
 from .engine.cache import CACHE_VERSION, QUARANTINE_DIR, payload_checksum
@@ -562,13 +563,6 @@ def _check_report(
 # Work-queue checks.
 # ----------------------------------------------------------------------
 
-_LEASE_NAME = re.compile(r"^lease-(\d{4})\.json$")
-_DONE_NAME = re.compile(r"^done-(\d{4})\.marker$")
-_FAILED_NAME = re.compile(r"^failed-(\d{4})\.json$")
-_QUARANTINED_NAME = re.compile(r"^quarantined-(\d{4})\.marker$")
-_TOMBSTONE_NAME = re.compile(r"^\.reclaim-\d{4}-.*\.tmp$")
-
-
 def _check_queue(
     root: Path,
     paths: CampaignPaths,
@@ -578,312 +572,33 @@ def _check_queue(
     report: DoctorReport,
     repair: bool,
 ) -> None:
-    """Validate the (derivable) queue store against the checkpoints.
+    """Validate the (derivable) queue against the checkpoints.
 
-    The queue is pure coordination state — the checkpoints are the
-    source of truth — so every repair here is safe: reclaiming an
-    expired lease re-opens the shard, resetting a ``done`` row without
-    a checkpoint behind it makes the shard run again, and at worst a
-    healthy worker re-computes deterministic records.
+    :func:`repro.campaign.queue.audit` does the checking and repairing;
+    a database it cannot use at all is quarantined — the coordinator
+    rebuilds the queue from the checkpoints on its next boot.
     """
-    completed = {s for s in range(spec.n_shards) if s not in set(pending)}
-    if paths.queue_db_path.is_file():
-        _check_sqlite_queue(root, paths, spec, digest, completed, report, repair)
-    if paths.queue_dir.is_dir():
-        _check_file_queue(root, paths, spec, digest, completed, report, repair)
-
-
-def _check_sqlite_queue(
-    root: Path,
-    paths: CampaignPaths,
-    spec: CampaignSpec,
-    digest: str,
-    completed: set,
-    report: DoctorReport,
-    repair: bool,
-) -> None:
-    import sqlite3
-    import time as _time
-
     path = paths.queue_db_path
+    if not path.is_file():
+        return
     relative = _relative(root, path)
+    completed = set(range(spec.n_shards)) - set(pending)
     try:
-        conn = sqlite3.connect(path, timeout=5.0, isolation_level=None)
-    except sqlite3.Error as error:
+        issues = audit(path, digest, spec.n_shards, completed, repair=repair)
+    except QueueError as error:
         report.findings.append(
             Finding(
                 "error",
                 "campaign.queue",
                 relative,
-                f"cannot open queue database ({error})",
+                str(error),
                 _quarantine(root, path, repair),
             )
         )
         return
-    try:
-        try:
-            row = conn.execute(
-                "SELECT value FROM meta WHERE key='digest'"
-            ).fetchone()
-            rows = conn.execute(
-                "SELECT shard, state, worker, expires FROM shards"
-            ).fetchall()
-        except sqlite3.Error as error:
-            conn.close()
-            conn = None
-            report.findings.append(
-                Finding(
-                    "error",
-                    "campaign.queue",
-                    relative,
-                    f"corrupt queue database ({error})",
-                    _quarantine(root, path, repair),
-                )
-            )
-            return
-        if row is None or row[0] != digest:
-            found = (row[0][:12] if row else "missing")
-            conn.close()
-            conn = None
-            report.findings.append(
-                Finding(
-                    "error",
-                    "campaign.queue",
-                    relative,
-                    f"queue digest {found!r} does not match campaign "
-                    f"digest {digest[:12]!r} — foreign queue",
-                    _quarantine(root, path, repair),
-                )
-            )
-            return
-        now = _time.time()
-        healthy = True
-        quarantined = []
-        for shard, state, worker, expires in rows:
-            if shard < 0 or shard >= spec.n_shards:
-                action = None
-                if repair:
-                    conn.execute("DELETE FROM shards WHERE shard=?", (shard,))
-                    action = "removed"
-                report.findings.append(
-                    Finding(
-                        "error",
-                        "campaign.queue",
-                        relative,
-                        f"shard id {shard} out of range "
-                        f"(spec has {spec.n_shards} shards)",
-                        action,
-                    )
-                )
-                healthy = False
-            elif state == "leased" and (expires is None or expires < now):
-                action = None
-                if repair:
-                    conn.execute(
-                        "UPDATE shards SET state='open', worker=NULL,"
-                        " token=NULL, expires=NULL WHERE shard=?",
-                        (shard,),
-                    )
-                    action = "reclaimed"
-                report.findings.append(
-                    Finding(
-                        "warning",
-                        "campaign.queue",
-                        relative,
-                        f"expired lease on shard {shard} "
-                        f"(worker {worker or '?'}) — orphaned by a "
-                        "crashed or partitioned worker",
-                        action,
-                    )
-                )
-                healthy = False
-            elif state == "done" and shard not in completed:
-                action = None
-                if repair:
-                    conn.execute(
-                        "UPDATE shards SET state='open', worker=NULL,"
-                        " token=NULL, expires=NULL, failures='[]'"
-                        " WHERE shard=?",
-                        (shard,),
-                    )
-                    action = "reset"
-                report.findings.append(
-                    Finding(
-                        "error",
-                        "campaign.queue",
-                        relative,
-                        f"shard {shard} marked done in the queue but has "
-                        "no valid checkpoint — it would never re-run",
-                        action,
-                    )
-                )
-                healthy = False
-            elif state == "quarantined":
-                quarantined.append(shard)
-        if quarantined:
-            report.findings.append(
-                Finding(
-                    "info",
-                    "campaign.queue",
-                    relative,
-                    f"shard(s) {sorted(quarantined)} quarantined as poison "
-                    "(reset with repro.campaign.queue reset to retry them)",
-                )
-            )
-        if healthy:
-            report.healthy += 1
-    finally:
-        if conn is not None:
-            conn.close()
-
-
-def _check_file_queue(
-    root: Path,
-    paths: CampaignPaths,
-    spec: CampaignSpec,
-    digest: str,
-    completed: set,
-    report: DoctorReport,
-    repair: bool,
-) -> None:
-    import time as _time
-
-    queue_dir = paths.queue_dir
-    digest_path = queue_dir / "digest.json"
-    found = read_json(digest_path, warn=False)
-    if isinstance(found, dict) and found.get("digest") != digest:
-        report.findings.append(
-            Finding(
-                "error",
-                "campaign.queue",
-                _relative(root, digest_path),
-                f"queue digest {str(found.get('digest'))[:12]!r} does not "
-                f"match campaign digest {digest[:12]!r} — foreign queue",
-            )
-        )
-        return
-    now = _time.time()
-    healthy = True
-    quarantined = []
-
-    def remove(path: Path) -> "str | None":
-        if not repair:
-            return None
-        try:
-            path.unlink()
-        except OSError:
-            return None
-        return "removed"
-
-    for entry in sorted(queue_dir.iterdir()):
-        name = entry.name
-        relative = _relative(root, entry)
-        if _TOMBSTONE_NAME.match(name):
-            report.findings.append(
-                Finding(
-                    "warning",
-                    "campaign.queue",
-                    relative,
-                    "leftover reclaim tombstone (reclaimer crashed "
-                    "mid-rename; harmless but dead weight)",
-                    remove(entry),
-                )
-            )
-            healthy = False
-            continue
-        match = _LEASE_NAME.match(name)
-        if match:
-            shard = int(match.group(1))
-            lease = read_json(entry, warn=False)
-            if shard >= spec.n_shards:
-                report.findings.append(
-                    Finding(
-                        "error",
-                        "campaign.queue",
-                        relative,
-                        f"lease for out-of-range shard {shard} "
-                        f"(spec has {spec.n_shards} shards)",
-                        remove(entry),
-                    )
-                )
-                healthy = False
-            elif not isinstance(lease, dict):
-                report.findings.append(
-                    Finding(
-                        "warning",
-                        "campaign.queue",
-                        relative,
-                        "torn or corrupt lease file — unclaimable until "
-                        "reclaimed",
-                        remove(entry),
-                    )
-                )
-                healthy = False
-            elif lease.get("expires", 0) < now:
-                action = remove(entry)
-                report.findings.append(
-                    Finding(
-                        "warning",
-                        "campaign.queue",
-                        relative,
-                        f"expired lease on shard {shard} "
-                        f"(worker {lease.get('worker', '?')}) — orphaned "
-                        "by a crashed or partitioned worker",
-                        "reclaimed" if action else None,
-                    )
-                )
-                healthy = False
-            else:
-                report.healthy += 1
-            continue
-        match = _DONE_NAME.match(name)
-        if match:
-            shard = int(match.group(1))
-            if shard >= spec.n_shards or shard not in completed:
-                action = remove(entry)
-                report.findings.append(
-                    Finding(
-                        "error",
-                        "campaign.queue",
-                        relative,
-                        f"shard {shard} has a done marker but no valid "
-                        "checkpoint — it would never re-run",
-                        "reset" if action else None,
-                    )
-                )
-                healthy = False
-            else:
-                report.healthy += 1
-            continue
-        match = _QUARANTINED_NAME.match(name)
-        if match:
-            quarantined.append(int(match.group(1)))
-            continue
-        match = _FAILED_NAME.match(name)
-        if match:
-            history = read_json(entry, warn=False)
-            if not isinstance(history, dict):
-                report.findings.append(
-                    Finding(
-                        "warning",
-                        "campaign.queue",
-                        relative,
-                        "corrupt failure-history file (resets the shard's "
-                        "strike count)",
-                        remove(entry),
-                    )
-                )
-                healthy = False
-            continue
-    if quarantined:
-        report.findings.append(
-            Finding(
-                "info",
-                "campaign.queue",
-                _relative(root, queue_dir),
-                f"shard(s) {sorted(quarantined)} quarantined as poison "
-                "(reset with repro.campaign.queue reset to retry them)",
-            )
-        )
-    if healthy:
+    report.findings.extend(
+        Finding(severity, "campaign.queue", relative, detail, action)
+        for severity, detail, action in issues
+    )
+    if all(severity == "info" for severity, _, _ in issues):
         report.healthy += 1

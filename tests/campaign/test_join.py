@@ -7,11 +7,13 @@ HTTP transport, duplicated work included) must reproduce the
 single-host ``report.json`` exactly.
 """
 
+import json
 import threading
 
 import pytest
 
 from repro.campaign import api
+from repro.campaign.worker import CoordinatorClient
 from repro.campaign.spec import CampaignSpec
 
 SPEC = dict(
@@ -52,13 +54,10 @@ def _join_all(target, n_workers, **kwargs):
     return summaries
 
 
-@pytest.mark.parametrize("backend", ("sqlite", "file"))
-def test_two_path_joiners_match_single_host(
-    tmp_path, backend, reference_report
-):
+def test_two_path_joiners_match_single_host(tmp_path, reference_report):
     directory = tmp_path / "campaign"
     api.create(CampaignSpec(**SPEC), directory)
-    summaries = _join_all(str(directory), 2, backend=backend, lease_ttl=10.0)
+    summaries = _join_all(str(directory), 2, lease_ttl=10.0)
     assert (directory / "report.json").read_bytes() == reference_report
     ran = sorted(shard for s in summaries for shard in s["shards"])
     assert ran == list(range(CampaignSpec(**SPEC).n_shards))
@@ -145,3 +144,57 @@ def test_campaign_run_resolves_workers_once(tmp_path, monkeypatch):
     directory = tmp_path / "campaign"
     api.create(CampaignSpec(**SPEC), directory).run()
     assert len(calls) == 1
+
+
+def _leftover_lease_files(directory, digest):
+    """A ``queue/`` directory as the retired lease-file backend left it:
+    shard 0 marked done (its checkpoint was never written) and shard 1
+    held by a lease nobody will renew."""
+    queue_dir = directory / "queue"
+    queue_dir.mkdir()
+    (queue_dir / "digest.json").write_text(json.dumps({"digest": digest}))
+    (queue_dir / "shards.json").write_text(json.dumps([0, 1, 2]))
+    (queue_dir / "done-0000.marker").write_text("")
+    (queue_dir / "lease-0001.json").write_text(json.dumps(
+        {"worker": "gone", "token": "00" * 8, "expires": 4102444800.0}
+    ))
+    return sorted(path.name for path in queue_dir.iterdir())
+
+
+@pytest.mark.parametrize("transport", ["path", "url"])
+def test_leftover_lease_files_are_ignored(tmp_path, reference_report, transport):
+    """A campaign directory with a leftover ``queue/`` resumes on
+    ``queue.sqlite``, enrolled from the checkpoints alone."""
+    directory = tmp_path / "campaign"
+    handle = api.create(CampaignSpec(**SPEC), directory)
+    leftover = _leftover_lease_files(directory, handle.digest)
+    if transport == "path":
+        summaries = _join_all(str(directory), 1)
+    else:
+        with api.serve(directory, port=0) as coordinator:
+            summaries = _join_all(coordinator.url, 1)
+            assert coordinator.wait_complete(timeout=10)
+    assert (directory / "report.json").read_bytes() == reference_report
+    assert summaries[0]["shards"] == list(range(CampaignSpec(**SPEC).n_shards))
+    assert (directory / "queue.sqlite").is_file()
+    assert sorted(p.name for p in (directory / "queue").iterdir()) == leftover
+
+
+def test_coordinator_bootstrap_names_no_backend(tmp_path):
+    """``GET /v2/campaign`` and the queue snapshot describe the one
+    queue there is, with no backend field."""
+    directory = tmp_path / "campaign"
+    handle = api.create(CampaignSpec(**SPEC), directory)
+    with api.serve(directory, port=0, lease_ttl=12.5) as coordinator:
+        info = CoordinatorClient(coordinator.url).describe()
+        snapshot = coordinator.queue.snapshot()
+    assert info["digest"] == handle.digest
+    assert (info["lease_ttl"], info["quarantine_after"]) == (12.5, 3)
+    assert sorted(info) == [
+        "complete", "digest", "lease_ttl", "quarantine_after", "spec",
+        "trace", "v",
+    ]
+    assert sorted(snapshot) == [
+        "done", "leased", "leases", "open", "quarantined",
+        "quarantined_shards",
+    ]

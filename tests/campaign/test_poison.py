@@ -56,10 +56,7 @@ def _assert_partial(directory, spec):
     assert str(POISON_SHARD) in rendered
 
 
-@pytest.mark.parametrize("backend", ("sqlite", "file"))
-def test_single_joiner_quarantines_poison_shard(
-    tmp_path, backend, monkeypatch, capsys
-):
+def test_single_joiner_quarantines_poison_shard(tmp_path, monkeypatch, capsys):
     """One worker alone: the total-failure cap quarantines the shard
     (quarantine_after=1 makes the first strike decisive)."""
     _poisoned(monkeypatch)
@@ -68,7 +65,6 @@ def test_single_joiner_quarantines_poison_shard(
     summary = api.join(
         str(directory),
         workers=1,
-        backend=backend,
         lease_ttl=10.0,
         quarantine_after=1,
     )

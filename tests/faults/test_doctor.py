@@ -2,11 +2,12 @@
 
 import json
 import shutil
+import time
 
 import pytest
 
 from repro import cli
-from repro.campaign import Campaign, CampaignSpec
+from repro.campaign import Campaign, CampaignPaths, CampaignSpec, WorkQueue
 from repro.core.instances import ALL_NAMED_INSTANCES
 from repro.doctor import DoctorError, diagnose
 from repro.engine.cache import QUARANTINE_DIR, VerdictCache, verdict_key
@@ -207,3 +208,120 @@ def test_out_of_range_shard_is_an_error(campaign_dir):
     report = diagnose(campaign_dir)
     assert not report.ok()
     assert any("out of range" in f.detail for f in report.findings)
+
+
+# ----------------------------------------------------------------------
+# The campaign work queue (queue.sqlite).
+# ----------------------------------------------------------------------
+
+OTHER_DIGEST = "cd" * 32
+
+
+def _queue(directory, digest=None, **kwargs):
+    return WorkQueue(
+        CampaignPaths(directory).queue_db_path,
+        digest or Campaign.open(directory).digest,
+        **kwargs,
+    )
+
+
+def _corrupt_queue(directory):
+    (directory / "queue.sqlite").write_bytes(b"not a database\n" * 64)
+
+
+def _foreign_queue(directory):
+    _queue(directory, OTHER_DIGEST).close()
+
+
+def _out_of_range_row(directory):
+    with _queue(directory) as queue:
+        queue.enroll([0, 1, 7], done=[0, 1])
+
+
+def _expired_lease(directory):
+    with _queue(directory, lease_ttl=0.01) as queue:
+        queue.enroll([0, 1], done=[1])
+        assert queue.claim("ghost").shard == 0
+    time.sleep(0.05)
+
+
+def _done_without_checkpoint(directory):
+    with _queue(directory) as queue:
+        queue.enroll([0, 1], done=[0, 1])
+    (directory / "shards" / "shard-0001.json").unlink()
+
+
+def _quarantined_shard(directory):
+    with _queue(directory, quarantine_after=1) as queue:
+        queue.enroll([0, 1], done=[1])
+        assert queue.fail(queue.claim("w")) == "quarantined"
+
+
+QUEUE_CASES = {
+    # case: (set-up, severity, detail, repair action)
+    "corrupt": (
+        _corrupt_queue, "error",
+        "corrupt queue database (file is not a database)", "quarantined",
+    ),
+    "foreign-digest": (
+        _foreign_queue, "error",
+        f"queue digest {OTHER_DIGEST[:12]!r} does not match campaign digest "
+        "{digest!r} — foreign queue",
+        "quarantined",
+    ),
+    "out-of-range-shard": (
+        _out_of_range_row, "error",
+        "shard id 7 out of range (spec has 2 shards)", "removed",
+    ),
+    "expired-lease": (
+        _expired_lease, "warning",
+        "expired lease on shard 0 (worker ghost) — orphaned by a crashed or "
+        "partitioned worker",
+        "reclaimed",
+    ),
+    "done-without-checkpoint": (
+        _done_without_checkpoint, "error",
+        "shard 1 marked done in the queue but has no valid checkpoint — it "
+        "would never re-run",
+        "reset",
+    ),
+    "quarantined": (
+        _quarantined_shard, "info",
+        "shard(s) [0] quarantined as poison (reset with "
+        "repro.campaign.queue reset to retry them)",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUEUE_CASES))
+def test_queue_findings_and_repairs(campaign_dir, case):
+    setup, severity, detail, action = QUEUE_CASES[case]
+    setup(campaign_dir)
+    detail = detail.format(digest=Campaign.open(campaign_dir).digest[:12])
+    db = campaign_dir / "queue.sqlite"
+    before = db.read_bytes()
+
+    def queue_findings(report):
+        return [
+            (f.severity, f.path, f.detail, f.repair)
+            for f in report.findings
+            if f.category == "campaign.queue"
+        ]
+
+    # Diagnosing alone reports, repairs nothing, and never writes the queue.
+    assert queue_findings(diagnose(campaign_dir)) == [
+        (severity, "queue.sqlite", detail, None)
+    ]
+    assert db.read_bytes() == before
+
+    repaired = diagnose(campaign_dir, repair=True)
+    assert queue_findings(repaired) == [
+        (severity, "queue.sqlite", detail, action)
+    ]
+    if action == "quarantined":
+        assert not db.exists()
+        assert (campaign_dir / QUARANTINE_DIR / "queue.sqlite").read_bytes() == before
+    # A repaired queue diagnoses clean (quarantined poison stays info).
+    remaining = [(severity, "queue.sqlite", detail, None)] if severity == "info" else []
+    assert queue_findings(diagnose(campaign_dir)) == remaining

@@ -83,6 +83,17 @@ def test_entry_points_accept_config_keyword():
         assert "config" in parameters, function.__name__
 
 
+def test_matrix_certification_is_keyword_only():
+    """A positional instance used to bind to ``workers`` and fail deep
+    inside ``RunConfig``; it must be refused at the call instead."""
+    import pytest
+
+    from repro.core.instances import fig7_gadget
+
+    with pytest.raises(TypeError, match="positional argument"):
+        repro.matrix_certification(fig7_gadget())
+
+
 def test_campaign_surface():
     from repro.campaign import (
         Campaign,
@@ -108,19 +119,3 @@ def test_campaign_api_facade_surface():
     for name in ("run", "serve", "join", "status", "report", "records"):
         assert hasattr(api.CampaignHandle, name), name
     assert repro.CampaignHandle is api.CampaignHandle
-
-
-def test_campaign_resume_is_deprecated_alias():
-    import warnings
-
-    import pytest
-
-    with pytest.warns(DeprecationWarning, match="resume"):
-        # Bound-method lookup is enough to keep the shim honest once
-        # it's invoked; use a directory-free call path via a stub.
-        campaign = repro.Campaign.__new__(repro.Campaign)
-        campaign.run = lambda workers=None, max_shards=None: ["ran"]
-        assert campaign.resume() == ["ran"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        campaign.run()  # the replacement path stays warning-free

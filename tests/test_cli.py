@@ -483,3 +483,20 @@ class TestTopCli:
         assert "repro top" in out
         assert "requests: 1" in out
         assert "hot:1" in out
+
+
+class TestCampaignCli:
+    @pytest.mark.parametrize(
+        "verb, target", [("serve", "camp"), ("join", "http://127.0.0.1:1")]
+    )
+    def test_queue_backend_flag_is_gone(self, capsys, verb, target):
+        """The campaign queue has one store, so there is nothing to pick."""
+        parser = build_parser()
+        args = parser.parse_args(["campaign", verb, target])
+        assert not hasattr(args, "queue_backend")
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(
+                ["campaign", verb, target, "--queue-backend", "sqlite"]
+            )
+        assert excinfo.value.code == 2
+        assert "--queue-backend" in capsys.readouterr().err

@@ -48,33 +48,42 @@ class TestTierOneContainsDifferentialSuite:
         assert "MIN_WARM_CACHE_SPEEDUP" in text
 
 
+def _importers(name: str) -> list:
+    """The ``src/repro`` modules that import the module ``name``."""
+    import ast
+
+    found = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                # ``from http import client`` counts as ``http.client``.
+                names = [node.module] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            if name in names:
+                found.append(path.relative_to(REPO).as_posix())
+                break
+    return found
+
+
 class TestOneHttpTransport:
     """Both daemons and both clients share ``repro.serve.http``; a second
     module importing the stdlib HTTP stack means a copy is growing back."""
 
-    @staticmethod
-    def _importers(name: str) -> list:
-        import ast
-
-        found = []
-        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and not node.level:
-                    # ``from http import client`` counts as ``http.client``.
-                    names = [node.module] + [
-                        f"{node.module}.{alias.name}" for alias in node.names
-                    ]
-                else:
-                    continue
-                if name in names:
-                    found.append(path.relative_to(REPO).as_posix())
-                    break
-        return found
-
     def test_http_server_imported_once(self):
-        assert self._importers("http.server") == ["src/repro/serve/http.py"]
+        assert _importers("http.server") == ["src/repro/serve/http.py"]
 
     def test_http_client_imported_once(self):
-        assert self._importers("http.client") == ["src/repro/serve/http.py"]
+        assert _importers("http.client") == ["src/repro/serve/http.py"]
+
+
+class TestOneWorkQueue:
+    """``repro.campaign.queue`` is the only module that knows the queue's
+    schema; a second ``sqlite3`` importer means SQL is leaking out."""
+
+    def test_sqlite3_imported_once(self):
+        assert _importers("sqlite3") == ["src/repro/campaign/queue.py"]
