@@ -9,6 +9,7 @@ of convergence rates.
 
 from repro.analysis.experiments import experiment_convergence_rates
 from repro.analysis.stats import survey_convergence
+from repro.config import RunConfig
 from repro.core import instances as canonical
 from repro.core.generators import instance_family
 from repro.models.taxonomy import model
@@ -23,7 +24,7 @@ def test_random_instance_survey(benchmark):
         n_instances=8,
         seeds_per_instance=4,
         model_names=("R1O", "REO", "RMS", "REA", "U1O", "UMS"),
-        max_steps=400,
+        config=RunConfig(workers=1, step_bound=400),
     )
     print()
     print(survey.format_table())
@@ -43,7 +44,7 @@ def test_disagree_rates_separate_models(benchmark):
         [canonical.disagree()],
         [model("RMA"), model("REO"), model("R1O"), model("RMS")],
         seeds_per_instance=10,
-        max_steps=150,
+        config=RunConfig(workers=1, step_bound=150),
     )
     print()
     print(survey.format_table())
@@ -65,7 +66,7 @@ def test_safe_family_always_converges(benchmark):
         instances,
         [model("R1O"), model("UMS"), model("REA")],
         seeds_per_instance=3,
-        max_steps=600,
+        config=RunConfig(workers=1, step_bound=600),
     )
     for stats in survey.per_model.values():
         assert stats.convergence_rate == 1.0, stats.model_name

@@ -5,6 +5,7 @@ how many Def. 2.3 steps per second the engine executes and how fast the
 bounded model checker enumerates states.
 """
 
+from repro.config import RunConfig
 from repro.core.instances import disagree, fig6_gadget
 from repro.engine.convergence import simulate
 from repro.engine.execution import Execution
@@ -106,7 +107,7 @@ def test_disagree_full_sweep_speed(benchmark):
         from repro.models.taxonomy import ALL_MODELS
 
         return [
-            can_oscillate(disagree(), m, queue_bound=3).oscillates
+            can_oscillate(disagree(), m, config=RunConfig(queue_bound=3)).oscillates
             for m in ALL_MODELS
         ]
 

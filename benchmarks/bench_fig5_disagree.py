@@ -11,6 +11,7 @@ from repro.analysis.experiments import (
     DISAGREE_SAFE_MODELS,
     experiment_disagree,
 )
+from repro.config import RunConfig
 from repro.core.instances import disagree
 from repro.engine.execution import Execution
 from repro.engine.explorer import can_oscillate
@@ -37,7 +38,7 @@ def test_fig5_all_24_models(benchmark):
 
     def sweep():
         return {
-            m.name: can_oscillate(disagree(), m, queue_bound=3)
+            m.name: can_oscillate(disagree(), m, config=RunConfig(queue_bound=3))
             for m in ALL_MODELS
         }
 
@@ -56,7 +57,9 @@ def test_fig5_all_24_models(benchmark):
 def test_fig5_oscillation_replay(benchmark):
     """Time the concrete Ex. A.1 oscillation (one full period)."""
     instance = disagree()
-    explorer_result = can_oscillate(instance, model("R1O"), queue_bound=3)
+    explorer_result = can_oscillate(
+        instance, model("R1O"), config=RunConfig(queue_bound=3)
+    )
     witness = explorer_result.witness
     assert witness is not None
 

@@ -11,6 +11,7 @@ Two halves:
 """
 
 from repro.analysis.experiments import experiment_fig6, run_fig6_reo_trace
+from repro.config import RunConfig
 from repro.core.instances import fig6_gadget
 from repro.engine.explorer import can_oscillate
 from repro.models.taxonomy import model
@@ -32,8 +33,7 @@ def test_fig6_reo_explorer_witness(benchmark):
         can_oscillate,
         fig6_gadget(),
         model("REO"),
-        queue_bound=3,
-        max_states=500_000,
+        config=RunConfig(queue_bound=3, step_bound=500_000),
     )
     assert result.oscillates
 
@@ -44,8 +44,7 @@ def test_fig6_ref_explorer_witness(benchmark):
         can_oscillate,
         fig6_gadget(),
         model("REF"),
-        queue_bound=3,
-        max_states=500_000,
+        config=RunConfig(queue_bound=3, step_bound=500_000),
     )
     assert result.oscillates
 
@@ -56,8 +55,7 @@ def test_fig6_rea_polling_cannot_oscillate(benchmark):
         can_oscillate,
         fig6_gadget(),
         model("REA"),
-        queue_bound=2,
-        max_states=2_000_000,
+        config=RunConfig(queue_bound=2, step_bound=2_000_000),
     )
     assert not result.oscillates
     assert result.complete
@@ -69,8 +67,7 @@ def test_fig6_r1a_polling_cannot_oscillate(benchmark):
         can_oscillate,
         fig6_gadget(),
         model("R1A"),
-        queue_bound=2,
-        max_states=2_000_000,
+        config=RunConfig(queue_bound=2, step_bound=2_000_000),
     )
     assert not result.oscillates
     assert result.complete
@@ -82,8 +79,7 @@ def test_fig6_rma_polling_cannot_oscillate(benchmark):
         can_oscillate,
         fig6_gadget(),
         model("RMA"),
-        queue_bound=2,
-        max_states=2_000_000,
+        config=RunConfig(queue_bound=2, step_bound=2_000_000),
     )
     assert not result.oscillates
     assert result.complete

@@ -10,6 +10,7 @@ formula size while the reduction itself stays linear.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core.sat import dpll, random_formula
 from repro.core.satgadgets import (
     assignment_from_solution,
@@ -57,7 +58,7 @@ def test_unsat_core_oscillates_under_every_model_family(benchmark):
 
     def verify():
         return {
-            name: can_oscillate(instance, model(name), queue_bound=2)
+            name: can_oscillate(instance, model(name), config=RunConfig(queue_bound=2))
             for name in ("R1O", "REO", "RMS", "REA", "UMS")
         }
 

@@ -14,6 +14,7 @@ changes little).
 import sys
 
 from repro.analysis.stats import survey_convergence
+from repro.config import RunConfig
 from repro.core.dispute import has_dispute_wheel
 from repro.core.generators import instance_family
 from repro.models.taxonomy import model
@@ -45,7 +46,7 @@ def main() -> None:
         instances,
         [model(name) for name in MODELS],
         seeds_per_instance=seeds,
-        max_steps=250,
+        config=RunConfig(workers=1, step_bound=250),
     )
     print(survey.format_table())
     print()

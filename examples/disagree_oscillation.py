@@ -11,6 +11,7 @@ the oscillation with the bounded model checker's witness.
 """
 
 from repro.analysis.traces import format_trace_table
+from repro.config import RunConfig
 from repro.core.instances import disagree
 from repro.engine.activation import ActivationEntry
 from repro.engine.convergence import find_oscillation_evidence
@@ -43,13 +44,15 @@ def main() -> None:
     # Independent certification by exhaustive search.
     print("\nExhaustive verdicts (queue bound 3):")
     for name in ("R1O", "RMO", "R1S", "REO", "REF", "R1A", "RMA", "REA"):
-        verdict = can_oscillate(instance, model(name), queue_bound=3)
+        verdict = can_oscillate(instance, model(name), config=RunConfig(queue_bound=3))
         print(
             f"  {name}: oscillates={verdict.oscillates} "
             f"complete={verdict.complete}"
         )
 
-    witness = can_oscillate(instance, model("R1O"), queue_bound=3).witness
+    witness = can_oscillate(
+        instance, model("R1O"), config=RunConfig(queue_bound=3)
+    ).witness
     print(
         f"\nwitness lasso: {len(witness.prefix)}-step prefix, "
         f"period-{witness.period()} cycle through "

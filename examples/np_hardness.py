@@ -15,6 +15,7 @@ Sec. 4 discussion).  This example makes the reduction executable:
   under any communication model**.
 """
 
+from repro.config import RunConfig
 from repro.core.sat import dpll
 from repro.core.satgadgets import (
     assignment_from_solution,
@@ -56,7 +57,7 @@ def main() -> None:
     core = formula_to_spp(unsat)
     print(f"  stable routings: {len(list(enumerate_stable_solutions(core)))}")
     for name in ("R1O", "REA"):
-        verdict = can_oscillate(core, model(name), queue_bound=2)
+        verdict = can_oscillate(core, model(name), config=RunConfig(queue_bound=2))
         print(
             f"  {name}: oscillation witness found={verdict.oscillates} "
             f"({verdict.states_explored} states)"

@@ -11,7 +11,7 @@ the "poll some" model RMA — and shows that the *same* network with the
 other.  That is the paper's headline phenomenon.
 """
 
-from repro import SPPBuilder, can_oscillate, model, simulate
+from repro import RunConfig, SPPBuilder, can_oscillate, model, simulate
 from repro.core.paths import format_path
 from repro.core.solutions import enumerate_stable_solutions
 
@@ -45,7 +45,7 @@ def main() -> None:
 
     # Exhaustive model checking per model: can the instance oscillate?
     for name in ("R1O", "RMS", "REO", "RMA", "REA"):
-        verdict = can_oscillate(instance, model(name), queue_bound=3)
+        verdict = can_oscillate(instance, model(name), config=RunConfig(queue_bound=3))
         certificate = "complete search" if verdict.complete else "witness"
         print(
             f"{name}: oscillation possible = {verdict.oscillates} "

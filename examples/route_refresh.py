@@ -24,6 +24,7 @@ from repro.analysis.experiments import (
     FIG6_REO_SCHEDULE,
     run_fig6_reo_trace,
 )
+from repro.config import RunConfig
 from repro.core.instances import fig6_gadget
 from repro.engine.convergence import simulate
 from repro.engine.explorer import can_oscillate
@@ -44,7 +45,7 @@ def main() -> None:
 
     # --- With route refresh: polling semantics. -------------------------
     print("\nWith Route Refresh (REA semantics):")
-    verdict = can_oscillate(instance, model("REA"), queue_bound=2)
+    verdict = can_oscillate(instance, model("REA"), config=RunConfig(queue_bound=2))
     print(
         f"  oscillation possible: {verdict.oscillates} "
         f"(complete search over {verdict.states_explored} states)"

@@ -39,7 +39,7 @@ from .engine import can_oscillate, simulate
 from .engine.parallel import run_explorations, run_simulations
 from .models import ALL_MODELS, CommunicationModel, model
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ALL_MODELS",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..config import RunConfig, resolve_config
+from ..config import RunConfig
 from ..core import instances as canonical
 from ..core.dispute import has_dispute_wheel
 from ..core.generators import instance_family
@@ -60,38 +60,6 @@ __all__ = [
     "FIG9_REA_SCHEDULE",
     "FIG9_REA_EXPECTED",
 ]
-
-
-def _experiment_config(
-    config: "RunConfig | None",
-    caller: str,
-    workers: "int | None" = None,
-    queue_bound: "int | None" = None,
-    engine: "str | None" = None,
-    reduction: "str | None" = None,
-    cache_dir: "str | None" = None,
-    max_steps: "int | None" = None,
-) -> RunConfig:
-    """The experiments' legacy-kwarg shim.
-
-    Folds the deprecated per-call kwargs into ``config`` (warning when
-    any were passed), and — purely to preserve the drivers' historical
-    default — pins ``workers=1`` when the caller supplied neither a
-    config nor an explicit worker count.
-    """
-    resolved = resolve_config(
-        config,
-        caller=caller,
-        workers=workers,
-        queue_bound=queue_bound,
-        engine=engine,
-        reduction=reduction,
-        cache_dir=cache_dir,
-        max_steps=max_steps,
-    )
-    if config is None and workers is None and resolved.workers is None:
-        resolved = resolved.replace(workers=1)
-    return resolved
 
 
 # ----------------------------------------------------------------------
@@ -180,12 +148,7 @@ MATRIX_CERTIFIED_SAFE = frozenset(
 
 def matrix_certification(
     *,
-    workers: "int | None" = None,
-    queue_bound: "int | None" = None,
     instance=None,
-    engine: "str | None" = None,
-    reduction: "str | None" = None,
-    cache_dir: "str | None" = None,
     config: "RunConfig | None" = None,
 ) -> dict:
     """Explorer cross-check of the derived matrices on DISAGREE.
@@ -199,23 +162,15 @@ def matrix_certification(
 
     ``config`` (a :class:`repro.RunConfig`) carries the worker count,
     bounds, execution core, partial-order reducer, and shared verdict
-    cache; the individual keyword arguments are a deprecated shim.
-    ``instance`` substitutes another gadget for DISAGREE (the perf
-    benchmark certifies Fig. 7, whose state space actually stresses the
-    reducer).
+    cache; without one the search runs in-process.  ``instance``
+    substitutes another gadget for DISAGREE (the perf benchmark
+    certifies Fig. 7, whose state space actually stresses the reducer).
     """
     from ..engine.parallel import ExplorationTask, run_explorations
     from ..models.taxonomy import ALL_MODELS
 
-    config = _experiment_config(
-        config,
-        "matrix_certification",
-        workers=workers,
-        queue_bound=queue_bound,
-        engine=engine,
-        reduction=reduction,
-        cache_dir=cache_dir,
-    )
+    if config is None:
+        config = RunConfig(workers=1)
     if instance is None:
         instance = canonical.disagree()
     tasks = [
@@ -228,52 +183,36 @@ def matrix_certification(
     }
 
 
-def experiment_figure3(
-    workers: "int | None" = None,
-    engine: "str | None" = None,
-    reduction: "str | None" = None,
-    cache_dir: "str | None" = None,
-    config: "RunConfig | None" = None,
-) -> MatrixExperiment:
+def experiment_figure3(*, config: "RunConfig | None" = None) -> MatrixExperiment:
     """E1: regenerate Figure 3 (realization by reliable models).
 
-    With ``config`` (or the deprecated ``workers``) set, additionally
-    runs :func:`matrix_certification` across that many processes and
-    attaches the verdicts.
+    With ``config`` set, additionally runs :func:`matrix_certification`
+    under it and attaches the verdicts.
     """
-    certify = config is not None or workers is not None
-    config = _experiment_config(
-        config, "experiment_figure3", workers=workers, engine=engine,
-        reduction=reduction, cache_dir=cache_dir,
-    )
     matrix = derive_matrix()
     return MatrixExperiment(
         figure="Figure 3",
         comparisons=compare_with_derived(matrix, columns=FIGURE3_COLUMNS),
         matrix_text=reporting.render_figure3(matrix),
-        certification=matrix_certification(config=config) if certify else None,
+        certification=(
+            None if config is None else matrix_certification(config=config)
+        ),
     )
 
 
-def experiment_figure4(
-    workers: "int | None" = None,
-    engine: "str | None" = None,
-    reduction: "str | None" = None,
-    cache_dir: "str | None" = None,
-    config: "RunConfig | None" = None,
-) -> MatrixExperiment:
-    """E2: regenerate Figure 4 (realization by unreliable models)."""
-    certify = config is not None or workers is not None
-    config = _experiment_config(
-        config, "experiment_figure4", workers=workers, engine=engine,
-        reduction=reduction, cache_dir=cache_dir,
-    )
+def experiment_figure4(*, config: "RunConfig | None" = None) -> MatrixExperiment:
+    """E2: regenerate Figure 4 (realization by unreliable models).
+
+    Certifies like :func:`experiment_figure3` when ``config`` is set.
+    """
     matrix = derive_matrix()
     return MatrixExperiment(
         figure="Figure 4",
         comparisons=compare_with_derived(matrix, columns=FIGURE4_COLUMNS),
         matrix_text=reporting.render_figure4(matrix),
-        certification=matrix_certification(config=config) if certify else None,
+        certification=(
+            None if config is None else matrix_certification(config=config)
+        ),
     )
 
 
@@ -330,22 +269,14 @@ DISAGREE_OSCILLATING_MODELS = (
 
 
 def experiment_disagree(
-    queue_bound: "int | None" = None,
-    workers: "int | None" = None,
-    engine: "str | None" = None,
-    reduction: "str | None" = None,
-    cache_dir: "str | None" = None,
-    config: "RunConfig | None" = None,
+    *, config: "RunConfig | None" = None
 ) -> OscillationExperiment:
     """E3: DISAGREE oscillates in R1O & co. but never in the five
     models of Thm. 3.8."""
     from ..engine.parallel import ExplorationTask, run_explorations
 
-    config = _experiment_config(
-        config, "experiment_disagree", workers=workers,
-        queue_bound=queue_bound, engine=engine, reduction=reduction,
-        cache_dir=cache_dir,
-    )
+    if config is None:
+        config = RunConfig(workers=1)
     instance = canonical.disagree()
     names = DISAGREE_OSCILLATING_MODELS + DISAGREE_SAFE_MODELS
     tasks = [
@@ -438,12 +369,9 @@ def run_fig6_reo_trace(extra_rounds: int = 8) -> "tuple":
 
 
 def experiment_fig6(
+    *,
     polling_models: "tuple | None" = ("REA",),
     queue_bound: int = 2,
-    workers: "int | None" = None,
-    engine: "str | None" = None,
-    reduction: "str | None" = None,
-    cache_dir: "str | None" = None,
     config: "RunConfig | None" = None,
 ) -> Fig6Experiment:
     """E4: Fig. 6 oscillates in REO but not in the polling models.
@@ -458,10 +386,8 @@ def experiment_fig6(
     """
     from ..engine.parallel import ExplorationTask, run_explorations
 
-    config = _experiment_config(
-        config, "experiment_fig6", workers=workers, engine=engine,
-        reduction=reduction, cache_dir=cache_dir,
-    )
+    if config is None:
+        config = RunConfig(workers=1)
     search = config.replace(queue_bound=queue_bound, step_bound=2_000_000)
     _, matched, recurrence = run_fig6_reo_trace()
     instance = canonical.fig6_gadget()
@@ -725,22 +651,19 @@ def experiment_dispute_wheels() -> DisputeWheelExperiment:
 # E10 — convergence-rate survey.
 # ----------------------------------------------------------------------
 def experiment_convergence_rates(
+    *,
     n_instances: int = 6,
     seeds_per_instance: int = 3,
     model_names: tuple = ("R1O", "REO", "RMS", "REA", "U1O", "UMS"),
-    max_steps: "int | None" = None,
-    workers: "int | None" = None,
     config: "RunConfig | None" = None,
 ):
     """E10: convergence frequency per model on random policy instances.
 
-    The historical 400-step budget applies unless ``max_steps`` (legacy)
-    or ``config.step_bound`` says otherwise.
+    The historical 400-step budget applies unless ``config.step_bound``
+    says otherwise.
     """
-    config = _experiment_config(
-        config, "experiment_convergence_rates",
-        workers=workers, max_steps=max_steps,
-    )
+    if config is None:
+        config = RunConfig(workers=1)
     if config.step_bound is None:
         config = config.replace(step_bound=400)
     instances = list(
@@ -835,14 +758,7 @@ def experiment_message_overhead(
 # ----------------------------------------------------------------------
 # Machine-readable suite (``repro experiments --json``).
 # ----------------------------------------------------------------------
-def suite_as_dict(
-    full: bool = False,
-    workers: "int | None" = None,
-    engine: "str | None" = None,
-    reduction: "str | None" = None,
-    cache_dir: "str | None" = None,
-    config: "RunConfig | None" = None,
-) -> dict:
+def suite_as_dict(*, full: bool = False, config: "RunConfig | None" = None) -> dict:
     """Run the experiment suite and return one JSON-serializable dict.
 
     Mirrors the CLI's text path experiment for experiment (E1–E13), but
@@ -852,10 +768,8 @@ def suite_as_dict(
     from ..engine.multinode import can_oscillate_multinode
     from ..models.taxonomy import model as model_by_name
 
-    config = _experiment_config(
-        config, "suite_as_dict", workers=workers, engine=engine,
-        reduction=reduction, cache_dir=cache_dir,
-    )
+    if config is None:
+        config = RunConfig(workers=1)
     polling = ("R1A", "RMA", "REA") if full else ("REA",)
     lockstep = can_oscillate_multinode(
         canonical.disagree(), model_by_name("R1A"), queue_bound=2

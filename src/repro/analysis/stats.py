@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from statistics import mean
 from typing import Iterable, Sequence
 
-from ..config import RunConfig, resolve_config
+from ..config import RunConfig
 from ..core.spp import SPPInstance
 from ..models.taxonomy import CommunicationModel
 
@@ -149,10 +149,9 @@ class ConvergenceSurvey:
 def survey_convergence(
     instances: Sequence[SPPInstance],
     models: Iterable[CommunicationModel],
+    *,
     seeds_per_instance: int = 5,
-    max_steps: "int | None" = None,
     drop_prob: float = 0.2,
-    workers: "int | None" = None,
     config: "RunConfig | None" = None,
 ) -> ConvergenceSurvey:
     """Run the sweep: every instance × model × seed.
@@ -162,19 +161,13 @@ def survey_convergence(
     for every worker count: outcomes depend only on the seeds, and the
     fan-out merges results in task order.  ``config`` carries the
     fan-out width (``workers=None`` = one per core) and the step budget
-    (``step_bound``, default 600); the ``max_steps``/``workers``
-    keywords are a deprecated shim.
+    (``step_bound``, default 600); a call without ``config`` runs
+    in-process.
     """
     from ..engine.parallel import SimulationTask, run_simulations
 
-    explicit_config = config is not None
-    config = resolve_config(
-        config, caller="survey_convergence",
-        max_steps=max_steps, workers=workers,
-    )
-    if not explicit_config and workers is None and config.workers is None:
-        # Preserve the historical in-process default for bare calls.
-        config = config.replace(workers=1)
+    if config is None:
+        config = RunConfig(workers=1)
     models = tuple(models)
     per_model = {m.name: ModelStats(model_name=m.name) for m in models}
     tasks = [

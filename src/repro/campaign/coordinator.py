@@ -41,9 +41,9 @@ byte-identical to an uninterrupted run.
 * ``GET  /statz`` — campaign status + live queue snapshot.
 * ``GET  /metrics`` — lease/queue counters and gauges.
 
-Campaign endpoints are v2-only (:func:`repro.serve.protocol.check_version`
-with ``minimum=2``): they postdate the envelope, so a version-less body
-here is a confused client, not a legacy one.
+Like every endpoint of the shared transport, the campaign endpoints
+require ``"v": 2`` (:func:`repro.serve.protocol.check_version`); a
+body without it gets a 400 with ``code: unsupported-version``.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class CampaignCoordinator(HttpServer):
         # The handler is looked up per request, so a method patched on
         # the class after boot still serves.
         return lambda request: envelope(
-            getattr(self, method)(request.json(minimum=2))
+            getattr(self, method)(request.json())
         )
 
     @property

@@ -24,9 +24,8 @@ picklable value object:
   CLI and the campaign runner, which call :func:`repro.obs.configure`);
   library entry points never install a sink themselves.
 
-The legacy keyword arguments keep working everywhere through
-:func:`resolve_config`, which folds them into a config and emits a
-:class:`DeprecationWarning` so callers migrate at their own pace.
+``config=`` is the only way to pass these, and the entry points take
+everything after their data inputs by keyword only.
 This module sits at the bottom of the layering: it imports nothing
 from the rest of the package, so every layer may depend on it.
 """
@@ -34,7 +33,6 @@ from the rest of the package, so every layer may depend on it.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 __all__ = [
@@ -43,7 +41,6 @@ __all__ = [
     "DEFAULT_MAX_STEPS",
     "ENGINES",
     "RunConfig",
-    "resolve_config",
     "validate_engine",
 ]
 
@@ -176,36 +173,3 @@ class RunConfig:
             "telemetry": self.telemetry,
         }
 
-
-#: Legacy keyword names that map onto a differently-named config field.
-_LEGACY_FIELD = {"max_states": "step_bound", "max_steps": "step_bound"}
-
-
-def resolve_config(
-    config: "RunConfig | None",
-    caller: str = "",
-    **legacy,
-) -> RunConfig:
-    """Fold deprecated per-call keyword arguments into a :class:`RunConfig`.
-
-    ``legacy`` holds the old-style keyword arguments of ``caller`` with
-    ``None`` meaning "not passed".  Any that *were* passed emit one
-    :class:`DeprecationWarning` (naming the offending keywords) and
-    override the corresponding ``config`` field; with none passed the
-    given ``config`` — or a default one — is returned unchanged.
-    """
-    passed = {
-        name: value for name, value in legacy.items() if value is not None
-    }
-    base = RunConfig() if config is None else config
-    if not passed:
-        return base
-    warnings.warn(
-        f"{caller or 'this entry point'}: the keyword argument(s) "
-        f"{', '.join(sorted(passed))} are deprecated; pass "
-        "config=repro.RunConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    fields = {_LEGACY_FIELD.get(name, name): value for name, value in passed.items()}
-    return dataclasses.replace(base, **fields)

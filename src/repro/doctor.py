@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,8 +66,8 @@ from .campaign.manifest import (
 from .campaign.queue import QueueError, audit
 from .campaign.report import aggregate_report
 from .campaign.spec import CampaignSpec, spec_digest
-from .engine.cache import CACHE_VERSION, QUARANTINE_DIR, payload_checksum
-from .fsutil import find_orphan_temps
+from .engine.cache import CACHE_VERSION, payload_checksum
+from .fsutil import QUARANTINE_DIR, find_orphan_temps, quarantine
 
 __all__ = [
     "DoctorError",
@@ -198,16 +197,8 @@ def _quarantine(root: Path, path: Path, repair: bool) -> "str | None":
     """Move ``path`` into ``<root>/quarantine/`` when repairing."""
     if not repair:
         return None
-    target_dir = root / QUARANTINE_DIR
     try:
-        target_dir.mkdir(parents=True, exist_ok=True)
-        target = target_dir / path.name
-        # Never clobber an earlier quarantined artifact of the same name.
-        counter = 0
-        while target.exists():
-            counter += 1
-            target = target_dir / f"{path.name}.{counter}"
-        os.replace(path, target)
+        quarantine(root, path)
     except OSError:
         return None
     return "quarantined"
@@ -238,15 +229,15 @@ def _check_cache(
                 _check_cache_entry(
                     report_root, cache_root, entry, report, repair
                 )
-    quarantine = cache_root / QUARANTINE_DIR
-    if quarantine.is_dir():
-        backlog = sum(1 for p in quarantine.iterdir() if p.is_file())
+    quarantine_dir = cache_root / QUARANTINE_DIR
+    if quarantine_dir.is_dir():
+        backlog = sum(1 for p in quarantine_dir.iterdir() if p.is_file())
         if backlog:
             report.findings.append(
                 Finding(
                     "info",
                     "cache.quarantine",
-                    _relative(report_root, quarantine),
+                    _relative(report_root, quarantine_dir),
                     f"{backlog} quarantined artifact(s) awaiting post-mortem "
                     "(safe to delete)",
                 )

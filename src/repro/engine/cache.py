@@ -70,7 +70,12 @@ from pathlib import Path
 from ..core.canonical import canonical_hash, canonical_labeling
 from ..core.spp import SPPInstance
 from ..faults import fault_point
-from ..fsutil import atomic_write_text, sweep_orphan_temps
+from ..fsutil import (
+    QUARANTINE_DIR,
+    atomic_write_text,
+    quarantine,
+    sweep_orphan_temps,
+)
 from ..obs import active as _telemetry
 from .activation import INFINITY, ActivationEntry
 from .explorer import ENGINE_REVISION, ExplorationResult, OscillationWitness
@@ -96,9 +101,6 @@ CACHE_VERSION = 2
 
 #: Default cache root (relative to the current working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-#: Subdirectory (under the cache root) bad entries are moved into.
-QUARANTINE_DIR = "quarantine"
 
 #: Default bound on the in-memory hot tier (verified payloads kept
 #: resident).  Verdict payloads without witnesses are a few hundred
@@ -453,11 +455,14 @@ class VerdictCache:
         return payload, "disk"
 
     def _quarantine(self, path: Path) -> None:
-        """Move a bad entry to ``<root>/quarantine/`` (best effort)."""
+        """Move a bad entry to ``<root>/quarantine/`` (best effort).
+
+        If the move fails the entry is deleted instead: the write-once
+        :meth:`put` never overwrites a path that exists, so a bad entry
+        left in place would never be replaced.
+        """
         try:
-            target_dir = self.root / QUARANTINE_DIR
-            target_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target_dir / path.name)
+            quarantine(self.root, path)
         except OSError:
             path.unlink(missing_ok=True)
         self.quarantined += 1
@@ -502,10 +507,10 @@ class VerdictCache:
                 total_bytes += path.stat().st_size
             except OSError:
                 pass
-        quarantine = self.root / QUARANTINE_DIR
+        quarantine_dir = self.root / QUARANTINE_DIR
         in_quarantine = (
-            sum(1 for p in quarantine.iterdir() if p.is_file())
-            if quarantine.is_dir()
+            sum(1 for p in quarantine_dir.iterdir() if p.is_file())
+            if quarantine_dir.is_dir()
             else 0
         )
         with self._lock:

@@ -48,7 +48,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
-from ..config import DEFAULT_ENGINE, RunConfig, resolve_config, validate_engine
+from ..config import DEFAULT_ENGINE, RunConfig, validate_engine
 from ..core.paths import EPSILON, Node
 from ..core.spp import SPPInstance
 from ..models.dimensions import MessageCount, NeighborScope, Reliability
@@ -747,12 +747,8 @@ class Explorer:
 def can_oscillate(
     instance: SPPInstance,
     model: CommunicationModel,
-    queue_bound: "int | None" = None,
-    max_states: "int | None" = None,
+    *,
     reliable_twin_first: bool = True,
-    engine: "str | None" = None,
-    reduction: "str | None" = None,
-    cache=None,
     config: "RunConfig | None" = None,
 ) -> ExplorationResult:
     """Convenience wrapper: explore and report.
@@ -766,31 +762,21 @@ def can_oscillate(
     that twin search and the batch's own task for the reliable model
     share one run.
 
-    ``config`` is the preferred way to tune the run: a
-    :class:`repro.RunConfig` carrying the engine, partial-order
-    reducer, bounds (``queue_bound``, ``step_bound`` as the state
-    budget), and verdict-cache selection.  The cache — anything
-    :func:`repro.engine.cache.as_cache` accepts — memoizes the result
-    in the content-addressed verdict store, keyed by the instance's
-    canonical hash plus the search parameters.  The ``engine`` is *not*
-    part of the key, so an entry written by one engine answers them
-    all.  Oscillation verdicts agree across engines, but the results
-    are not bit-identical: on symmetric instances the packed engine
-    folds orbits, so its state counts are smaller and it can report
-    ``complete`` within a budget the reference engine exhausts.  The
-    individual keyword arguments are a deprecated shim kept for older
-    callers; passing any of them emits a :class:`DeprecationWarning`
-    and overrides the config field.
+    ``config`` tunes the run: a :class:`repro.RunConfig` carrying the
+    engine, partial-order reducer, bounds (``queue_bound``,
+    ``step_bound`` as the state budget), and verdict-cache selection.
+    The cache — anything :func:`repro.engine.cache.as_cache` accepts —
+    memoizes the result in the content-addressed verdict store, keyed
+    by the instance's canonical hash plus the search parameters.  The
+    ``engine`` is *not* part of the key, so an entry written by one
+    engine answers them all.  Oscillation verdicts agree across
+    engines, but the results are not bit-identical: on symmetric
+    instances the packed engine folds orbits, so its state counts are
+    smaller and it can report ``complete`` within a budget the
+    reference engine exhausts.
     """
-    config = resolve_config(
-        config,
-        caller="can_oscillate",
-        queue_bound=queue_bound,
-        max_states=max_states,
-        engine=engine,
-        reduction=reduction,
-        cache=cache,
-    )
+    if config is None:
+        config = RunConfig()
     queue_bound = config.queue_bound
     max_states = config.max_states
     engine = config.engine

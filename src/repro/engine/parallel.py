@@ -35,7 +35,7 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass
 from functools import partial
 
-from ..config import DEFAULT_ENGINE, RunConfig, resolve_config, validate_engine
+from ..config import DEFAULT_ENGINE, RunConfig, validate_engine
 from ..core.spp import SPPInstance
 from ..faults import ensure_armed_from_env, fault_point
 from ..obs import active as _telemetry
@@ -440,24 +440,19 @@ def _explore_one(task: ExplorationTask):
         )
 
 
-def run_explorations(
-    tasks,
-    workers: "int | None" = None,
-    config: "RunConfig | None" = None,
-) -> list:
+def run_explorations(tasks, *, config: "RunConfig | None" = None) -> list:
     """Run exploration tasks across workers; ordered ``(key, result)``s.
 
-    ``config.workers`` sets the fan-out width (``None`` = one per
-    core); the ``workers`` keyword is a deprecated alias that emits a
-    :class:`DeprecationWarning`.  Verdicts are identical for every
-    worker count: each exploration is a deterministic function of its
-    task, and merging follows task order.  Within the call, tasks run
-    in this process search each ``(instance, model, bounds)`` once.
+    ``config.workers`` sets the fan-out width (``None``, also without a
+    config, = one per core).  Verdicts are identical for every worker
+    count: each exploration is a deterministic function of its task,
+    and merging follows task order.  Within the call, tasks run in this
+    process search each ``(instance, model, bounds)`` once.
     """
     tasks = list(tasks)
-    config = resolve_config(config, caller="run_explorations", workers=workers)
+    workers = None if config is None else config.workers
     with _shared_searches():
-        results = parallel_map(_explore_one, tasks, workers=config.workers)
+        results = parallel_map(_explore_one, tasks, workers=workers)
     return [
         (task.resolved_key(), result)
         for task, result in zip(tasks, results)
@@ -525,21 +520,16 @@ def _simulate_batch(task: SimulationTask) -> tuple:
     return tuple(outcomes)
 
 
-def run_simulations(
-    tasks,
-    workers: "int | None" = None,
-    config: "RunConfig | None" = None,
-) -> list:
+def run_simulations(tasks, *, config: "RunConfig | None" = None) -> list:
     """Run simulation batches across workers; ordered ``(key, outcomes)``.
 
     Each outcome is a ``(converged, steps)`` tuple per seed, in seed
     order — deterministic because every batch owns its explicit seeds.
-    ``config.workers`` sets the fan-out width; the ``workers`` keyword
-    is a deprecated alias that emits a :class:`DeprecationWarning`.
+    ``config.workers`` sets the fan-out width (``None`` = one per core).
     """
     tasks = list(tasks)
-    config = resolve_config(config, caller="run_simulations", workers=workers)
-    results = parallel_map(_simulate_batch, tasks, workers=config.workers)
+    workers = None if config is None else config.workers
+    results = parallel_map(_simulate_batch, tasks, workers=workers)
     return [
         (task.resolved_key(), outcomes)
         for task, outcomes in zip(tasks, results)

@@ -36,9 +36,11 @@ __all__ = [
     "ENOSPC_BACKOFF_S",
     "ENOSPC_RETRIES",
     "ORPHAN_TMP_TTL_S",
+    "QUARANTINE_DIR",
     "atomic_write_text",
     "find_orphan_temps",
     "is_orphan_temp",
+    "quarantine",
     "sweep_orphan_temps",
 ]
 
@@ -52,6 +54,9 @@ ENOSPC_BACKOFF_S = 0.05
 #: it.  Atomic writes live for milliseconds; five minutes of margin
 #: means a sweeping reader can never race a live writer.
 ORPHAN_TMP_TTL_S = 300.0
+
+#: Subdirectory (under a store's root) that bad artifacts are moved into.
+QUARANTINE_DIR = "quarantine"
 
 
 def atomic_write_text(
@@ -131,3 +136,23 @@ def sweep_orphan_temps(root, max_age_s: float = ORPHAN_TMP_TTL_S) -> int:
     if removed:
         _telemetry().count("storage.orphan_swept", removed)
     return removed
+
+
+def quarantine(root, path) -> Path:
+    """Move ``path`` into ``<root>/quarantine/``; where it landed.
+
+    Never overwrites: a name an earlier artifact already holds there (a
+    second corruption of one cache key, say) gets a ``.1``, ``.2``, …
+    suffix, so every post-mortem copy survives.  Raises ``OSError``
+    when the move fails.
+    """
+    path = Path(path)
+    target_dir = Path(root) / QUARANTINE_DIR
+    target_dir.mkdir(parents=True, exist_ok=True)
+    target = target_dir / path.name
+    counter = 0
+    while target.exists():
+        counter += 1
+        target = target_dir / f"{path.name}.{counter}"
+    os.replace(path, target)
+    return target

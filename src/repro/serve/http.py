@@ -69,12 +69,12 @@ class _Handler(BaseHTTPRequestHandler):
     def version_string(self) -> str:
         return self.server.app.server_version
 
-    def json(self, *, minimum: int = 1) -> dict:
+    def json(self) -> dict:
         """The body as a versioned JSON object (raises for the 400 path)."""
         body = json.loads(self.body)
         if not isinstance(body, dict):
             raise ProtocolError("request body must be a JSON object")
-        check_version(body, minimum=minimum)
+        check_version(body)
         return body
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming

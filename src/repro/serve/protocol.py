@@ -3,7 +3,7 @@
 One endpoint, ``POST /v1/query``, takes a JSON object::
 
     {
-      "v": 2,                       # envelope version; absent = legacy v1
+      "v": 2,                       # envelope version; required
       "instance": {...},            # core.serialization.instance_to_dict form
       "models":   ["R1O", ...],     # optional; default: all 24 models
       "bounds":   {                 # optional; all fields optional
@@ -72,14 +72,12 @@ __all__ = [
 
 #: Bumped whenever the request/response JSON shape changes.  v2 added
 #: the explicit ``"v"`` envelope field shared by verdict queries and
-#: campaign lease brokering; v1 bodies (no ``"v"``) are still accepted
-#: on the verdict endpoint for old clients.
+#: campaign lease brokering.
 PROTOCOL_VERSION = 2
 
-#: Versions this server parses.  Campaign coordination endpoints are
-#: v2-only (they did not exist before v2); the verdict endpoint keeps
-#: accepting version-less v1 bodies.
-SUPPORTED_VERSIONS = (1, 2)
+#: Versions this server parses.  Every endpoint requires ``"v"``, so a
+#: version-less (v1) body is refused like an unknown version.
+SUPPORTED_VERSIONS = (2,)
 
 #: Request header carrying the client's trace context (W3C form,
 #: ``00-<trace>-<span>-01``).  Optional; a missing or malformed header
@@ -128,20 +126,17 @@ class UnsupportedVersion(ProtocolError):
         self.version = version
 
 
-def check_version(body: dict, *, minimum: int = 1) -> int:
+def check_version(body: dict) -> int:
     """Validate a request envelope's ``"v"`` field; the effective version.
 
-    A missing ``"v"`` is a legacy v1 body — accepted when ``minimum``
-    allows it (the verdict endpoint), rejected by v2-only endpoints
-    (campaign lease brokering).  Anything outside
-    :data:`SUPPORTED_VERSIONS` raises :class:`UnsupportedVersion`.
+    A missing ``"v"``, like anything else outside
+    :data:`SUPPORTED_VERSIONS`, raises :class:`UnsupportedVersion`.
     """
-    version = body.get("v", 1)
+    version = body.get("v")
     if (
         not isinstance(version, int)
         or isinstance(version, bool)
         or version not in SUPPORTED_VERSIONS
-        or version < minimum
     ):
         raise UnsupportedVersion(version)
     return version

@@ -347,9 +347,8 @@ class VerdictService:
                 cached = self._responses.get(body_key)
                 if cached is not None:
                     self._responses.move_to_end(body_key)
-                    self.counters["hot_hits"] += 1
             if cached is not None:
-                tel.count("serve.hot_hits")
+                self._count("hot_hits")
                 req_span.note(hot=True)
                 return cached, True
             request = parse_query(raw, default_engine=self.config.engine)
@@ -441,6 +440,7 @@ class VerdictService:
         """
         owned: dict = {}
         joined: dict = {}
+        batch_joins = 0
         new_batch = None
         group = request.group_key(canonical)
         trace_context = _tracing.current()
@@ -450,7 +450,6 @@ class VerdictService:
                 entry = self._inflight.get(key)
                 if entry is not None:
                     joined[model_name] = entry
-                    self.counters["inflight_joins"] += 1
                     continue
                 # Close the lookup/registration race: the computation
                 # we would have joined may have finished (and warmed
@@ -466,7 +465,7 @@ class VerdictService:
                 batch = self._pending.get(group)
                 if batch is not None and not batch.started:
                     batch.jobs[key] = model_name
-                    self.counters["batch_joins"] += 1
+                    batch_joins += 1
                     continue
                 if new_batch is None:
                     new_batch = _Batch(
@@ -474,8 +473,11 @@ class VerdictService:
                     )
                     self._pending[group] = new_batch
                 new_batch.jobs[key] = model_name
+        # Counted after the lock is released: _count takes it itself.
         if joined:
-            _telemetry().count("serve.inflight_joins", len(joined))
+            self._count("inflight_joins", len(joined))
+        if batch_joins:
+            self._count("batch_joins", batch_joins)
         if new_batch is not None:
             self._submit(new_batch, owned)
         return owned, joined

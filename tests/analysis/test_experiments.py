@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import experiments
+from repro.config import RunConfig
 
 
 class TestMatrixExperiments:
@@ -80,7 +81,7 @@ class TestConvergenceRateExperiment:
     def test_runs_and_reports(self):
         survey = experiments.experiment_convergence_rates(
             n_instances=2, seeds_per_instance=2, model_names=("RMS", "REA"),
-            max_steps=200,
+            config=RunConfig(workers=1, step_bound=200),
         )
         assert set(survey.per_model) == {"RMS", "REA"}
         for stats in survey.per_model.values():

@@ -1,6 +1,7 @@
 """Tests for the convergence-rate survey machinery."""
 
 from repro.analysis.stats import ModelStats, survey_convergence
+from repro.config import RunConfig
 from repro.core import instances as canonical
 from repro.models.taxonomy import model
 
@@ -28,7 +29,7 @@ class TestSurvey:
             [canonical.good_gadget(), canonical.linear_chain(2)],
             [model("R1O"), model("REA"), model("UMS")],
             seeds_per_instance=2,
-            max_steps=500,
+            config=RunConfig(workers=1, step_bound=500),
         )
         for stats in survey.per_model.values():
             assert stats.convergence_rate == 1.0
@@ -39,7 +40,7 @@ class TestSurvey:
             [canonical.bad_gadget()],
             [model("RMS")],
             seeds_per_instance=3,
-            max_steps=300,
+            config=RunConfig(workers=1, step_bound=300),
         )
         assert survey.rate("RMS") == 0.0
 
@@ -53,7 +54,7 @@ class TestSurvey:
             [canonical.disagree()],
             [model("RMA"), model("R1O")],
             seeds_per_instance=8,
-            max_steps=150,
+            config=RunConfig(workers=1, step_bound=150),
         )
         assert survey.rate("RMA") == 1.0
         assert survey.rate("RMA") >= survey.rate("R1O")
@@ -63,7 +64,7 @@ class TestSurvey:
             [canonical.good_gadget()],
             [model("R1O")],
             seeds_per_instance=1,
-            max_steps=200,
+            config=RunConfig(workers=1, step_bound=200),
         )
         table = survey.format_table()
         assert "R1O" in table
@@ -74,7 +75,7 @@ class TestSurvey:
             [canonical.bad_gadget(), canonical.good_gadget()],
             [model("R1O"), model("REA")],
             seeds_per_instance=1,
-            max_steps=150,
+            config=RunConfig(workers=1, step_bound=150),
         )
         ordered = survey.ordered_by_rate()
         rates = [stats.convergence_rate for stats in ordered]
@@ -108,6 +109,6 @@ class TestPercentiles:
 
         survey = survey_convergence(
             [canonical.good_gadget()], [model("R1O")],
-            seeds_per_instance=2, max_steps=300,
+            seeds_per_instance=2, config=RunConfig(workers=1, step_bound=300),
         )
         assert "p95 steps" in survey.format_table()

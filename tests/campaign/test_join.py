@@ -186,7 +186,8 @@ def test_coordinator_bootstrap_names_no_backend(tmp_path):
     directory = tmp_path / "campaign"
     handle = api.create(CampaignSpec(**SPEC), directory)
     with api.serve(directory, port=0, lease_ttl=12.5) as coordinator:
-        info = CoordinatorClient(coordinator.url).describe()
+        with CoordinatorClient(coordinator.url) as client:
+            info = client.describe()
         snapshot = coordinator.queue.snapshot()
     assert info["digest"] == handle.digest
     assert (info["lease_ttl"], info["quarantine_after"]) == (12.5, 3)

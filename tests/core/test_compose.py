@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core import instances as canonical
 from repro.core.compose import rename_nodes, shared_destination_union
 from repro.core.dispute import has_dispute_wheel
@@ -44,7 +45,7 @@ class TestUnion:
             [canonical.good_gadget(), canonical.linear_chain(2)]
         )
         assert not has_dispute_wheel(union)
-        result = can_oscillate(union, model("RMS"), queue_bound=2)
+        result = can_oscillate(union, model("RMS"), config=RunConfig(queue_bound=2))
         assert not result.oscillates
 
     def test_divergence_carries_over_from_one_component(self):
@@ -52,15 +53,19 @@ class TestUnion:
             [canonical.good_gadget(), canonical.bad_gadget()]
         )
         assert has_dispute_wheel(union)
-        assert can_oscillate(union, model("R1O"), queue_bound=2).oscillates
+        assert can_oscillate(
+            union, model("R1O"), config=RunConfig(queue_bound=2)
+        ).oscillates
 
     def test_oscillation_model_dependence_is_preserved(self):
         """DISAGREE ⊕ chain inherits DISAGREE's verdict pattern."""
         union = shared_destination_union(
             [canonical.disagree(), canonical.linear_chain(1)]
         )
-        assert can_oscillate(union, model("R1O"), queue_bound=3).oscillates
-        safe = can_oscillate(union, model("REA"), queue_bound=2)
+        assert can_oscillate(
+            union, model("R1O"), config=RunConfig(queue_bound=3)
+        ).oscillates
+        safe = can_oscillate(union, model("REA"), config=RunConfig(queue_bound=2))
         assert not safe.oscillates and safe.complete
 
     def test_destination_mismatch_rejected(self):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import RunConfig
 from repro.core.dispute import has_dispute_wheel
 from repro.core.sat import dpll, random_formula, satisfying_assignments
 from repro.core.satgadgets import (
@@ -101,7 +102,9 @@ class TestDynamics:
     def test_unsat_instance_oscillates_in_every_tested_model(self):
         instance = formula_to_spp(((1,), (-1,)))
         for name in ("R1O", "RMS", "REA"):
-            assert can_oscillate(instance, model(name), queue_bound=2).oscillates
+            assert can_oscillate(
+                instance, model(name), config=RunConfig(queue_bound=2)
+            ).oscillates
 
     def test_sat_instance_can_reach_its_solution(self):
         """A fair run may converge (solutions exist) — verify at least

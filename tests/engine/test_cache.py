@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core import instances as gadgets
 from repro.core.compose import rename_nodes
 from repro.engine.cache import (
@@ -67,12 +68,14 @@ class TestKeys:
 class TestHitMiss:
     def test_miss_then_hit_round_trips_the_result(self, tmp_path, disagree):
         cache = VerdictCache(tmp_path)
-        cold = can_oscillate(disagree, model("R1O"), queue_bound=3,
-                             cache=cache)
+        cold = can_oscillate(
+            disagree, model("R1O"), config=RunConfig(queue_bound=3, cache=cache)
+        )
         assert cache.misses == 1 and cache.hits == 0
         warm_cache = VerdictCache(tmp_path)  # fresh memo: forces a disk read
-        warm = can_oscillate(disagree, model("R1O"), queue_bound=3,
-                             cache=warm_cache)
+        warm = can_oscillate(
+            disagree, model("R1O"), config=RunConfig(queue_bound=3, cache=warm_cache)
+        )
         assert warm_cache.hits == 1 and warm_cache.misses == 0
         assert result_tuple(warm) == result_tuple(cold)
         assert warm.witness == cold.witness
@@ -80,11 +83,16 @@ class TestHitMiss:
     def test_relabeled_instance_hits_with_translated_witness(
         self, tmp_path, disagree
     ):
-        can_oscillate(disagree, model("R1O"), queue_bound=3,
-                      cache=VerdictCache(tmp_path))
+        can_oscillate(
+            disagree,
+            model("R1O"),
+            config=RunConfig(queue_bound=3, cache=VerdictCache(tmp_path)),
+        )
         renamed = rename_nodes(disagree, prefix="zz_")
         cache = VerdictCache(tmp_path)
-        hit = can_oscillate(renamed, model("R1O"), queue_bound=3, cache=cache)
+        hit = can_oscillate(
+            renamed, model("R1O"), config=RunConfig(queue_bound=3, cache=cache)
+        )
         assert cache.hits == 1 and cache.misses == 0
         assert hit.oscillates and hit.witness is not None
         assert hit.instance_name == renamed.name
@@ -95,20 +103,29 @@ class TestHitMiss:
             execution.step(entry)
 
     def test_safety_verdicts_cache_too(self, tmp_path, disagree):
-        cold = can_oscillate(disagree, model("REA"), queue_bound=3,
-                             cache=VerdictCache(tmp_path))
+        cold = can_oscillate(
+            disagree,
+            model("REA"),
+            config=RunConfig(queue_bound=3, cache=VerdictCache(tmp_path)),
+        )
         assert not cold.oscillates and cold.witness is None
         cache = VerdictCache(tmp_path)
-        warm = can_oscillate(disagree, model("REA"), queue_bound=3,
-                             cache=cache)
+        warm = can_oscillate(
+            disagree, model("REA"), config=RunConfig(queue_bound=3, cache=cache)
+        )
         assert cache.hits == 1
         assert result_tuple(warm) == result_tuple(cold)
 
     def test_different_bounds_do_not_collide(self, tmp_path, disagree):
-        can_oscillate(disagree, model("R1O"), queue_bound=3,
-                      cache=VerdictCache(tmp_path))
+        can_oscillate(
+            disagree,
+            model("R1O"),
+            config=RunConfig(queue_bound=3, cache=VerdictCache(tmp_path)),
+        )
         cache = VerdictCache(tmp_path)
-        can_oscillate(disagree, model("R1O"), queue_bound=2, cache=cache)
+        can_oscillate(
+            disagree, model("R1O"), config=RunConfig(queue_bound=2, cache=cache)
+        )
         assert cache.hits == 0 and cache.misses == 1
 
 
@@ -116,15 +133,18 @@ class TestRobustness:
     def _populate_one(self, tmp_path, disagree):
         cache = VerdictCache(tmp_path)
         key = verdict_key(disagree, "R1O", **BOUNDS)
-        can_oscillate(disagree, model("R1O"), queue_bound=3, cache=cache)
+        can_oscillate(
+            disagree, model("R1O"), config=RunConfig(queue_bound=3, cache=cache)
+        )
         return cache._path(key)
 
     def test_corrupt_entry_is_quarantined(self, tmp_path, disagree):
         path = self._populate_one(tmp_path, disagree)
         path.write_text("{not json")
         cache = VerdictCache(tmp_path)
-        result = can_oscillate(disagree, model("R1O"), queue_bound=3,
-                               cache=cache)
+        result = can_oscillate(
+            disagree, model("R1O"), config=RunConfig(queue_bound=3, cache=cache)
+        )
         assert cache.misses == 1
         assert result.oscillates  # recomputed and re-stored
         assert json.loads(path.read_text())["model_name"] == "R1O"
@@ -152,7 +172,9 @@ class TestMaintenance:
     def _populate(self, tmp_path, disagree, names=("R1O", "REA", "UMS")):
         cache = VerdictCache(tmp_path)
         for name in names:
-            can_oscillate(disagree, model(name), queue_bound=3, cache=cache)
+            can_oscillate(
+                disagree, model(name), config=RunConfig(queue_bound=3, cache=cache)
+            )
         return cache
 
     def test_stats_counts_entries(self, tmp_path, disagree):
@@ -167,7 +189,9 @@ class TestMaintenance:
         assert cache.clear() == 3
         assert cache.stats()["entries"] == 0
         # Post-clear lookups recompute from scratch.
-        can_oscillate(disagree, model("R1O"), queue_bound=3, cache=cache)
+        can_oscillate(
+            disagree, model("R1O"), config=RunConfig(queue_bound=3, cache=cache)
+        )
         assert cache.stats()["entries"] == 1
 
     def test_evict_keeps_most_recent(self, tmp_path, disagree):
@@ -210,12 +234,12 @@ class TestParallelSharing:
         ]
         cold = dict(
             (key[0], result)
-            for key, result in run_explorations(tasks, workers=4)
+            for key, result in run_explorations(tasks, config=RunConfig(workers=4))
         )
         assert VerdictCache(tmp_path).stats()["entries"] == len(ALL_MODELS)
         warm = dict(
             (key[0], result)
-            for key, result in run_explorations(tasks, workers=4)
+            for key, result in run_explorations(tasks, config=RunConfig(workers=4))
         )
         for name in cold:
             assert result_tuple(warm[name]) == result_tuple(cold[name])
@@ -239,7 +263,9 @@ class TestAsCache:
 
 class TestHotTier:
     def put_one(self, cache, instance, model_name="R1O"):
-        result = can_oscillate(instance, model(model_name), cache=cache)
+        result = can_oscillate(
+            instance, model(model_name), config=RunConfig(cache=cache)
+        )
         return verdict_key(instance, model_name, **BOUNDS), result
 
     def test_repeat_read_is_served_from_memory(self, tmp_path, disagree):
@@ -261,14 +287,14 @@ class TestHotTier:
         # Destroy the disk store: a memo-resident key must still answer.
         for path in tmp_path.rglob("*.json"):
             path.unlink()
-        warm = can_oscillate(disagree, model("R1O"), cache=cache)
+        warm = can_oscillate(disagree, model("R1O"), config=RunConfig(cache=cache))
         assert result_tuple(warm) == result_tuple(cold)
         assert warm.cache_hit
 
     def test_memo_is_bounded_lru(self, tmp_path, disagree):
         cache = VerdictCache(tmp_path, memo_entries=2)
         for name in ("R1O", "RMS", "REA"):
-            can_oscillate(disagree, model(name), cache=cache)
+            can_oscillate(disagree, model(name), config=RunConfig(cache=cache))
         assert cache.mem_evictions == 1
         evicted = verdict_key(disagree, "R1O", **BOUNDS)
         resident = verdict_key(disagree, "REA", **BOUNDS)
@@ -281,10 +307,11 @@ class TestHotTier:
     def test_lru_touch_order_protects_hot_keys(self, tmp_path, disagree):
         cache = VerdictCache(tmp_path, memo_entries=2)
         first = verdict_key(disagree, "R1O", **BOUNDS)
-        can_oscillate(disagree, model("R1O"), cache=cache)
-        can_oscillate(disagree, model("RMS"), cache=cache)
+        can_oscillate(disagree, model("R1O"), config=RunConfig(cache=cache))
+        can_oscillate(disagree, model("RMS"), config=RunConfig(cache=cache))
         cache.get_payload(first)  # touch: R1O becomes most recent
-        can_oscillate(disagree, model("REA"), cache=cache)  # evicts RMS
+        # Evicts RMS.
+        can_oscillate(disagree, model("REA"), config=RunConfig(cache=cache))
         assert cache.peek_memo(first) is not None
         assert cache.peek_memo(verdict_key(disagree, "RMS", **BOUNDS)) is None
 
@@ -300,8 +327,8 @@ class TestHotTier:
         monkeypatch.setenv("REPRO_CACHE_MEMO", "1")
         cache = VerdictCache(tmp_path)
         assert cache.memo_entries == 1
-        can_oscillate(disagree, model("R1O"), cache=cache)
-        can_oscillate(disagree, model("RMS"), cache=cache)
+        can_oscillate(disagree, model("R1O"), config=RunConfig(cache=cache))
+        can_oscillate(disagree, model("RMS"), config=RunConfig(cache=cache))
         assert cache.mem_evictions == 1
 
     def test_negative_memo_entries_rejected(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core import instances as canonical
 from repro.engine.activation import INFINITY
 from repro.engine.convergence import find_oscillation_evidence
@@ -29,7 +30,7 @@ DISAGREE_VERDICTS = {
 class TestDisagreeAcrossAllModels:
     @pytest.mark.parametrize("m", ALL_MODELS, ids=lambda m: m.name)
     def test_verdict_matches_the_paper(self, m):
-        result = can_oscillate(canonical.disagree(), m, queue_bound=3)
+        result = can_oscillate(canonical.disagree(), m, config=RunConfig(queue_bound=3))
         assert result.oscillates == DISAGREE_VERDICTS[m.name], m.name
         # A verdict must always be a proof on this tiny gadget: a
         # complete search for safety, a concrete witness for oscillation
@@ -42,7 +43,9 @@ class TestDisagreeAcrossAllModels:
         # UEA cannot oscillate either (it appears in Fig. 3's -1 rows via
         # column REA etc.) — included in the parametrized check above;
         # spot-check its state count stays small.
-        result = can_oscillate(canonical.disagree(), model("UEA"), queue_bound=3)
+        result = can_oscillate(
+            canonical.disagree(), model("UEA"), config=RunConfig(queue_bound=3)
+        )
         assert result.states_explored < 100
 
 
@@ -50,12 +53,16 @@ class TestBadAndGoodGadget:
     @pytest.mark.parametrize("name", ["R1O", "REO", "REA", "RMS", "UMS"])
     def test_bad_gadget_oscillates_in_every_model(self, name):
         # No stable solution exists, so every fair execution diverges.
-        result = can_oscillate(canonical.bad_gadget(), model(name), queue_bound=2)
+        result = can_oscillate(
+            canonical.bad_gadget(), model(name), config=RunConfig(queue_bound=2)
+        )
         assert result.oscillates
 
     @pytest.mark.parametrize("name", ["R1O", "REO", "REA", "RMS", "UMS"])
     def test_good_gadget_never_oscillates(self, name):
-        result = can_oscillate(canonical.good_gadget(), model(name), queue_bound=2)
+        result = can_oscillate(
+            canonical.good_gadget(), model(name), config=RunConfig(queue_bound=2)
+        )
         assert not result.oscillates
         assert result.complete
 
@@ -84,7 +91,7 @@ class TestWitnessReplay:
     def test_witness_entries_are_model_legal(self):
         instance = canonical.disagree()
         m = model("U1S")
-        result = can_oscillate(instance, m, queue_bound=3)
+        result = can_oscillate(instance, m, config=RunConfig(queue_bound=3))
         assert result.witness is not None
         for entry in result.witness.prefix + result.witness.cycle:
             assert is_legal_entry(m, instance, entry)
@@ -179,10 +186,14 @@ class TestSuccessors:
         assert options == (1, 2, INFINITY)
 
     def test_result_flags(self):
-        result = can_oscillate(canonical.disagree(), model("R1O"), queue_bound=3)
+        result = can_oscillate(
+            canonical.disagree(), model("R1O"), config=RunConfig(queue_bound=3)
+        )
         assert result.conclusive
         tight = can_oscillate(
-            canonical.bad_gadget(), model("RMS"), queue_bound=1, max_states=50
+            canonical.bad_gadget(),
+            model("RMS"),
+            config=RunConfig(queue_bound=1, step_bound=50),
         )
         # Either it finds a witness (conclusive) or reports incompleteness.
         assert tight.oscillates or not tight.complete

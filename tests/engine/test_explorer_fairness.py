@@ -6,6 +6,7 @@ cannot-oscillate proof, so its clauses are exercised one by one.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core.builders import SPPBuilder
 from repro.core.instances import disagree
 from repro.engine.explorer import Explorer, can_oscillate
@@ -20,7 +21,9 @@ class TestPiDiversityClause:
             SPPBuilder("d").node("x", "xd").node("y", "yd").build("STATIC")
         )
         for name in ("R1O", "RMS", "U1S"):
-            result = can_oscillate(instance, model(name), queue_bound=3)
+            result = can_oscillate(
+                instance, model(name), config=RunConfig(queue_bound=3)
+            )
             assert not result.oscillates
             assert result.complete
 
@@ -62,7 +65,7 @@ class TestDropClause:
         """In a U-model witness cycle, any channel dropped from is also
         delivered from (Def. 2.4's drop fairness)."""
         instance = disagree()
-        result = can_oscillate(instance, model("U1O"), queue_bound=3)
+        result = can_oscillate(instance, model("U1O"), config=RunConfig(queue_bound=3))
         witness = result.witness
         assert witness is not None
         dropped_from = set()
@@ -87,7 +90,9 @@ class TestDestinationProjectionSoundness:
         grow) never flips a safe verdict on the projected graph."""
         instance = disagree()
         for bound in (2, 3, 4):
-            result = can_oscillate(instance, model("REA"), queue_bound=bound)
+            result = can_oscillate(
+                instance, model("REA"), config=RunConfig(queue_bound=bound)
+            )
             assert not result.oscillates
             assert result.complete
 
@@ -101,7 +106,9 @@ class TestDestinationProjectionSoundness:
             .build("FUNNEL")
         )
         for name in ("R1O", "UMS"):
-            result = can_oscillate(instance, model(name), queue_bound=3)
+            result = can_oscillate(
+                instance, model(name), config=RunConfig(queue_bound=3)
+            )
             assert not result.oscillates
             assert result.complete
 
@@ -111,6 +118,8 @@ class TestEveryScopeNodeClause:
         """REO on DISAGREE is safe precisely because an activated node
         must drain one message from *every* channel — the criterion's
         per-node clause."""
-        result = can_oscillate(disagree(), model("REO"), queue_bound=4)
+        result = can_oscillate(
+            disagree(), model("REO"), config=RunConfig(queue_bound=4)
+        )
         assert not result.oscillates
         assert result.complete

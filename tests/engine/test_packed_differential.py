@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import RunConfig
 from repro.core import instances as gadgets
 from repro.core.canonical import automorphisms
 from repro.core.generators import random_instance
@@ -342,10 +343,12 @@ class TestExplorerEquivalence:
     def test_can_oscillate_engine_parameter(self, disagree):
         for name in ("R1O", "REA", "UMS", "UEA"):
             packed = can_oscillate(
-                disagree, model(name), queue_bound=3, engine="packed"
+                disagree, model(name), config=RunConfig(queue_bound=3, engine="packed")
             )
             reference = can_oscillate(
-                disagree, model(name), queue_bound=3, engine="reference"
+                disagree,
+                model(name),
+                config=RunConfig(queue_bound=3, engine="reference"),
             )
             assert_monotone_results(packed, reference, name)
 

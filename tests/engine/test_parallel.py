@@ -14,6 +14,7 @@ from repro.analysis.experiments import (
     matrix_certification,
 )
 from repro.analysis.stats import survey_convergence
+from repro.config import RunConfig
 from repro.core import instances as canonical
 from repro.core.generators import instance_family
 from repro.engine.parallel import (
@@ -66,8 +67,8 @@ class TestExplorationFanOut:
             ExplorationTask(instance=instance, model_name=name, queue_bound=3)
             for name in ("R1O", "REO", "RMS", "REA", "UMS", "UEA")
         ]
-        serial = run_explorations(tasks, workers=1)
-        parallel = run_explorations(tasks, workers=2)
+        serial = run_explorations(tasks, config=RunConfig(workers=1))
+        parallel = run_explorations(tasks, config=RunConfig(workers=2))
         assert [key for key, _ in serial] == [key for key, _ in parallel]
         for (_, a), (_, b) in zip(serial, parallel):
             assert result_tuple(a) == result_tuple(b)
@@ -110,7 +111,7 @@ class TestExplorationFanOut:
                 ExplorationTask(instance=instance, model_name=name)
                 for name in names
             ],
-            workers=2,
+            config=RunConfig(workers=2),
         )
         assert [key for key, _ in results] == [
             (instance.name, name) for name in names
@@ -165,7 +166,7 @@ class TestFanOutTelemetry:
         previous = obs.active()
         telemetry = obs.configure(path, run={"command": "test"})
         try:
-            run_explorations(tasks, workers=2)
+            run_explorations(tasks, config=RunConfig(workers=2))
         finally:
             obs.install(previous)
             telemetry.close()
@@ -209,8 +210,8 @@ class TestFanOutTelemetry:
         assert [t.resolved_key() for t in tasks(header)] == [
             t.resolved_key() for t in tasks(None)
         ]
-        plain = run_explorations(tasks(None), workers=2)
-        traced = run_explorations(tasks(header), workers=2)
+        plain = run_explorations(tasks(None), config=RunConfig(workers=2))
+        traced = run_explorations(tasks(header), config=RunConfig(workers=2))
         for (key_a, a), (key_b, b) in zip(plain, traced):
             assert key_a == key_b
             assert result_tuple(a) == result_tuple(b)
@@ -229,11 +230,11 @@ class TestFanOutTelemetry:
             )
             for name in ("R1O", "REA", "UMS", "RMS")
         ]
-        plain = run_explorations(tasks, workers=2)
+        plain = run_explorations(tasks, config=RunConfig(workers=2))
         previous = obs.active()
         telemetry = obs.configure(tmp_path / "t.jsonl")
         try:
-            instrumented = run_explorations(tasks, workers=2)
+            instrumented = run_explorations(tasks, config=RunConfig(workers=2))
         finally:
             obs.install(previous)
             telemetry.close()
@@ -258,18 +259,24 @@ class TestSimulationFanOut:
             )
             for name in ("R1O", "REA", "UMS")
         ]
-        assert run_simulations(tasks, workers=1) == run_simulations(
-            tasks, workers=2
-        )
+        serial = run_simulations(tasks, config=RunConfig(workers=1))
+        fanned = run_simulations(tasks, config=RunConfig(workers=2))
+        assert serial == fanned
 
     def test_survey_convergence_workers_identical(self):
         instances = list(instance_family(3, base_seed=7, n_nodes=4))
         models = [model(name) for name in ("R1O", "REA")]
         serial = survey_convergence(
-            instances, models, seeds_per_instance=2, max_steps=200, workers=1
+            instances,
+            models,
+            seeds_per_instance=2,
+            config=RunConfig(step_bound=200, workers=1),
         )
         fanned = survey_convergence(
-            instances, models, seeds_per_instance=2, max_steps=200, workers=2
+            instances,
+            models,
+            seeds_per_instance=2,
+            config=RunConfig(step_bound=200, workers=2),
         )
         assert serial.format_table() == fanned.format_table()
         for name in ("R1O", "REA"):
@@ -281,7 +288,7 @@ class TestSimulationFanOut:
 
 class TestMatrixCertification:
     def test_certification_matches_expected_split(self):
-        cert = matrix_certification(workers=1)
+        cert = matrix_certification(config=RunConfig(workers=1))
         assert len(cert) == 24
         safe = frozenset(
             name
@@ -294,23 +301,23 @@ class TestMatrixCertification:
                 assert result.oscillates, name
 
     def test_certification_workers_identical(self):
-        serial = matrix_certification(workers=1)
-        fanned = matrix_certification(workers=2)
+        serial = matrix_certification(config=RunConfig(workers=1))
+        fanned = matrix_certification(config=RunConfig(workers=2))
         assert set(serial) == set(fanned)
         for name in serial:
             assert result_tuple(serial[name]) == result_tuple(fanned[name])
 
     def test_matrix_experiments_attach_certification(self):
-        fig3 = experiment_figure3(workers=1)
-        fig4 = experiment_figure4(workers=1)
+        fig3 = experiment_figure3(config=RunConfig(workers=1))
+        fig4 = experiment_figure4(config=RunConfig(workers=1))
         for result in (fig3, fig4):
             assert result.certification is not None
             assert "certified on DISAGREE" in result.summary
         assert experiment_figure3().certification is None
 
     def test_disagree_experiment_workers_identical(self):
-        serial = experiment_disagree(workers=1)
-        fanned = experiment_disagree(workers=2)
+        serial = experiment_disagree(config=RunConfig(workers=1))
+        fanned = experiment_disagree(config=RunConfig(workers=2))
         assert serial.correct and fanned.correct
         assert set(serial.results) == set(fanned.results)
         for name in serial.results:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import RunConfig
 from repro.core import instances as gadgets
 from repro.core.generators import random_instance
 from repro.engine.execution import Execution
@@ -160,7 +161,9 @@ class TestAccounting:
         with pytest.raises(ValueError, match="unknown reduction"):
             Explorer(disagree, model("R1O"), reduction="sleep-sets")
         with pytest.raises(ValueError, match="unknown reduction"):
-            can_oscillate(disagree, model("R1O"), reduction="sleep-sets")
+            can_oscillate(
+                disagree, model("R1O"), config=RunConfig(reduction="sleep-sets")
+            )
         assert validate_reduction("ample") == "ample"
         assert validate_reduction("none") == "none"
 
@@ -168,9 +171,11 @@ class TestAccounting:
 class TestCanOscillateThreading:
     @pytest.mark.parametrize("name", ("R1O", "REA", "UMS", "UEA"))
     def test_reduction_parameter_keeps_verdicts(self, disagree, name):
-        base = can_oscillate(disagree, model(name), queue_bound=3,
-                             reduction="none")
-        reduced = can_oscillate(disagree, model(name), queue_bound=3,
-                                reduction="ample")
+        base = can_oscillate(
+            disagree, model(name), config=RunConfig(queue_bound=3, reduction="none")
+        )
+        reduced = can_oscillate(
+            disagree, model(name), config=RunConfig(queue_bound=3, reduction="ample")
+        )
         assert reduced.oscillates == base.oscillates
         assert reduced.complete >= base.complete

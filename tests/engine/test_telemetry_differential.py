@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.config import RunConfig
 from repro.core.instances import bad_gadget, disagree, fig6_gadget
 from repro.engine.explorer import can_oscillate
 from repro.models.taxonomy import model
@@ -28,12 +29,15 @@ def _restore_active():
     obs.install(previous)
 
 
-def explore_both_ways(instance, model_name, tmp_path, **kwargs):
-    """Run one exploration with telemetry off, then on; return both."""
-    plain = can_oscillate(instance, model(model_name), **kwargs)
+def explore_both_ways(instance, model_name, tmp_path, **fields):
+    """Run one exploration with telemetry off, then on; return both.
+
+    ``fields`` are the :class:`RunConfig` fields of both runs."""
+    config = RunConfig(**fields)
+    plain = can_oscillate(instance, model(model_name), config=config)
     obs.configure(tmp_path / "t.jsonl", run={"command": "test"})
     try:
-        instrumented = can_oscillate(instance, model(model_name), **kwargs)
+        instrumented = can_oscillate(instance, model(model_name), config=config)
     finally:
         obs.shutdown()
     return plain, instrumented
@@ -88,7 +92,9 @@ class TestEventStream:
         path = tmp_path / "t.jsonl"
         obs.configure(path, run={"command": "test"})
         try:
-            result = can_oscillate(disagree(), model("R1O"), queue_bound=2)
+            result = can_oscillate(
+                disagree(), model("R1O"), config=RunConfig(queue_bound=2)
+            )
         finally:
             obs.shutdown()
         records = self.read(path)
@@ -109,7 +115,9 @@ class TestEventStream:
         obs.configure(path, run={"command": "test"})
         try:
             can_oscillate(
-                fig6_gadget(), model("REA"), queue_bound=2, reduction="none"
+                fig6_gadget(),
+                model("REA"),
+                config=RunConfig(queue_bound=2, reduction="none"),
             )
         finally:
             obs.shutdown()
@@ -132,8 +140,8 @@ class TestEventStream:
         cache_dir = str(tmp_path / "cache")
         obs.configure(path, run={"command": "test"})
         try:
-            can_oscillate(disagree(), model("R1O"), cache=cache_dir)
-            can_oscillate(disagree(), model("R1O"), cache=cache_dir)
+            can_oscillate(disagree(), model("R1O"), config=RunConfig(cache=cache_dir))
+            can_oscillate(disagree(), model("R1O"), config=RunConfig(cache=cache_dir))
         finally:
             obs.shutdown()
         summary = self.read(path)[-1]

@@ -166,6 +166,21 @@ def test_corrupt_entry_is_quarantined_and_recomputable(tmp_path, telemetry):
     assert fresh.stats()["in_quarantine"] == 1
 
 
+def test_repeat_corruption_of_one_key_keeps_every_copy(tmp_path):
+    """A second quarantine of the same key must not overwrite the first
+    post-mortem copy (the rule ``repro doctor --repair`` follows too)."""
+    instance = _instance()
+    root = tmp_path / "cache"
+    key = _key(instance)
+    for _ in range(2):
+        VerdictCache(root).put(key, instance, _result(instance))
+        entry = VerdictCache(root)._path(key)
+        entry.write_text("{not json")
+        assert VerdictCache(root).get(key, instance) is None
+    kept = sorted(p.name for p in (root / QUARANTINE_DIR).iterdir())
+    assert kept == [entry.name, f"{entry.name}.1"]
+
+
 def test_stale_cache_version_is_quarantined_and_refilled(tmp_path):
     instance = _instance()
     root = tmp_path / "cache"

@@ -11,6 +11,7 @@ several hundred concrete instantiations of Def. 3.1.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core import instances as canonical
 from repro.engine.explorer import can_oscillate
 from repro.models.taxonomy import ALL_MODELS
@@ -27,7 +28,9 @@ def matrix():
 def disagree_verdicts():
     instance = canonical.disagree()
     return {
-        m: can_oscillate(instance, m, queue_bound=3) for m in ALL_MODELS
+        m: can_oscillate(
+            instance, m, config=RunConfig(queue_bound=3)
+        ) for m in ALL_MODELS
     }
 
 
@@ -82,7 +85,9 @@ class TestOscillationPreservationOnBadGadget:
             "R1O", "REO", "REF", "R1A", "RMA", "REA", "UEA", "UMS",
         )]
         for m in sample:
-            assert can_oscillate(instance, m, queue_bound=2).oscillates, m.name
+            assert can_oscillate(
+                instance, m, config=RunConfig(queue_bound=2)
+            ).oscillates, m.name
 
 
 class TestUniversalRealizersAgainstGadgets:

@@ -8,6 +8,7 @@ the paper's Props. 3.3/3.4/3.6 and Thms. 3.5/3.7.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core import instances as canonical
 from repro.core.generators import random_instance
 from repro.engine.activation import INFINITY
@@ -209,7 +210,9 @@ class TestOscillationTransfer:
         from repro.engine.explorer import can_oscillate
         from repro.models.taxonomy import model as model_of
 
-        witness = can_oscillate(disagree, model_of("R1O"), queue_bound=3).witness
+        witness = can_oscillate(
+            disagree, model_of("R1O"), config=RunConfig(queue_bound=3)
+        ).witness
         schedule = witness.prefix + witness.cycle * 4
         for target in ("RMO", "R1S", "RMS", "U1O", "UMS"):
             reused = embed(disagree, schedule, model_of(target))
@@ -225,7 +228,9 @@ class TestOscillationTransfer:
         from repro.engine.explorer import can_oscillate
         from repro.models.taxonomy import model as model_of
 
-        witness = can_oscillate(disagree, model_of("RMS"), queue_bound=3).witness
+        witness = can_oscillate(
+            disagree, model_of("RMS"), config=RunConfig(queue_bound=3)
+        ).witness
         schedule = witness.prefix + witness.cycle * 4
         split = split_multi_scope(disagree, schedule)
         for entry in split:
@@ -239,7 +244,9 @@ class TestOscillationTransfer:
         from repro.engine.explorer import can_oscillate
         from repro.models.taxonomy import model as model_of
 
-        witness = can_oscillate(disagree, model_of("U1O"), queue_bound=3).witness
+        witness = can_oscillate(
+            disagree, model_of("U1O"), config=RunConfig(queue_bound=3)
+        ).witness
         schedule = witness.prefix + witness.cycle * 4
         batched = batch_u1o_to_r1s(disagree, schedule)
         source_pi = Execution(disagree).run(schedule).pi_sequence

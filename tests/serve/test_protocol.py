@@ -17,7 +17,7 @@ from repro.serve.protocol import (
 
 
 def body(disagree, **extra):
-    return {"instance": instance_to_dict(disagree), **extra}
+    return {"v": PROTOCOL_VERSION, "instance": instance_to_dict(disagree), **extra}
 
 
 class TestParseQuery:
@@ -88,7 +88,7 @@ class TestParseQuery:
         with pytest.raises(ProtocolError):
             parse_query(b"[1,2]")
         with pytest.raises(ProtocolError):
-            parse_query({"instance": {"bogus": True}})
+            parse_query({"v": 2, "instance": {"bogus": True}})
 
     def test_group_key_separates_bounds_not_models(self, disagree):
         base = parse_query(body(disagree, models=["R1O"]))
@@ -98,34 +98,31 @@ class TestParseQuery:
         assert base.group_key("h") != other.group_key("h")
 
 
+#: Marks a request body that carries no ``"v"`` at all.
+MISSING = object()
+
+
 class TestVersioning:
-    """The shared v2 envelope: verdict queries stay lenient (a missing
-    ``"v"`` is a legacy v1 client), campaign endpoints demand v2."""
+    """The shared v2 envelope: every endpoint demands ``"v": 2``; a
+    version-less (retired v1) body is refused like any other version."""
 
     def test_current_version_is_supported(self):
         assert PROTOCOL_VERSION == 2
-        assert PROTOCOL_VERSION in SUPPORTED_VERSIONS
-
-    def test_missing_v_is_legacy_v1(self):
-        assert check_version({}) == 1
+        assert SUPPORTED_VERSIONS == (PROTOCOL_VERSION,)
 
     @pytest.mark.parametrize("v", sorted(SUPPORTED_VERSIONS))
     def test_supported_versions_pass(self, v):
         assert check_version({"v": v}) == v
 
-    @pytest.mark.parametrize("v", [0, 3, 99, -1, "2", 2.0, True, None])
+    @pytest.mark.parametrize(
+        "v",
+        [0, 1, 3, 99, -1, "2", 2.0, True, None]
+        + [pytest.param(MISSING, id="missing")],
+    )
     def test_bad_versions_raise_with_machine_code(self, v):
         with pytest.raises(UnsupportedVersion) as info:
-            check_version({"v": v})
+            check_version({} if v is MISSING else {"v": v})
         assert info.value.code == "unsupported-version"
-
-    def test_minimum_gates_legacy_clients(self):
-        # A campaign endpoint (minimum=2) refuses v1 and bare bodies.
-        with pytest.raises(UnsupportedVersion):
-            check_version({"v": 1}, minimum=2)
-        with pytest.raises(UnsupportedVersion):
-            check_version({}, minimum=2)
-        assert check_version({"v": 2}, minimum=2) == 2
 
     def test_unsupported_version_is_a_protocol_error(self):
         assert issubclass(UnsupportedVersion, ProtocolError)
@@ -139,6 +136,10 @@ class TestVersioning:
         assert request.instance.name == disagree.name
         with pytest.raises(UnsupportedVersion):
             parse_query(body(disagree, v=99))
+        unversioned = body(disagree)
+        del unversioned["v"]
+        with pytest.raises(UnsupportedVersion):
+            parse_query(unversioned)
 
     def test_client_bodies_are_versioned(self, disagree):
         from repro.serve.client import build_query_body

@@ -2,6 +2,7 @@
 and graceful SIGTERM drain through the real CLI."""
 
 import dataclasses
+import http.client
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -50,10 +52,30 @@ class TestEndpoints:
 
     def test_malformed_queries_get_400(self, server, disagree):
         with ServeClient(server.url) as client:
-            for raw in (b"{nope", b"[]", b'{"instance": {"x": 1}}'):
+            for raw in (b"{nope", b"[]", b'{"v": 2, "instance": {"x": 1}}'):
                 with pytest.raises(ServerError) as excinfo:
                     client.query_raw(raw)
                 assert excinfo.value.status == 400
+
+    def test_unversioned_query_gets_400_unsupported_version(self, server, disagree):
+        """Version-less (v1) bodies are refused like any unknown version."""
+        body = json.loads(build_query_body(disagree, ["R1O"]))
+        del body["v"]
+        url = urlsplit(server.url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            conn.request(
+                "POST",
+                "/v1/query",
+                body=json.dumps(body),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            answer = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert answer["code"] == "unsupported-version"
 
     def test_cold_then_hot_query(self, server, disagree):
         with ServeClient(server.url) as client:

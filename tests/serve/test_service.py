@@ -2,6 +2,7 @@
 admission control, deadlines — all driven below the HTTP layer."""
 
 import dataclasses
+import json
 import threading
 import time
 
@@ -160,35 +161,65 @@ class TestSingleflight:
         assert all("engine exploded" in str(e) for e in errors)
 
 
+def merge_two_queries(service, disagree):
+    """Hold the workers until a second query's misses join the first
+    query's pending batch; return both request bodies."""
+    bodies = [
+        build_query_body(disagree, models, queue_bound=2)
+        for models in (["R1O"], ["RMS", "REA"])
+    ]
+    results = {}
+
+    def fire(index):
+        results[index] = service.handle_query(bodies[index])
+
+    first = threading.Thread(target=fire, args=(0,))
+    first.start()
+    deadline = time.monotonic() + 5
+    while not service.statz()["pending_batches"] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    second = threading.Thread(target=fire, args=(1,))
+    second.start()
+    while service.statz()["inflight"] < 3 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    service.start()
+    first.join(timeout=10)
+    second.join(timeout=10)
+    assert len(results) == 2
+    return bodies
+
+
 class TestMicroBatching:
     def test_mixed_model_misses_merge_into_one_batch(self, tmp_path, disagree):
         service = make_service(tmp_path, start_workers=False)
-        bodies = [
-            build_query_body(disagree, models, queue_bound=2)
-            for models in (["R1O"], ["RMS", "REA"])
-        ]
-        results = {}
-
-        def fire(index):
-            results[index] = service.handle_query(bodies[index])
-
-        first = threading.Thread(target=fire, args=(0,))
-        first.start()
-        deadline = time.monotonic() + 5
-        while not service.statz()["pending_batches"] and time.monotonic() < deadline:
-            time.sleep(0.01)
-        second = threading.Thread(target=fire, args=(1,))
-        second.start()
-        while service.statz()["inflight"] < 3 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        service.start()
-        first.join(timeout=10)
-        second.join(timeout=10)
+        merge_two_queries(service, disagree)
         service.close()
         stats = service.statz()["serve"]
         assert stats["batches"] == 1  # one queue slot, three verdicts
         assert stats["batch_joins"] == 2
         assert stats["computed"] == 3
+
+    def test_telemetry_sees_every_service_counter(self, tmp_path, disagree):
+        """The JSONL summary's ``serve.*`` counters equal ``/statz``:
+        batch joins and response-tier hits included."""
+        path = tmp_path / "t.jsonl"
+        obs.configure(path, run={"command": "test"})
+        try:
+            service = make_service(tmp_path, start_workers=False)
+            bodies = merge_two_queries(service, disagree)
+            assert service.handle_query(bodies[0])[1]  # a hot replay
+            service.close()
+            stats = service.statz()["serve"]
+        finally:
+            obs.shutdown()
+        summary = json.loads(path.read_text().splitlines()[-1])
+        counted = {
+            name[len("serve."):]: value
+            for name, value in summary["counters"].items()
+            if name.startswith("serve.")
+        }
+        assert stats["batch_joins"] == 2 and stats["hot_hits"] == 1
+        assert counted == {name: value for name, value in stats.items() if value}
 
     def test_batched_certification_builds_tables_once(self, tmp_path, disagree):
         tel = Telemetry(None)

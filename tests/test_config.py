@@ -1,4 +1,4 @@
-"""The unified RunConfig value object and the legacy-kwarg shim."""
+"""The unified RunConfig value object and the entry points that take it."""
 
 import pickle
 
@@ -8,7 +8,6 @@ from repro.config import (
     DEFAULT_MAX_STATES,
     DEFAULT_MAX_STEPS,
     RunConfig,
-    resolve_config,
 )
 from repro.engine.cache import VerdictCache
 
@@ -82,83 +81,93 @@ class TestDerivedViews:
         json.dumps(data)
 
 
-class TestResolveConfig:
-    def test_no_legacy_returns_config_unchanged(self):
-        config = RunConfig(workers=4)
-        assert resolve_config(config) is config
+class TestBareCallDefaults:
+    """A call without ``config`` runs in-process: the drivers hand the
+    fan-out ``workers=1`` rather than one worker per core."""
 
-    def test_none_config_defaults(self):
-        assert resolve_config(None) == RunConfig()
+    @pytest.fixture
+    def fanouts(self, monkeypatch):
+        import repro.engine.parallel as parallel
 
-    def test_legacy_kwargs_warn_and_override(self):
-        with pytest.warns(DeprecationWarning, match="can_oscillate.*workers"):
-            resolved = resolve_config(
-                RunConfig(), caller="can_oscillate", workers=2
-            )
-        assert resolved.workers == 2
+        seen = []
 
-    def test_legacy_none_means_not_passed(self):
-        import warnings
+        def spy(tasks, *, config=None):
+            seen.append(config)
+            return []
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolved = resolve_config(None, caller="x", workers=None)
-        assert resolved == RunConfig()
+        monkeypatch.setattr(parallel, "run_explorations", spy)
+        monkeypatch.setattr(parallel, "run_simulations", spy)
+        return seen
 
-    def test_legacy_max_states_maps_to_step_bound(self):
-        with pytest.warns(DeprecationWarning, match="max_states"):
-            resolved = resolve_config(None, caller="x", max_states=999)
-        assert resolved.step_bound == 999
-        assert resolved.max_states == 999
+    def test_matrix_certification(self, fanouts):
+        from repro.analysis.experiments import matrix_certification
 
-    def test_legacy_max_steps_maps_to_step_bound(self):
-        with pytest.warns(DeprecationWarning, match="max_steps"):
-            resolved = resolve_config(None, caller="x", max_steps=50)
-        assert resolved.max_steps == 50
+        matrix_certification()
+        assert [config.workers for config in fanouts] == [1]
+
+    def test_experiment_disagree(self, fanouts):
+        from repro.analysis.experiments import experiment_disagree
+
+        experiment_disagree()
+        assert [config.workers for config in fanouts] == [1]
+
+    def test_survey_convergence(self, fanouts):
+        from repro.analysis.stats import survey_convergence
+        from repro.core.generators import instance_family
+        from repro.models.taxonomy import model
+
+        survey_convergence(list(instance_family(1, n_nodes=4)), [model("R1O")])
+        assert [config.workers for config in fanouts] == [1]
+        assert fanouts[0].step_bound is None
+
+    def test_experiment_convergence_rates(self, fanouts):
+        from repro.analysis.experiments import experiment_convergence_rates
+
+        experiment_convergence_rates()
+        assert [(c.workers, c.step_bound) for c in fanouts] == [(1, 400)]
+
+    def test_config_workers_pass_through(self, fanouts):
+        from repro.analysis.experiments import matrix_certification
+
+        matrix_certification(config=RunConfig())
+        matrix_certification(config=RunConfig(workers=3))
+        assert [config.workers for config in fanouts] == [None, 3]
+
+    def test_convergence_rates_step_budget(self):
+        from repro.analysis.experiments import experiment_convergence_rates
+
+        survey = experiment_convergence_rates()
+        assert survey.max_steps == 400
+        overridden = experiment_convergence_rates(
+            n_instances=1, config=RunConfig(workers=1, step_bound=50)
+        )
+        assert overridden.max_steps == 50
 
 
 class TestEntryPointsAcceptConfig:
-    """New-style config= calls equal old-style kwarg calls everywhere."""
+    """``config=`` reaches every layer a run passes through."""
 
-    def test_can_oscillate_config_equals_legacy(self):
+    def test_run_explorations_equals_direct_search(self):
         from repro.core import instances as canonical
         from repro.engine.explorer import can_oscillate
+        from repro.engine.parallel import ExplorationTask, run_explorations
         from repro.models.taxonomy import model
 
         instance = canonical.disagree()
-        new = can_oscillate(
-            instance, model("RMS"), config=RunConfig(queue_bound=2)
-        )
-        with pytest.warns(DeprecationWarning):
-            old = can_oscillate(instance, model("RMS"), queue_bound=2)
-        assert new.oscillates == old.oscillates
-        assert new.states_explored == old.states_explored
-
-    def test_run_explorations_config_workers(self):
-        from repro.core import instances as canonical
-        from repro.engine.parallel import ExplorationTask, run_explorations
-
-        instance = canonical.disagree()
+        config = RunConfig(workers=1, queue_bound=2)
         tasks = [
-            ExplorationTask(instance=instance, model_name=name)
+            ExplorationTask.from_config(instance, name, config)
             for name in ("R1O", "RMS")
         ]
-        new = run_explorations(tasks, config=RunConfig(workers=1))
-        with pytest.warns(DeprecationWarning):
-            old = run_explorations(tasks, workers=1)
-        assert [key for key, _ in new] == [key for key, _ in old]
-        for (_, a), (_, b) in zip(new, old):
-            assert a.oscillates == b.oscillates
-
-    def test_matrix_certification_config(self):
-        from repro.analysis.experiments import matrix_certification
-
-        new = matrix_certification(config=RunConfig(workers=1))
-        with pytest.warns(DeprecationWarning):
-            old = matrix_certification(workers=1)
-        assert set(new) == set(old)
-        for name in new:
-            assert new[name].oscillates == old[name].oscillates
+        fanned = run_explorations(tasks, config=config)
+        assert [key for key, _ in fanned] == [
+            (instance.name, "R1O"),
+            (instance.name, "RMS"),
+        ]
+        for (_, result), name in zip(fanned, ("R1O", "RMS")):
+            direct = can_oscillate(instance, model(name), config=config)
+            assert result.oscillates == direct.oscillates
+            assert result.states_explored == direct.states_explored
 
     def test_survey_convergence_config(self):
         from repro.analysis.stats import survey_convergence
@@ -166,18 +175,17 @@ class TestEntryPointsAcceptConfig:
         from repro.models.taxonomy import model
 
         instances = list(instance_family(2, base_seed=5, n_nodes=4))
-        models = [model("R1O")]
-        new = survey_convergence(
+        survey = survey_convergence(
             instances,
-            models,
+            [model("R1O")],
             seeds_per_instance=2,
             config=RunConfig(workers=1, step_bound=200),
         )
-        with pytest.warns(DeprecationWarning):
-            old = survey_convergence(
-                instances, models, seeds_per_instance=2, max_steps=200, workers=1
-            )
-        assert new.format_table() == old.format_table()
+        assert survey.max_steps == 200
+        assert survey.per_model["R1O"].runs == 4
+        assert all(
+            steps <= 200 for steps in survey.per_model["R1O"].steps_to_converge
+        )
 
     def test_exploration_task_from_config_round_trips(self, tmp_path):
         from repro.core import instances as canonical
@@ -254,6 +262,7 @@ def _reject_parse_query():
 
     parse_query(
         {
+            "v": 2,
             "instance": instance_to_dict(canonical.disagree()),
             "config": {"engine": "compiled"},
         }
@@ -331,6 +340,7 @@ class TestRetiredCompiledEngine:
 
         body = json.dumps(
             {
+                "v": 2,
                 "instance": instance_to_dict(canonical.disagree()),
                 "config": {"engine": "compiled"},
             }

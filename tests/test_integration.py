@@ -6,6 +6,7 @@ explorer + realization) and asserts one of the paper's headline claims.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core import instances as canonical
 from repro.core.dispute import has_dispute_wheel
 from repro.core.solutions import enumerate_stable_solutions, is_solution
@@ -24,8 +25,8 @@ class TestAbstractIntro:
 
     def test_disagree_model_dependence(self):
         instance = canonical.disagree()
-        r1o = can_oscillate(instance, model("R1O"), queue_bound=3)
-        rea = can_oscillate(instance, model("REA"), queue_bound=3)
+        r1o = can_oscillate(instance, model("R1O"), config=RunConfig(queue_bound=3))
+        rea = can_oscillate(instance, model("REA"), config=RunConfig(queue_bound=3))
         assert r1o.oscillates and not rea.oscillates
         assert rea.complete
 
@@ -38,10 +39,10 @@ class TestAbstractIntro:
         for scope in "1M":
             for count in "OSF":
                 reliable = can_oscillate(
-                    instance, model(f"R{scope}{count}"), queue_bound=3
+                    instance, model(f"R{scope}{count}"), config=RunConfig(queue_bound=3)
                 )
                 unreliable = can_oscillate(
-                    instance, model(f"U{scope}{count}"), queue_bound=3
+                    instance, model(f"U{scope}{count}"), config=RunConfig(queue_bound=3)
                 )
                 assert reliable.oscillates == unreliable.oscillates
 
@@ -50,8 +51,12 @@ class TestAbstractIntro:
         … can help guarantee convergence' — polling (count A) models
         converge on DISAGREE while their O-count twins may not."""
         instance = canonical.disagree()
-        assert can_oscillate(instance, model("R1O"), queue_bound=3).oscillates
-        assert not can_oscillate(instance, model("R1A"), queue_bound=3).oscillates
+        assert can_oscillate(
+            instance, model("R1O"), config=RunConfig(queue_bound=3)
+        ).oscillates
+        assert not can_oscillate(
+            instance, model("R1A"), config=RunConfig(queue_bound=3)
+        ).oscillates
 
 
 class TestGuaranteesAcrossModels:
@@ -61,7 +66,7 @@ class TestGuaranteesAcrossModels:
         instance = canonical.good_gadget()
         assert not has_dispute_wheel(instance)
         for m in ALL_MODELS:
-            result = can_oscillate(instance, m, queue_bound=2)
+            result = can_oscillate(instance, m, config=RunConfig(queue_bound=2))
             assert not result.oscillates, m.name
             assert result.complete, m.name
 
@@ -73,16 +78,22 @@ class TestGuaranteesAcrossModels:
         instance = canonical.shortest_paths_ring(3)
         assert not has_dispute_wheel(instance)
         for name in ("R1O", "REO", "RMS", "R1A", "RMA", "REA", "UEO"):
-            result = can_oscillate(instance, model(name), queue_bound=2)
+            result = can_oscillate(
+                instance, model(name), config=RunConfig(queue_bound=2)
+            )
             assert not result.oscillates, name
         for name in ("REO", "R1A", "RMA", "REA", "UEO"):
-            assert can_oscillate(instance, model(name), queue_bound=2).complete
+            assert can_oscillate(
+                instance, model(name), config=RunConfig(queue_bound=2)
+            ).complete
 
     def test_unsolvable_instances_diverge_in_all_24_models(self):
         instance = canonical.bad_gadget()
         assert not list(enumerate_stable_solutions(instance))
         for m in ALL_MODELS:
-            assert can_oscillate(instance, m, queue_bound=2).oscillates, m.name
+            assert can_oscillate(
+                instance, m, config=RunConfig(queue_bound=2)
+            ).oscillates, m.name
 
 
 class TestSimulationAgreesWithModelChecking:
@@ -123,7 +134,7 @@ class TestMatrixConsistencyWithExplorer:
         r1o = model("R1O")
         for m in ALL_MODELS:
             bounds = matrix.get(r1o, m)
-            verdict = can_oscillate(instance, m, queue_bound=3)
+            verdict = can_oscillate(instance, m, config=RunConfig(queue_bound=3))
             if bounds.lo >= Level.OSCILLATION:
                 assert verdict.oscillates, m.name
             if bounds.hi == Level.NONE and verdict.complete:

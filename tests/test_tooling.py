@@ -87,3 +87,14 @@ class TestOneWorkQueue:
 
     def test_sqlite3_imported_once(self):
         assert _importers("sqlite3") == ["src/repro/campaign/queue.py"]
+
+
+class TestVersion:
+    def test_package_version_matches_pyproject(self):
+        import re
+
+        import repro
+
+        pyproject = (REPO / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+        assert repro.__version__ == declared
