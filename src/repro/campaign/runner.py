@@ -20,11 +20,12 @@ Retries and cache hits are visible in the telemetry counters
 
 from __future__ import annotations
 
-from ..engine.explorer import _shared_searches
+from functools import partial
+
 from ..engine.parallel import (
     ExplorationTask,
     SimulationTask,
-    _explore_one,
+    _explore_grouped,
     _simulate_batch,
     parallel_map_retrying,
 )
@@ -117,16 +118,18 @@ def compute_shard_records(
     """
     fault_point("campaign.shard", shard)
     tasks, meta = shard_tasks(spec, shard, cache_dir)
-    function = _explore_one if spec.mode == "explore" else _simulate_batch
-    with _telemetry().span("campaign.shard"), _shared_searches():
-        results = parallel_map_retrying(
-            function,
-            tasks,
-            workers=workers,
-            retries=spec.retries,
-            backoff=spec.retry_backoff,
-            task_timeout=spec.task_timeout,
-        )
+    fan_out = partial(
+        parallel_map_retrying,
+        workers=workers,
+        retries=spec.retries,
+        backoff=spec.retry_backoff,
+        task_timeout=spec.task_timeout,
+    )
+    with _telemetry().span("campaign.shard"):
+        if spec.mode == "explore":
+            results = _explore_grouped(fan_out, tasks)
+        else:
+            results = fan_out(_simulate_batch, tasks)
     records = []
     for (seed, instance_name, model_name), result in zip(meta, results):
         record = {"seed": seed, "instance": instance_name, "model": model_name}

@@ -70,11 +70,13 @@ class CampaignSpec:
     #: directory (explore mode); retried and resumed tasks then answer
     #: from the cache instead of re-searching.
     cache: bool = True
-    #: Extra attempts per task after a worker crash/timeout.
+    #: Extra attempts per worker item after a worker crash/timeout (an
+    #: item is one simulation task, or the explore tasks of one
+    #: instance and message count, which share their searches).
     retries: int = 2
     #: Base of the exponential retry backoff, in seconds.
     retry_backoff: float = 0.25
-    #: Seconds before a task is declared hung (``None`` = never).
+    #: Seconds before a worker item is declared hung (``None`` = never).
     task_timeout: "float | None" = None
 
     def __post_init__(self) -> None:

@@ -74,7 +74,7 @@ __all__ = [
 #: Bumped whenever the search semantics change (state counts, verdict
 #: logic, canonicalization) — part of every verdict-cache key so cached
 #: results from an older engine are never replayed.
-ENGINE_REVISION = 2
+ENGINE_REVISION = 3
 
 
 @dataclass(frozen=True)
@@ -351,7 +351,7 @@ class Explorer:
     def _absorption(self, state: NetworkState):
         """The forced absorption step at ``state``, if one applies.
 
-        Mirror of ``CompiledExplorer._absorption`` (same channel scan
+        Mirror of ``PackedExplorer._absorption_succ`` (same channel scan
         order, same guards) — see :mod:`repro.engine.reduction` for the
         soundness argument.  The successor is built directly: reading a
         front message that is ext-equivalent to the known route cannot
@@ -753,14 +753,26 @@ def can_oscillate(
 ) -> ExplorationResult:
     """Convenience wrapper: explore and report.
 
-    For unreliable models the drop-free subgraph is searched first: by
-    Prop. 3.3(1) every Rxy activation sequence is a Uxy sequence, so a
-    reliable-twin witness *is* an unreliable-model witness, found in a
-    state space that is orders of magnitude smaller.  Safety verdicts
-    still require (and get) the full lossy search.  Inside a fan-out
-    (:func:`repro.engine.parallel.run_explorations`, campaign shards)
-    that twin search and the batch's own task for the reliable model
-    share one run.
+    With ``reliable_twin_first`` (the default) a model is first settled
+    through two containment edges of Prop. 3.3, each reading a twin's
+    verdict instead of searching (DESIGN.md §7.4):
+
+    * a 1- or E-scope model is implied safe when its M-scope twin (same
+      reliability and count) completes without a fair oscillation —
+      every 1/E entry is an M entry up to no-op reads and E fairness
+      only adds a condition, so the verdict is ``complete=True``,
+      carries the twin's state counts, and is never weaker than a
+      direct search;
+    * an unreliable model takes its reliable twin's witness: every Rxy
+      activation sequence is a Uxy sequence, and the drop-free twin's
+      state space is orders of magnitude smaller.  Only that subgraph
+      was searched, so the result is ``complete=False``.
+
+    Only a model neither edge settles is searched itself.  Inside a
+    fan-out (:func:`repro.engine.parallel.run_explorations`, campaign
+    shards) twin searches and the batch's own tasks for those twins
+    share one run.  ``reliable_twin_first=False`` searches the model
+    directly.
 
     ``config`` tunes the run: a :class:`repro.RunConfig` carrying the
     engine, partial-order reducer, bounds (``queue_bound``,
@@ -804,33 +816,20 @@ def can_oscillate(
             _record_verdict(tel, hit, cache="hit")
             return hit
         cache_status = "miss"
-    result = None
-    if reliable_twin_first and model.reliability is Reliability.UNRELIABLE:
-        twin = CommunicationModel(Reliability.RELIABLE, model.scope, model.count)
-        twin_result = _search(
-            instance, twin, queue_bound, max_states, engine, reduction
-        )
-        if twin_result.oscillates:
-            result = ExplorationResult(
-                model_name=model.name,
-                instance_name=twin_result.instance_name,
-                oscillates=True,
-                complete=False,  # only the drop-free subgraph was searched
-                states_explored=twin_result.states_explored,
-                truncated_states=twin_result.truncated_states,
-                states_pruned=twin_result.states_pruned,
-                witness=twin_result.witness,
-            )
-    if result is None:
-        result = _search(instance, model, queue_bound, max_states, engine, reduction)
+    bounds = (queue_bound, max_states, engine, reduction)
+    if reliable_twin_first:
+        with _shared_searches():
+            result, implied_by = _settle(instance, model, bounds)
+    else:
+        result, implied_by = _search(instance, model, *bounds), None
     if cache is not None:
         cache.put(key, instance, result)
         result = replace(result, cache_hit=False)
-    _record_verdict(tel, result, cache=cache_status)
+    _record_verdict(tel, result, cache=cache_status, implied_by=implied_by)
     return result
 
 
-#: The searches of the innermost live :func:`_shared_searches` block, as
+#: The searches of the outermost live :func:`_shared_searches` block, as
 #: ``(owner pid, {key: (instance, result)})``; ``None`` outside one.
 _SHARED: ContextVar = ContextVar("repro_shared_searches", default=None)
 
@@ -839,18 +838,49 @@ _SHARED: ContextVar = ContextVar("repro_shared_searches", default=None)
 def _shared_searches():
     """Within the block, run each search of this thread at most once.
 
-    A fan-out call enters this around its tasks, so the reliable-twin
-    pre-pass of an unreliable model and the batch's own task for that
-    reliable model share one search.  The memo dies with the block, so
-    a cold fan-out stays cold.  Pool workers forked inside the block
-    inherit it but ignore it: they unpickle a fresh instance per task,
-    so no entry could ever match there.
+    A fan-out enters this around each group of tasks that can settle
+    one another (:func:`repro.engine.parallel._explore_grouped`), so the
+    twin lookups of one task (:func:`_settle`) and the group's own tasks
+    for those twins share one search; :func:`can_oscillate` enters it
+    too, so a call outside any fan-out never repeats a twin search
+    either.  An enclosing block of this process is reused, not
+    replaced.  The memo dies with the outermost block, so a cold
+    fan-out stays cold.  A process forked inside the block ignores the
+    inherited memo (it belongs to another pid).
     """
+    shared = _SHARED.get()
+    if shared is not None and shared[0] == os.getpid():
+        yield
+        return
     token = _SHARED.set((os.getpid(), {}))
     try:
         yield
     finally:
         _SHARED.reset(token)
+
+
+def _settle(instance, model, bounds):
+    """``(result, implied_by)`` for ``model``: settled by its M twin
+    (scope edge) or its R twin (reliability edge) where one applies,
+    else searched — see :func:`can_oscillate` and DESIGN.md §7.4.
+    Twins are settled through this same function and every search goes
+    through the :func:`_search` memo, so within one fan-out each model
+    is searched at most once, whatever the task order.  ``implied_by``
+    names the twin whose search settled ``model``, else ``None``.
+    """
+    reliability, scope, count = model.reliability, model.scope, model.count
+    if scope is not NeighborScope.MULTIPLE:
+        twin = CommunicationModel(reliability, NeighborScope.MULTIPLE, count)
+        found, _ = _settle(instance, twin, bounds)
+        if found.complete and not found.oscillates:
+            # complete implies truncated_states == 0 and no witness.
+            return replace(found, model_name=model.name), twin.name
+    if reliability is Reliability.UNRELIABLE:
+        twin = CommunicationModel(Reliability.RELIABLE, scope, count)
+        found, _ = _settle(instance, twin, bounds)
+        if found.oscillates:
+            return replace(found, model_name=model.name, complete=False), twin.name
+    return _search(instance, model, *bounds), None
 
 
 def _search(instance, model, queue_bound, max_states, engine, reduction):
@@ -879,13 +909,20 @@ def _search(instance, model, queue_bound, max_states, engine, reduction):
     return result
 
 
-def _record_verdict(tel, result: ExplorationResult, cache: str) -> None:
+def _record_verdict(
+    tel, result: ExplorationResult, cache: str, implied_by: "str | None" = None
+) -> None:
     """Counters + one ``verdict`` event for a finished exploration."""
     if not tel.enabled:
         return
     tel.count("explore.runs")
-    tel.count("explore.states", result.states_explored)
-    tel.count("explore.states_pruned", result.states_pruned)
+    if implied_by is None:
+        tel.count("explore.states", result.states_explored)
+        tel.count("explore.states_pruned", result.states_pruned)
+    else:
+        # The result carries its twin's search counts; no search of
+        # this model ran, so they would overstate the search work.
+        tel.count("explore.implied")
     tel.event(
         "verdict",
         instance=result.instance_name,
@@ -896,4 +933,5 @@ def _record_verdict(tel, result: ExplorationResult, cache: str) -> None:
         pruned=result.states_pruned,
         truncated=result.truncated_states,
         cache=cache,
+        implied_by=implied_by,
     )

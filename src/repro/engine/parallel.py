@@ -11,13 +11,15 @@ seed — so the fan-out here is parallel *and* reproducible:
   dependence between workers);
 * results are merged **in task-submission order** (``Executor.map``),
   so downstream aggregation is independent of completion order;
-* ``workers=1`` (or a single task) degrades to a plain in-process loop
-  with no executor involved, which keeps the serial path exactly the
-  code the parallel path runs per worker;
-* tasks that run in the calling process share searches:
-  :func:`run_explorations` runs each search at most once per call, so
-  an unreliable model's reliable-twin pre-pass reuses the batch's own
-  task for that reliable model (pool workers share nothing).
+* ``workers=1`` (or a single work item) degrades to a plain in-process
+  loop with no executor involved, which keeps the serial path exactly
+  the code the parallel path runs per worker;
+* exploration tasks that can settle each other share searches: the
+  tasks of one instance object and one message count travel to a
+  worker as one item and share its search memo, so the twin lookups
+  that settle a model (DESIGN.md §7.4) reuse the batch's own tasks for
+  those twins, and each model is searched at most once per call at
+  every worker count.
 
 Tasks and results travel by pickle: :class:`~repro.core.spp.SPPInstance`,
 :class:`~repro.engine.explorer.ExplorationResult`, and witnesses are
@@ -38,6 +40,7 @@ from functools import partial
 from ..config import DEFAULT_ENGINE, RunConfig, validate_engine
 from ..core.spp import SPPInstance
 from ..faults import ensure_armed_from_env, fault_point
+from ..models.taxonomy import model as _model
 from ..obs import active as _telemetry
 from ..obs import tracing as _tracing
 from .explorer import _shared_searches
@@ -440,19 +443,52 @@ def _explore_one(task: ExplorationTask):
         )
 
 
+def _explore_together(tasks) -> list:
+    """Run ``tasks`` one after another in this process, sharing one
+    search memo."""
+    with _shared_searches():
+        return [_explore_one(task) for task in tasks]
+
+
+def _explore_grouped(fan_out, tasks) -> list:
+    """:func:`_explore_one` over ``tasks`` through ``fan_out``, in task
+    order.
+
+    ``fan_out(function, items)`` is :func:`parallel_map` or
+    :func:`parallel_map_retrying` with its worker settings bound.  A
+    model's containment twins have its message count (DESIGN.md §7.4),
+    so the tasks of one instance object and one count form one item:
+    whichever process runs it searches each of their models at most
+    once, and no twin lookup crosses items.
+    """
+    groups: dict = {}
+    for index, task in enumerate(tasks):
+        key = (id(task.instance), _model(task.model_name).count)
+        groups.setdefault(key, []).append(index)
+    members = list(groups.values())
+    batches = fan_out(
+        _explore_together, [[tasks[index] for index in group] for group in members]
+    )
+    results: list = [None] * len(tasks)
+    for group, batch in zip(members, batches):
+        for index, result in zip(group, batch):
+            results[index] = result
+    return results
+
+
 def run_explorations(tasks, *, config: "RunConfig | None" = None) -> list:
     """Run exploration tasks across workers; ordered ``(key, result)``s.
 
     ``config.workers`` sets the fan-out width (``None``, also without a
     config, = one per core).  Verdicts are identical for every worker
     count: each exploration is a deterministic function of its task,
-    and merging follows task order.  Within the call, tasks run in this
-    process search each ``(instance, model, bounds)`` once.
+    and merging follows task order.  Within the call each
+    ``(instance, model, bounds)`` is searched once, whichever worker
+    runs it (:func:`_explore_grouped`).
     """
     tasks = list(tasks)
     workers = None if config is None else config.workers
-    with _shared_searches():
-        results = parallel_map(_explore_one, tasks, workers=workers)
+    results = _explore_grouped(partial(parallel_map, workers=workers), tasks)
     return [
         (task.resolved_key(), result)
         for task, result in zip(tasks, results)

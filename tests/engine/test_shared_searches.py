@@ -2,13 +2,15 @@
 
 ``run_explorations`` and ``compute_shard_records`` run each
 ``(instance, model, bounds, engine, reduction)`` search at most once per
-call: an unreliable model's reliable-twin pre-pass (Prop. 3.3(1)) and
-the batch's own task for that reliable model share one search.  These
-tests pin that the sharing is invisible in the results — every batched
-verdict equals ``can_oscillate`` called alone — and that it really
-removes the duplicate searches, and nothing more.
+call: the twin lookups that settle a model through the containment
+order (Prop. 3.3, DESIGN.md §7.4) and the batch's own tasks for those
+twins share one search.  These tests pin that the sharing is invisible
+in the results — every batched verdict equals ``can_oscillate`` called
+alone — and that it really removes the duplicate searches, and nothing
+more.
 """
 
+import json
 import threading
 
 import pytest
@@ -142,12 +144,20 @@ def packed_searches(monkeypatch):
     return calls
 
 
+#: GOOD GADGET has no oscillation in any model, and every M-scope model
+#: completes at :data:`CONFIG`'s bounds.  Per message count, the edges
+#: then search only RMx and UMx: UMx's reliable twin RMx finds no
+#: witness, and all four 1/E models are implied by their M twin.
+GOOD_GADGET_SEARCHES = 4 * 2
+#: ``_search`` lookups per message count: RMx 1 (its own search), UMx 2
+#: (RMx, then itself), R1x and REx 1 each (RMx), U1x and UEx 2 each
+#: (UMx settles through RMx and itself) — 9, of which 2 run.
+GOOD_GADGET_SHARED = 4 * (9 - 2)
+
+
 def test_serial_batch_searches_each_model_once(packed_searches, tmp_path):
     from repro import obs
 
-    # No reliable model oscillates on GOOD GADGET, so every unreliable
-    # model needs its twin pre-pass and its own lossy search: 36
-    # searches without sharing, 24 with it.
     instance = canonical.good_gadget()
     previous = obs.active()
     telemetry = obs.configure(tmp_path / "t.jsonl")
@@ -156,10 +166,68 @@ def test_serial_batch_searches_each_model_once(packed_searches, tmp_path):
     finally:
         obs.install(previous)
         telemetry.close()
-    assert len(packed_searches) == 24
+    assert sorted(packed_searches) == sorted(
+        name for name in U_FIRST if name[1] == "M"
+    )
+    assert len(packed_searches) == GOOD_GADGET_SEARCHES
     assert telemetry.counters["explore.runs"] == 24
-    assert telemetry.counters["explore.shared"] == 12
+    assert telemetry.counters["explore.shared"] == GOOD_GADGET_SHARED
+    assert telemetry.counters["explore.implied"] == 16
+    # Only searched verdicts add states: an implied one repeats its twin's.
+    searched = [r for name, r in zip(U_FIRST, results) if name[1] == "M"]
+    assert telemetry.counters["explore.states"] == sum(
+        r.states_explored for r in searched
+    )
+    assert telemetry.counters.get("explore.states_pruned", 0) == sum(
+        r.states_pruned for r in searched
+    )
+    # Each verdict event names the twin that settled it.
+    records = [
+        json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()
+    ]
+    implied_by = {r["model"]: r["implied_by"] for r in records if r["type"] == "verdict"}
+    assert implied_by == {
+        name: None if name[1] == "M" else f"{name[0]}M{name[2]}" for name in U_FIRST
+    }
     _assert_solo_equal(instance, U_FIRST, results)
+
+
+@pytest.fixture
+def searches_everywhere(monkeypatch, tmp_path):
+    """``(instance, model)`` of every ``PackedExplorer.explore`` call,
+    pool workers included (forked workers inherit the patch and append
+    to one file)."""
+    log = tmp_path / "searches.log"
+    explore = packed.PackedExplorer.explore
+
+    def counted(self):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{self.instance.name} {self.model.name}\n")
+        return explore(self)
+
+    monkeypatch.setattr(packed.PackedExplorer, "explore", counted)
+    return lambda: log.read_text().split("\n")[:-1] if log.exists() else []
+
+
+def test_pooled_batch_searches_each_model_once(searches_everywhere):
+    # The tasks of one message count share a worker and its memo, so a
+    # pool searches exactly what the in-process batch does.
+    instance = canonical.good_gadget()
+    results = _batch(instance, U_FIRST, config=CONFIG.replace(workers=2))
+    assert sorted(searches_everywhere()) == sorted(
+        f"{instance.name} {name}" for name in U_FIRST if name[1] == "M"
+    )
+    _assert_solo_equal(instance, U_FIRST, results)
+
+
+def test_pooled_shard_searches_each_model_once(searches_everywhere, tmp_path):
+    spec = CampaignSpec(
+        name="pooled", count=2, models=U_FIRST, shard_size=2, base_seed=1,
+        queue_bound=2, step_bound=3000, engine="packed", cache=False,
+    )
+    compute_shard_records(spec, 0, workers=2, cache_dir=str(tmp_path / "cache"))
+    searches = searches_everywhere()
+    assert searches and len(set(searches)) == len(searches)
 
 
 def test_memo_dies_with_the_call(packed_searches):
@@ -167,10 +235,18 @@ def test_memo_dies_with_the_call(packed_searches):
 
     instance = canonical.good_gadget()
     first = matrix_certification(instance=instance, config=CONFIG)
-    assert len(packed_searches) == 24
+    assert len(packed_searches) == GOOD_GADGET_SEARCHES
     second = matrix_certification(instance=instance, config=CONFIG)
-    assert len(packed_searches) == 48
+    assert len(packed_searches) == 2 * GOOD_GADGET_SEARCHES
     assert first == second
+
+
+def test_solo_call_searches_each_twin_once(packed_searches):
+    # On DISAGREE RMO oscillates, so UEO's scope edge (UMO, settled by
+    # RMO's witness) implies nothing, and its reliability edge asks for
+    # RMO again through REO's scope edge: the call's own memo answers.
+    _solo(canonical.disagree(), "UEO")
+    assert sorted(packed_searches) == ["REO", "RMO", "UEO"]
 
 
 def test_equal_instances_are_not_shared(packed_searches):
@@ -182,7 +258,8 @@ def test_equal_instances_are_not_shared(packed_searches):
         for name in ("R1O", "U1O")
     ]
     run_explorations(tasks, config=CONFIG)
-    assert sorted(packed_searches) == ["R1O", "R1O", "U1O", "U1O"]
+    # Per copy: RMO settles R1O; UMO (after RMO) settles U1O.
+    assert sorted(packed_searches) == ["RMO", "RMO", "UMO", "UMO"]
 
 
 def test_concurrent_fanouts_do_not_share(packed_searches):
@@ -199,7 +276,7 @@ def test_concurrent_fanouts_do_not_share(packed_searches):
     for thread in threads:
         thread.join(timeout=120)
     assert not any(thread.is_alive() for thread in threads)
-    assert len(packed_searches) == 4 * 24
+    assert len(packed_searches) == 4 * GOOD_GADGET_SEARCHES
     assert len(results) == 4
     for batch in results.values():
         assert batch == results[0]
