@@ -95,14 +95,7 @@ class CampaignHandle:
         return self._campaign.status()
 
     def report(self) -> dict:
-        from .manifest import read_json
-
-        # A written partial report (quarantined shards) is authoritative —
-        # recomputing would refuse on the pending-but-quarantined shards.
-        written = read_json(self._campaign.paths.report_path)
-        if written is not None and written.get("partial"):
-            return written
-        return self._campaign.report()
+        return self._campaign.current_report()
 
     def records(self) -> list:
         return self._campaign.records()

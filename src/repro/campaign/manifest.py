@@ -11,19 +11,26 @@ Layout of a campaign directory::
       telemetry.jsonl            JSONL event stream (--telemetry)
       queue.sqlite               shard work queue (multi-host)
 
-Every JSON artifact is written with :func:`atomic_write_json` — a
+Every JSON artifact has one text format, :func:`artifact_text`, and is
+written atomically — :func:`atomic_write_json` here, and
+:meth:`CampaignSpec.to_file` for a spec outside a campaign — through a
 tempfile in the destination directory followed by ``os.replace``
 (:func:`repro.fsutil.atomic_write_text`, which also retries transient
-``ENOSPC`` with bounded backoff) — so a ``SIGKILL`` at any instant
+``ENOSPC`` with bounded backoff), so a ``SIGKILL`` at any instant
 leaves either the previous file or the new one, never a torn write.  A
 shard checkpoint only exists once the whole shard finished; resuming
 therefore re-runs exactly the shards whose checkpoints are missing (or
 unreadable, or from a different spec digest), and nothing else.
+:class:`CampaignPaths` is the one place that names the files, in both
+directions (:meth:`~CampaignPaths.shard_path` and
+:meth:`~CampaignPaths.shard_of`).
 
 Discarding is never silent: a checkpoint that exists but cannot be
 used (corrupt bytes, foreign digest, wrong shape) is reported on
 stderr, counted as ``campaign.checkpoint_discarded``, and surfaced by
-``repro campaign status``.
+``repro campaign status``.  ``repro doctor`` checks a campaign
+directory through :meth:`repro.campaign.Campaign.audit`, which applies
+these same rules.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .spec import CampaignSpec, spec_digest
 __all__ = [
     "CAMPAIGN_SCHEMA",
     "CampaignPaths",
+    "artifact_text",
     "atomic_write_json",
     "build_manifest",
     "checkpoint_issue",
@@ -49,10 +57,15 @@ __all__ = [
 CAMPAIGN_SCHEMA = 1
 
 
+def artifact_text(payload: dict) -> str:
+    """The canonical text of a campaign JSON artifact (spec, manifest,
+    checkpoint, report): the exact bytes on disk."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def atomic_write_json(path, payload: dict) -> None:
-    """Write ``payload`` as canonical JSON via tempfile + atomic rename."""
-    blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    atomic_write_text(path, blob, fault_site="checkpoint.write")
+    """Write ``payload`` as :func:`artifact_text` via tempfile + atomic rename."""
+    atomic_write_text(path, artifact_text(payload), fault_site="checkpoint.write")
 
 
 def read_json(path, *, warn: bool = True) -> "dict | None":
@@ -97,8 +110,9 @@ def checkpoint_issue(
 ) -> "str | None":
     """Why a shard-checkpoint payload is unusable, or ``None`` if valid.
 
-    Shared by the runner (which re-runs bad shards) and ``repro
-    doctor`` (which reports and quarantines them).
+    The runner's one rule: a resume re-runs the shards it rejects, and
+    :meth:`~repro.campaign.Campaign.audit` (``repro doctor``) reports
+    and quarantines them.
     """
     if payload is None:
         return "missing or unparseable"
@@ -136,6 +150,16 @@ class CampaignPaths:
     def shard_path(self, shard: int) -> Path:
         return self.shards_dir / f"shard-{shard:04d}.json"
 
+    def shard_of(self, path) -> "int | None":
+        """The shard whose checkpoint :meth:`shard_path` names ``path``,
+        or ``None`` when the name is not a checkpoint's."""
+        name = Path(path).name
+        digits = name.removeprefix("shard-").removesuffix(".json")
+        if not digits.isdecimal():
+            return None
+        shard = int(digits)
+        return shard if self.shard_path(shard).name == name else None
+
     @property
     def report_path(self) -> Path:
         return self.directory / "report.json"
@@ -168,7 +192,7 @@ def build_manifest(spec: CampaignSpec) -> dict:
             {
                 "id": shard,
                 "seeds": list(spec.shard_seeds(shard)),
-                "tasks": len(spec.shard_seeds(shard)) * len(models),
+                "tasks": spec.shard_task_count(shard),
             }
             for shard in range(spec.n_shards)
         ],

@@ -30,16 +30,19 @@ from ..engine.parallel import (
     parallel_map_retrying,
 )
 from ..faults import fault_point
-from ..fsutil import sweep_orphan_temps
+from ..fsutil import quarantine_on_repair, sweep_orphan_temps
 from ..obs import active as _telemetry
 from .manifest import (
     CAMPAIGN_SCHEMA,
     CampaignPaths,
+    artifact_text,
     atomic_write_json,
     build_manifest,
     checkpoint_issue,
     read_json,
 )
+from .queue import QueueError
+from .queue import audit as audit_queue
 from .report import aggregate_report, render_report
 from .spec import CampaignSpec, spec_digest
 
@@ -143,15 +146,18 @@ def compute_shard_records(
 
 
 class Campaign:
-    """A campaign directory plus the spec that defines it."""
+    """A campaign directory plus the spec that defines it.
+
+    Constructing one touches nothing on disk; :meth:`create` and
+    :meth:`open` also sweep the stale atomic-write tempfiles of a
+    crashed previous run (age-gated, so a concurrently live writer is
+    never raced).
+    """
 
     def __init__(self, directory, spec: CampaignSpec) -> None:
         self.paths = CampaignPaths(directory)
         self.spec = spec
         self.digest = spec_digest(spec)
-        # Stale atomic-write tempfiles from a crashed previous run
-        # (age-gated, so a concurrently live writer is never raced).
-        sweep_orphan_temps(self.paths.directory)
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -165,6 +171,7 @@ class Campaign:
         results.
         """
         campaign = cls(directory, spec)
+        sweep_orphan_temps(campaign.paths.directory)
         existing = read_json(campaign.paths.spec_path)
         if existing is not None:
             found = spec_digest(CampaignSpec.from_dict(existing))
@@ -185,16 +192,24 @@ class Campaign:
         data = read_json(paths.spec_path)
         if data is None:
             raise CampaignError(f"no campaign at {paths.directory} (missing spec.json)")
+        sweep_orphan_temps(paths.directory)
         return cls(directory, CampaignSpec.from_dict(data))
 
     # -- shard bookkeeping ----------------------------------------------
+    def _checkpoint(
+        self, shard: int, *, warn: bool = True
+    ) -> "tuple[list | None, str | None]":
+        """``(records, None)`` for a valid checkpoint of ``shard``, else
+        ``(None, why)`` — the shard is then pending."""
+        payload = read_json(self.paths.shard_path(shard), warn=warn)
+        issue = checkpoint_issue(
+            payload, self.digest, shard, self.spec.shard_task_count(shard)
+        )
+        return (None, issue) if issue is not None else (payload["records"], None)
+
     def _shard_records(self, shard: int) -> "list | None":
         """The checkpointed records of ``shard``, or ``None`` if pending."""
-        payload = read_json(self.paths.shard_path(shard))
-        expected = len(self.spec.shard_seeds(shard)) * len(self.spec.model_names())
-        if checkpoint_issue(payload, self.digest, shard, expected) is not None:
-            return None
-        return payload["records"]
+        return self._checkpoint(shard)[0]
 
     def completed_shards(self) -> list:
         return [
@@ -224,7 +239,7 @@ class Campaign:
         this is the write-back path for both local execution and
         records received from remote ``join`` workers.
         """
-        expected = len(self.spec.shard_seeds(shard)) * len(self.spec.model_names())
+        expected = self.spec.shard_task_count(shard)
         if not isinstance(records, list) or len(records) != expected:
             raise CampaignError(
                 f"shard {shard} expects {expected} records, "
@@ -293,9 +308,7 @@ class Campaign:
                 # a foreign digest, or a truncated record list.
                 discarded += 1
         models = len(self.spec.model_names())
-        tasks_done = sum(
-            len(self.spec.shard_seeds(shard)) * models for shard in completed
-        )
+        tasks_done = sum(self.spec.shard_task_count(shard) for shard in completed)
         return {
             "name": self.spec.name,
             "digest": self.digest,
@@ -344,8 +357,195 @@ class Campaign:
         atomic_write_json(self.paths.report_path, report)
         return report
 
+    def current_report(self) -> dict:
+        """The written report if it is partial, else :meth:`report`.
+
+        A partial report (quarantined poison shards) is authoritative:
+        recomputing would refuse on its pending-but-quarantined shards.
+        """
+        written = read_json(self.paths.report_path)
+        if written is not None and written.get("partial"):
+            return written
+        return self.report()
+
     def render_report(self) -> str:
-        report = read_json(self.paths.report_path)
-        if report is not None and report.get("partial"):
-            return render_report(report)
-        return render_report(self.report())
+        return render_report(self.current_report())
+
+    # -- audit (``repro doctor``) -----------------------------------------
+    def audit(self, *, repair: bool = False) -> "tuple[int, list]":
+        """Check the manifest, checkpoints, work queue and report against
+        the spec, with the same rules the runner reads them by.
+
+        Returns ``(healthy, issues)`` like :func:`repro.engine.cache.audit`:
+        the number of healthy artifacts, and ``(severity, category, path,
+        detail, repair)`` tuples with ``path`` relative to the campaign
+        directory.  With ``repair``, derivable artifacts (the manifest, a
+        stale report) are ``"rewritten"``, unusable ones
+        ``"quarantined"``, and the queue is mended by
+        :func:`repro.campaign.queue.audit`; without it nothing is written.
+        """
+        issues = []
+        healthy = self._audit_manifest(issues, repair)
+        completed = self._audit_shards(issues, repair)
+        pending = [s for s in range(self.spec.n_shards) if s not in completed]
+        healthy += len(completed)
+        healthy += self._audit_queue(completed, issues, repair)
+        healthy += self._audit_report(pending, issues, repair)
+        return healthy, issues
+
+    def _relative(self, path) -> str:
+        return str(path.relative_to(self.paths.directory))
+
+    def _audit_manifest(self, issues: list, repair: bool) -> int:
+        expected = build_manifest(self.spec)
+        manifest = read_json(self.paths.manifest_path, warn=False)
+        if manifest == expected:
+            return 1
+        if manifest is None:
+            detail = "missing or corrupt"
+        elif manifest.get("digest") != self.digest:
+            detail = (
+                f"digest {str(manifest.get('digest', ''))[:12]!r} does not match "
+                f"spec digest {self.digest[:12]!r}"
+            )
+        else:
+            detail = "content does not match the spec-derived shard table"
+        action = None
+        if repair:
+            atomic_write_json(self.paths.manifest_path, expected)
+            action = "rewritten"
+        issues.append((
+            "error", "campaign.manifest",
+            self._relative(self.paths.manifest_path), detail, action,
+        ))
+        return 0
+
+    def _audit_shards(self, issues: list, repair: bool) -> set:
+        """Validate every file in ``shards/``; the valid checkpoints' ids."""
+        directory = self.paths.directory
+        completed = set()
+        entries = (
+            sorted(self.paths.shards_dir.iterdir())
+            if self.paths.shards_dir.is_dir()
+            else []
+        )
+        for entry in entries:
+            if not entry.is_file() or entry.name.startswith("."):
+                continue
+            shard = self.paths.shard_of(entry)
+            if shard is None:
+                severity = "warning"
+                detail = "foreign file in shards/ (not a checkpoint)"
+            elif shard >= self.spec.n_shards:
+                severity = "error"
+                detail = (
+                    f"shard id {shard} out of range "
+                    f"(spec has {self.spec.n_shards} shards)"
+                )
+            else:
+                _, issue = self._checkpoint(shard, warn=False)
+                if issue is None:
+                    completed.add(shard)
+                    continue
+                severity = "error"
+                detail = (
+                    f"unusable checkpoint: {issue} — the shard will re-run "
+                    "on resume"
+                )
+            issues.append((
+                severity, "campaign.shard", self._relative(entry), detail,
+                quarantine_on_repair(directory, entry, repair),
+            ))
+        pending = self.spec.n_shards - len(completed)
+        if pending:
+            issues.append((
+                "info", "campaign.pending",
+                f"{self._relative(self.paths.shards_dir)}/",
+                f"{pending} of {self.spec.n_shards} shard(s) pending — "
+                f"finish with: repro campaign resume {directory}",
+                None,
+            ))
+        return completed
+
+    def _audit_queue(self, completed: set, issues: list, repair: bool) -> int:
+        """The (derivable) queue against the checkpoints; a database that
+        cannot be used at all is quarantined — the coordinator rebuilds
+        the queue from the checkpoints on its next boot."""
+        path = self.paths.queue_db_path
+        if not path.is_file():
+            return 0
+        relative = self._relative(path)
+        try:
+            found = audit_queue(
+                path, self.digest, self.spec.n_shards, completed, repair=repair
+            )
+        except QueueError as error:
+            issues.append((
+                "error", "campaign.queue", relative, str(error),
+                quarantine_on_repair(self.paths.directory, path, repair),
+            ))
+            return 0
+        issues.extend(
+            (severity, "campaign.queue", relative, detail, action)
+            for severity, detail, action in found
+        )
+        return int(all(severity == "info" for severity, _, _ in found))
+
+    def _audit_report(self, pending: list, issues: list, repair: bool) -> int:
+        """``report.json`` against the aggregate of the checkpoints.
+
+        A partial report is legitimate exactly when its
+        ``quarantined_shards`` account for every pending shard.
+        """
+        path = self.paths.report_path
+        if not path.is_file():
+            return 0
+        relative = self._relative(path)
+        written = read_json(path, warn=False)
+        quarantined: "list[int]" = []
+        if isinstance(written, dict) and written.get("partial"):
+            try:
+                quarantined = sorted(
+                    int(s) for s in written.get("quarantined_shards", [])
+                )
+            except (TypeError, ValueError):
+                quarantined = []
+        unexplained = [s for s in pending if s not in set(quarantined)]
+        if unexplained:
+            detail = (
+                f"report exists but {len(unexplained)} shard(s) are pending — "
+                "it cannot reflect the full campaign"
+            )
+            if quarantined:
+                detail += (
+                    f" (partial annotation covers only {quarantined}, "
+                    f"not {unexplained})"
+                )
+            issues.append((
+                "error", "campaign.report", relative, detail,
+                quarantine_on_repair(self.paths.directory, path, repair),
+            ))
+            return 0
+        if quarantined:
+            issues.append((
+                "info", "campaign.report", relative,
+                f"partial report: shard(s) {quarantined} quarantined as "
+                "poison and excluded from the aggregate",
+                None,
+            ))
+        expected = self.report(quarantined)
+        try:
+            found = path.read_text()
+        except OSError as error:
+            found = None
+            detail = f"unreadable ({error})"
+        else:
+            detail = "report does not match the aggregate of the checkpoints"
+        if found == artifact_text(expected):
+            return 1
+        action = None
+        if repair:
+            atomic_write_json(path, expected)
+            action = "rewritten"
+        issues.append(("error", "campaign.report", relative, detail, action))
+        return 0

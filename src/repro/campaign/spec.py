@@ -23,6 +23,7 @@ from pathlib import Path
 
 from ..config import DEFAULT_ENGINE, RunConfig
 from ..core.generators import POLICIES, random_instance
+from ..fsutil import atomic_write_text
 
 __all__ = ["CampaignSpec", "MODES", "spec_digest"]
 
@@ -113,9 +114,11 @@ class CampaignSpec:
         """The swept models; the full taxonomy when ``models`` is empty."""
         if self.models:
             return self.models
-        from ..models.taxonomy import ALL_MODELS
+        from ..models.taxonomy import MODELS_BY_NAME
 
-        return tuple(m.name for m in ALL_MODELS)
+        # The registry's keys are the names in ALL_MODELS order, without
+        # rebuilding each name (shard_task_count calls this per shard).
+        return tuple(MODELS_BY_NAME)
 
     @property
     def n_shards(self) -> int:
@@ -128,6 +131,11 @@ class CampaignSpec:
         start = self.base_seed + shard * self.shard_size
         stop = min(start + self.shard_size, self.base_seed + self.count)
         return tuple(range(start, stop))
+
+    def shard_task_count(self, shard: int) -> int:
+        """How many tasks (records) shard ``shard`` holds: one per
+        (instance, model) pair."""
+        return len(self.shard_seeds(shard)) * len(self.model_names())
 
     def instance_for_seed(self, seed: int):
         """Materialize the population member with generator seed ``seed``."""
@@ -167,7 +175,9 @@ class CampaignSpec:
         return cls(**data)
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        from .manifest import artifact_text
+
+        return artifact_text(self.as_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignSpec":
@@ -178,7 +188,9 @@ class CampaignSpec:
         return cls.from_json(Path(path).read_text())
 
     def to_file(self, path) -> None:
-        Path(path).write_text(self.to_json())
+        """Write the spec atomically (tempfile + rename), as ``spec.json``
+        is written inside a campaign directory."""
+        atomic_write_text(path, self.to_json())
 
 
 def spec_digest(spec: CampaignSpec) -> str:

@@ -1250,13 +1250,7 @@ def _cmd_campaign(args) -> int:
                         f"{row['p95_steps']:3.0f} / {p99:3.0f}"
                     )
             return 0
-        # A written partial report (quarantined shards) is authoritative:
-        # recomputing would refuse on the pending-but-quarantined shards.
-        from .campaign.manifest import read_json
-
-        report = read_json(campaign.paths.report_path)
-        if report is None or not report.get("partial"):
-            report = campaign.report()
+        report = campaign.current_report()
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:

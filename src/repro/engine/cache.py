@@ -63,6 +63,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -74,6 +75,7 @@ from ..fsutil import (
     QUARANTINE_DIR,
     atomic_write_text,
     quarantine,
+    quarantine_on_repair,
     sweep_orphan_temps,
 )
 from ..obs import active as _telemetry
@@ -88,7 +90,10 @@ __all__ = [
     "QUARANTINE_DIR",
     "VerdictCache",
     "as_cache",
+    "audit",
+    "is_cache_root",
     "payload_checksum",
+    "payload_issue",
     "result_from_payload",
     "result_to_payload",
     "shared_cache",
@@ -120,6 +125,38 @@ def payload_checksum(payload: dict) -> str:
         allow_nan=False,
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _is_current(payload: dict) -> bool:
+    return payload.get("cache_version") == CACHE_VERSION
+
+
+def payload_issue(payload) -> "str | None":
+    """Why a cache-entry payload cannot be trusted, or ``None`` if it can.
+
+    The one definition of a trustworthy entry — a JSON object of the
+    current :data:`CACHE_VERSION` whose ``checksum`` matches — shared by
+    the disk tier, the wire decoder and :func:`audit`.
+    """
+    if not isinstance(payload, dict):
+        return "corrupt entry (not a JSON object)"
+    if not _is_current(payload):
+        return (
+            f"stale cache_version {payload.get('cache_version')!r} "
+            f"(current {CACHE_VERSION})"
+        )
+    if payload.get("checksum") != payload_checksum(payload):
+        return "payload checksum mismatch (bit rot or torn write)"
+    return None
+
+
+def _parse_entry(raw: bytes) -> "tuple[object, str | None]":
+    """The decoded bytes of a stored entry, and why they cannot be trusted."""
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+        return None, f"corrupt entry ({error})"
+    return payload, payload_issue(payload)
 
 
 def verdict_key(
@@ -269,22 +306,109 @@ def result_to_payload(result: ExplorationResult, instance: SPPInstance) -> dict:
 def result_from_payload(payload: dict, instance: SPPInstance) -> ExplorationResult:
     """Decode a checksummed cache-entry payload for ``instance``.
 
-    Raises :class:`ValueError` on a version-skewed, checksum-failing,
-    or structurally malformed payload; never returns a partially
-    decoded result.
+    Raises :class:`ValueError` on an untrustworthy
+    (:func:`payload_issue`) or structurally malformed payload; never
+    returns a partially decoded result.
     """
-    if not isinstance(payload, dict):
-        raise ValueError("payload is not a JSON object")
-    if payload.get("cache_version") != CACHE_VERSION:
-        raise ValueError(
-            f"payload cache_version {payload.get('cache_version')!r} != {CACHE_VERSION}"
-        )
-    if payload.get("checksum") != payload_checksum(payload):
-        raise ValueError("payload checksum mismatch")
+    issue = payload_issue(payload)
+    if issue is not None:
+        raise ValueError(issue)
     try:
         return _result_from_jsonable(payload, instance)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed verdict payload: {exc}") from exc
+
+
+# ----------------------------------------------------------------------
+# On-disk layout: ``<root>/verdicts/<key[:2]>/<key>.json``.
+
+_VERDICTS = "verdicts"
+_KEY = re.compile(r"[0-9a-f]{64}")
+
+
+def _entry_path(root: Path, key: str) -> Path:
+    return root / _VERDICTS / key[:2] / f"{key}.json"
+
+
+def _entries(root: Path):
+    verdict_dir = root / _VERDICTS
+    if not verdict_dir.is_dir():
+        return
+    for shard in sorted(verdict_dir.iterdir()):
+        if shard.is_dir():
+            yield from sorted(shard.glob("*.json"))
+
+
+def _quarantine_backlog(root: Path) -> int:
+    quarantine_dir = root / QUARANTINE_DIR
+    if not quarantine_dir.is_dir():
+        return 0
+    return sum(1 for p in quarantine_dir.iterdir() if p.is_file())
+
+
+def _stored_entry_issue(root: Path, entry: Path) -> "tuple[str, str] | None":
+    """``(severity, detail)`` for an entry a lookup would not serve."""
+    try:
+        payload, issue = _parse_entry(entry.read_bytes())
+    except OSError as error:
+        return "error", f"corrupt entry ({error})"
+    if issue is not None:
+        # An entry of another format version is obsolete, not damaged.
+        stale = isinstance(payload, dict) and not _is_current(payload)
+        return ("warning" if stale else "error"), issue
+    if not _KEY.fullmatch(entry.stem):
+        return "warning", "file name is not a sha256 content key"
+    if entry != _entry_path(root, entry.stem):
+        return "warning", (
+            f"misplaced entry (in shard {entry.parent.name!r}, key "
+            f"prescribes {entry.stem[:2]!r}) — unreachable by lookup"
+        )
+    return None
+
+
+def is_cache_root(root) -> bool:
+    """Whether ``root`` is a verdict-cache root: it holds a ``verdicts/``
+    directory, or is named like :data:`DEFAULT_CACHE_DIR`."""
+    root = Path(root)
+    return (root / _VERDICTS).is_dir() or root.name == DEFAULT_CACHE_DIR
+
+
+def audit(root, *, repair: bool = False) -> "tuple[int, list]":
+    """Check the cache store at ``root`` the way a lookup would read it.
+
+    Returns ``(healthy, issues)``: the number of entries a lookup would
+    serve, and ``(severity, category, path, detail, repair)`` tuples
+    with ``path`` relative to ``root``.  An entry a lookup would not
+    serve is ``"quarantined"`` when ``repair`` is set (a lookup
+    quarantines it too, or never reaches it); the quarantine backlog
+    is reported as ``"info"``.
+    """
+    root = Path(root)
+    healthy, issues = 0, []
+    if not (root / _VERDICTS).is_dir():
+        issues.append(
+            ("info", "cache.empty", _VERDICTS,
+             "no verdicts directory (cache never written)", None)
+        )
+    for entry in _entries(root):
+        problem = _stored_entry_issue(root, entry)
+        if problem is None:
+            healthy += 1
+            continue
+        severity, detail = problem
+        issues.append((
+            severity, "cache.entry", str(entry.relative_to(root)), detail,
+            quarantine_on_repair(root, entry, repair),
+        ))
+    backlog = _quarantine_backlog(root)
+    if backlog:
+        issues.append((
+            "info", "cache.quarantine", QUARANTINE_DIR,
+            f"{backlog} quarantined artifact(s) awaiting post-mortem "
+            "(safe to delete)",
+            None,
+        ))
+    return healthy, issues
 
 
 # ----------------------------------------------------------------------
@@ -331,17 +455,10 @@ class VerdictCache:
     # -- paths ----------------------------------------------------------
     @property
     def verdict_dir(self) -> Path:
-        return self.root / "verdicts"
+        return self.root / _VERDICTS
 
     def _path(self, key: str) -> Path:
-        return self.verdict_dir / key[:2] / f"{key}.json"
-
-    def _entries(self):
-        if not self.verdict_dir.is_dir():
-            return
-        for shard in sorted(self.verdict_dir.iterdir()):
-            if shard.is_dir():
-                yield from sorted(shard.glob("*.json"))
+        return _entry_path(self.root, key)
 
     # -- hot tier -------------------------------------------------------
     def peek_memo(self, key: str) -> "dict | None":
@@ -423,7 +540,7 @@ class VerdictCache:
         path = self._path(key)
         try:
             fault_point("cache.read", path)
-            raw = path.read_text()
+            raw = path.read_bytes()
         except FileNotFoundError:
             return None, "miss"
         except OSError:
@@ -433,22 +550,12 @@ class VerdictCache:
             self.io_errors += 1
             _telemetry().count("cache.io_error")
             return None, "miss"
-        try:
-            payload = json.loads(raw)
-            if not isinstance(payload, dict):
-                raise ValueError("entry is not a JSON object")
-        except (json.JSONDecodeError, UnicodeDecodeError, ValueError):
-            # Corrupt entry (e.g. a crashed writer on a filesystem
-            # without atomic rename): never trusted — quarantined
-            # and recomputed.
-            self._quarantine(path)
-            return None, "miss"
-        if payload.get("cache_version") != CACHE_VERSION:
-            # Version skew: quarantine so the write-once store can
-            # re-fill the slot with a current-format entry.
-            self._quarantine(path)
-            return None, "miss"
-        if payload.get("checksum") != payload_checksum(payload):
+        payload, issue = _parse_entry(raw)
+        if issue is not None:
+            # Corrupt (e.g. a crashed writer on a filesystem without
+            # atomic rename), checksum-failing, or version-skewed: never
+            # trusted — quarantined, so the write-once store can re-fill
+            # the slot, and recomputed.
             self._quarantine(path)
             return None, "miss"
         self.remember(key, payload)
@@ -501,18 +608,13 @@ class VerdictCache:
         """Entry count / byte totals on disk plus this process's hit rate."""
         entries = 0
         total_bytes = 0
-        for path in self._entries():
+        for path in _entries(self.root):
             entries += 1
             try:
                 total_bytes += path.stat().st_size
             except OSError:
                 pass
-        quarantine_dir = self.root / QUARANTINE_DIR
-        in_quarantine = (
-            sum(1 for p in quarantine_dir.iterdir() if p.is_file())
-            if quarantine_dir.is_dir()
-            else 0
-        )
+        in_quarantine = _quarantine_backlog(self.root)
         with self._lock:
             memo_resident = len(self._memo)
         return {
@@ -535,7 +637,7 @@ class VerdictCache:
     def clear(self) -> int:
         """Delete every cached verdict; returns the number removed."""
         removed = 0
-        for path in list(self._entries()):
+        for path in list(_entries(self.root)):
             path.unlink(missing_ok=True)
             removed += 1
         with self._lock:
@@ -546,7 +648,7 @@ class VerdictCache:
         """Keep the ``max_entries`` most recently touched verdicts."""
         if max_entries < 0:
             raise ValueError("max_entries must be non-negative")
-        paths = list(self._entries())
+        paths = list(_entries(self.root))
         if len(paths) <= max_entries:
             return 0
         paths.sort(key=lambda p: p.stat().st_mtime, reverse=True)

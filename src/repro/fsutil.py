@@ -41,6 +41,7 @@ __all__ = [
     "find_orphan_temps",
     "is_orphan_temp",
     "quarantine",
+    "quarantine_on_repair",
     "sweep_orphan_temps",
 ]
 
@@ -156,3 +157,19 @@ def quarantine(root, path) -> Path:
         target = target_dir / f"{path.name}.{counter}"
     os.replace(path, target)
     return target
+
+
+def quarantine_on_repair(root, path, repair: bool) -> "str | None":
+    """The repair of a store audit for an unusable artifact.
+
+    With ``repair`` set, moves ``path`` into ``<root>/quarantine/`` and
+    returns ``"quarantined"``; returns ``None`` when not repairing or
+    when the move fails (the finding then stays unrepaired).
+    """
+    if not repair:
+        return None
+    try:
+        quarantine(root, path)
+    except OSError:
+        return None
+    return "quarantined"

@@ -89,6 +89,24 @@ class TestSerialization:
         path = tmp_path / "spec.json"
         spec.to_file(path)
         assert CampaignSpec.from_file(path) == spec
+        assert path.read_text() == spec.to_json()
+
+    def test_to_file_is_atomic(self, tmp_path, monkeypatch):
+        """A write that fails before the rename leaves the old spec whole."""
+        import os
+
+        path = tmp_path / "spec.json"
+        CampaignSpec(name="old", count=2).to_file(path)
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError(5, "simulated I/O error")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            CampaignSpec(name="new", count=3).to_file(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown campaign spec key"):

@@ -3,6 +3,7 @@
 import json
 import shutil
 import time
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +161,17 @@ def test_manifest_digest_mismatch_is_rewritten(campaign_dir):
     report = diagnose(campaign_dir, repair=True)
     assert report.ok()
     assert json.loads(manifest_path.read_text())["digest"] != "0" * 64
+
+
+def test_non_string_manifest_digest_is_rewritten(campaign_dir):
+    manifest_path = campaign_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["digest"] = 5
+    manifest_path.write_text(json.dumps(manifest))
+    [finding] = diagnose(campaign_dir).findings
+    assert finding.detail.startswith("digest '5' does not match spec digest")
+    assert diagnose(campaign_dir, repair=True).ok()
+    assert json.loads(manifest_path.read_text())["digest"] != 5
 
 
 def test_bad_shard_checkpoint_quarantined(campaign_dir):
@@ -325,3 +337,269 @@ def test_queue_findings_and_repairs(campaign_dir, case):
     # A repaired queue diagnoses clean (quarantined poison stays info).
     remaining = [(severity, "queue.sqlite", detail, None)] if severity == "info" else []
     assert queue_findings(diagnose(campaign_dir)) == remaining
+
+
+# ----------------------------------------------------------------------
+# Shard ids past four digits.
+# ----------------------------------------------------------------------
+
+def test_five_digit_shard_checkpoints_are_healthy(tmp_path):
+    """``shard-10000.json`` is what the runner writes for shard 10000:
+    the doctor must read it as a checkpoint, not set it aside."""
+    spec = CampaignSpec(
+        name="wide", count=10001, models=("R1O",), shard_size=1,
+        n_nodes=4, queue_bound=2, step_bound=20000, cache=False,
+    )
+    campaign = Campaign.create(tmp_path / "camp", spec)
+    for shard in (9999, 10000):
+        campaign.run_shard(shard, workers=1)
+    assert (tmp_path / "camp" / "shards" / "shard-10000.json").is_file()
+
+    report = diagnose(tmp_path / "camp")
+    assert report.ok() and report.warnings == 0
+    assert [f for f in report.findings if f.category == "campaign.shard"] == []
+    # spec + manifest + both checkpoints.
+    assert report.healthy == 4
+
+    diagnose(tmp_path / "camp", repair=True)
+    assert Campaign.open(tmp_path / "camp").completed_shards() == [9999, 10000]
+    assert not (tmp_path / "camp" / QUARANTINE_DIR).exists()
+
+
+# ----------------------------------------------------------------------
+# The doctor and the read paths agree.
+# ----------------------------------------------------------------------
+
+def _rewrite_json(path, **changes):
+    payload = json.loads(path.read_text())
+    payload.update(changes)
+    path.write_text(json.dumps(payload))
+
+
+def _misplace(entry):
+    wrong = entry.parent.parent / ("zz" if entry.parent.name != "zz" else "zy")
+    wrong.mkdir()
+    shutil.move(str(entry), wrong / entry.name)
+
+
+CACHE_DAMAGE = {
+    # case: (damage, doctor severity, what the store does on read)
+    "healthy": (lambda entry: None, None, "served"),
+    "torn-json": (
+        lambda entry: entry.write_text(entry.read_text()[:-10]),
+        "error", "quarantined",
+    ),
+    "non-object": (lambda entry: entry.write_text("[1, 2]"), "error", "quarantined"),
+    "invalid-utf8": (
+        lambda entry: entry.write_bytes(b"\xff" + entry.read_bytes()[1:]),
+        "error", "quarantined",
+    ),
+    "stale-version": (
+        lambda entry: _rewrite_json(entry, cache_version=1),
+        "warning", "quarantined",
+    ),
+    "flipped-checksum": (
+        lambda entry: _rewrite_json(entry, checksum="0" * 64),
+        "error", "quarantined",
+    ),
+    "misplaced": (_misplace, "warning", "unreachable"),
+    "bad-key-name": (
+        lambda entry: entry.rename(entry.with_name("notakey.json")),
+        "warning", "unreachable",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CACHE_DAMAGE))
+def test_cache_doctor_agrees_with_reads(tmp_path, case):
+    damage, severity, on_read = CACHE_DAMAGE[case]
+    root = tmp_path / "cache"
+    _cache_with_entry(root)
+    [entry] = list(root.rglob("*/*.json"))
+    key = entry.stem
+    damage(entry)
+
+    report = diagnose(root)
+    found = [f.severity for f in report.findings if f.category == "cache.entry"]
+    assert found == ([] if severity is None else [severity])
+    assert report.healthy == (1 if severity is None else 0)
+
+    store = VerdictCache(root, memo_entries=0)
+    payload, tier = store.get_payload(key)
+    assert (payload is not None) == (on_read == "served")
+    assert tier == ("disk" if on_read == "served" else "miss")
+    assert store.quarantined == (1 if on_read == "quarantined" else 0)
+
+
+def _shard(directory, shard):
+    return CampaignPaths(directory).shard_path(shard)
+
+
+CHECKPOINT_DAMAGE = {
+    # case: damage applied to a finished two-shard campaign
+    "healthy": lambda d: None,
+    "torn-json": lambda d: _shard(d, 0).write_text(_shard(d, 0).read_text()[:-10]),
+    "non-object": lambda d: _shard(d, 1).write_text("[]"),
+    "foreign-digest": lambda d: _rewrite_json(_shard(d, 0), digest=OTHER_DIGEST),
+    "wrong-shard": lambda d: _shard(d, 1).write_text(_shard(d, 0).read_text()),
+    "short": lambda d: _rewrite_json(
+        _shard(d, 1), records=json.loads(_shard(d, 1).read_text())["records"][:-1]
+    ),
+    "missing": lambda d: _shard(d, 0).unlink(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_DAMAGE))
+def test_campaign_doctor_agrees_with_pending_shards(campaign_dir, case):
+    CHECKPOINT_DAMAGE[case](campaign_dir)
+    report = diagnose(campaign_dir)
+    flagged = {
+        f.path for f in report.findings
+        if f.category == "campaign.shard" and f.severity == "error"
+    }
+    pending = Campaign.open(campaign_dir).pending_shards()
+    # Every checkpoint the runner would re-run is one the doctor flags
+    # (or one that is simply absent), and nothing else.
+    present = [s for s in pending if _shard(campaign_dir, s).exists()]
+    assert flagged == {
+        str(_shard(campaign_dir, s).relative_to(campaign_dir)) for s in present
+    }
+    pending_info = [f for f in report.findings if f.category == "campaign.pending"]
+    if pending:
+        [info] = pending_info
+        assert info.detail.startswith(f"{len(pending)} of {SPEC.n_shards} shard(s)")
+    else:
+        assert pending_info == []
+    diagnose(campaign_dir, repair=True)
+    assert Campaign.open(campaign_dir).pending_shards() == pending
+
+
+# ----------------------------------------------------------------------
+# Golden output: the rendered report and its JSON, pinned byte for byte.
+# ----------------------------------------------------------------------
+
+#: Three passes (diagnose, repair, diagnose again) per corpus, recorded
+#: from the doctor before its checks moved into the stores.  The report
+#: text and JSON are a user-facing contract: regenerate this file only
+#: for a deliberate change of that output.
+GOLDEN = Path(__file__).with_name("doctor_golden.json")
+
+
+def _cache_corpus(damage):
+    def build(tmp_path, finished):
+        root = tmp_path / "cache"
+        _cache_with_entry(root)
+        [entry] = list(root.rglob("*/*.json"))
+        damage(entry)
+        return root
+
+    return build
+
+
+def _campaign_corpus(damage):
+    def build(tmp_path, finished):
+        target = tmp_path / "camp"
+        shutil.copytree(finished, target)
+        damage(target)
+        return target
+
+    return build
+
+
+def _empty_cache_root(tmp_path, finished):
+    root = tmp_path / ".repro-cache"
+    root.mkdir()
+    return root
+
+
+def _partial_report(directory, missing=(1,)):
+    _shard(directory, 1).unlink()
+    Campaign.open(directory).write_report(quarantined=[1])
+    for shard in missing:
+        _shard(directory, shard).unlink(missing_ok=True)
+
+
+def _retarget_manifest(directory):
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["shards"][0]["tasks"] = 99
+    path.write_text(json.dumps(manifest))
+
+
+def _corrupt_nested_cache(directory):
+    entry = sorted((directory / "cache").rglob("*/*.json"))[0]
+    entry.write_text(entry.read_text()[:-10])
+
+
+CORPORA = {
+    **{
+        f"cache-{case}": _cache_corpus(damage)
+        for case, (damage, _, _) in CACHE_DAMAGE.items()
+    },
+    "cache-empty": _empty_cache_root,
+    "cache-orphan-temp": _cache_corpus(
+        lambda entry: (
+            entry.parent.parent / ".stale-entry.json-abc.tmp"
+        ).write_text("partial")
+    ),
+    **{
+        f"campaign-checkpoint-{case}": _campaign_corpus(damage)
+        for case, damage in CHECKPOINT_DAMAGE.items()
+    },
+    "campaign-corrupt-spec": _campaign_corpus(
+        lambda d: (d / "spec.json").write_text("{")
+    ),
+    "campaign-invalid-spec": _campaign_corpus(
+        lambda d: _rewrite_json(d / "spec.json", bogus=1)
+    ),
+    "campaign-manifest-junk": _campaign_corpus(
+        lambda d: (d / "manifest.json").write_text("junk")
+    ),
+    "campaign-manifest-digest": _campaign_corpus(
+        lambda d: _rewrite_json(d / "manifest.json", digest="0" * 64)
+    ),
+    "campaign-manifest-content": _campaign_corpus(_retarget_manifest),
+    "campaign-tampered-report": _campaign_corpus(
+        lambda d: _rewrite_json(d / "report.json", tasks=999)
+    ),
+    "campaign-partial-report": _campaign_corpus(_partial_report),
+    "campaign-partial-report-uncovered": _campaign_corpus(
+        lambda d: _partial_report(d, missing=(0,))
+    ),
+    "campaign-foreign-file": _campaign_corpus(
+        lambda d: (d / "shards" / "notes.txt").write_text("scratch")
+    ),
+    "campaign-out-of-range-shard": _campaign_corpus(
+        lambda d: (d / "shards" / "shard-0099.json").write_text(
+            _shard(d, 0).read_text()
+        )
+    ),
+    "campaign-orphan-temp": _campaign_corpus(
+        lambda d: (d / "shards" / ".shard-0000.json-abc.tmp").write_text("partial")
+    ),
+    "campaign-nested-cache": _campaign_corpus(_corrupt_nested_cache),
+    **{
+        f"campaign-queue-{case}": _campaign_corpus(setup)
+        for case, (setup, *_) in QUEUE_CASES.items()
+    },
+}
+
+
+def _golden_passes(root) -> list:
+    """The doctor's output on ``root`` for diagnose, repair, diagnose."""
+    passes = []
+    for repair in (False, True, False):
+        report = diagnose(root, repair=repair)
+        passes.append({
+            "exit": 0 if report.ok() else 1,
+            "text": report.render().replace(str(root), "<root>"),
+            "json": json.dumps(report.as_dict(), indent=2, sort_keys=True)
+            .replace(str(root), "<root>"),
+        })
+    return passes
+
+
+@pytest.mark.parametrize("case", sorted(CORPORA))
+def test_golden_output(finished_campaign, tmp_path, case):
+    root = CORPORA[case](tmp_path, finished_campaign)
+    assert _golden_passes(root) == json.loads(GOLDEN.read_text())[case]

@@ -89,6 +89,31 @@ class TestOneWorkQueue:
         assert _importers("sqlite3") == ["src/repro/campaign/queue.py"]
 
 
+class TestStoresOwnTheirChecks:
+    """Each durable store checks its own artifacts; ``repro doctor`` only
+    dispatches.  A ``json``/``re`` import in the doctor, or a checksum
+    computed outside the cache, means a rule is being copied again."""
+
+    def test_doctor_parses_nothing(self):
+        doctor = "src/repro/doctor.py"
+        assert doctor not in _importers("json")
+        assert doctor not in _importers("re")
+
+    def test_payload_checksum_called_only_in_the_cache(self):
+        import ast
+
+        callers = []
+        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and "payload_checksum" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    callers.append(path.relative_to(REPO).as_posix())
+                    break
+        assert callers == ["src/repro/engine/cache.py"]
+
+
 class TestVersion:
     def test_package_version_matches_pyproject(self):
         import re
