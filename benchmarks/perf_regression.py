@@ -310,7 +310,7 @@ def bench_telemetry_overhead(
         )
         previous = obs.install(telemetry)
         try:
-            with tracing.trace_span("bench.certify", timing=True):
+            with tracing.trace_span("bench.certify"):
                 return certify(), telemetry.summary
         finally:
             obs.install(previous)

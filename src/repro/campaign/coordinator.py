@@ -51,7 +51,7 @@ from __future__ import annotations
 import threading
 
 from ..obs import active as _telemetry
-from ..obs import metrics as _metrics
+from ..obs import metrics_text as _metrics_text
 from ..obs import tracing
 from ..serve.http import HttpServer
 from ..serve.protocol import PROTOCOL_VERSION, ProtocolError, envelope
@@ -246,18 +246,15 @@ class CampaignCoordinator(HttpServer):
 
     def metrics_text(self) -> str:
         """Lease counters + queue gauges in Prometheus text form."""
-        tel = _telemetry()
-        counters = dict(getattr(tel, "counters", None) or {})
-        gauges = dict(getattr(tel, "gauges", None) or {})
         snapshot = self.queue.snapshot()  # refreshes campaign.queue.* gauges
-        gauges["campaign.queue.depth"] = snapshot["open"]
-        gauges["campaign.queue.leased"] = snapshot["leased"]
-        gauges["campaign.queue.done"] = snapshot["done"]
-        gauges["campaign.shards_quarantined"] = snapshot.get("quarantined", 0)
-        gauges["campaign.complete"] = int(self.complete)
-        registry = getattr(tel, "metrics", None) or _metrics.registry()
-        return _metrics.render_prometheus(
-            metrics=registry, counters=counters, gauges=gauges
+        return _metrics_text(
+            gauges={
+                "campaign.queue.depth": snapshot["open"],
+                "campaign.queue.leased": snapshot["leased"],
+                "campaign.queue.done": snapshot["done"],
+                "campaign.shards_quarantined": snapshot.get("quarantined", 0),
+                "campaign.complete": int(self.complete),
+            }
         )
 
     # -- lifecycle ---------------------------------------------------------

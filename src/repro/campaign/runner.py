@@ -32,6 +32,7 @@ from ..engine.parallel import (
 from ..faults import fault_point
 from ..fsutil import quarantine_on_repair, sweep_orphan_temps
 from ..obs import active as _telemetry
+from ..obs import trace_span
 from .manifest import (
     CAMPAIGN_SCHEMA,
     CampaignPaths,
@@ -128,7 +129,7 @@ def compute_shard_records(
         backoff=spec.retry_backoff,
         task_timeout=spec.task_timeout,
     )
-    with _telemetry().span("campaign.shard"):
+    with trace_span("campaign.shard", shard=shard):
         if spec.mode == "explore":
             results = _explore_grouped(fan_out, tasks)
         else:
@@ -330,19 +331,20 @@ class Campaign:
         result — the quarantined shards of a partial campaign.
         """
         ignore = {int(shard) for shard in ignore}
-        pending = [s for s in self.pending_shards() if s not in ignore]
+        records, pending = [], []
+        for shard in range(self.spec.n_shards):
+            if shard in ignore:
+                continue
+            shard_records = self._shard_records(shard)
+            if shard_records is None:
+                pending.append(shard)
+            else:
+                records.extend(shard_records)
         if pending:
             raise CampaignError(
                 f"campaign incomplete: shard(s) {pending} still pending "
                 "(run `repro campaign resume` first)"
             )
-        records = []
-        for shard in range(self.spec.n_shards):
-            if shard in ignore:
-                continue
-            shard_records = self._shard_records(shard)
-            if shard_records is not None:
-                records.extend(shard_records)
         return records
 
     def report(self, quarantined=()) -> dict:

@@ -458,7 +458,6 @@ def join(
                 with tracing.use(context):
                     with tracing.trace_span(
                         "campaign.join.shard",
-                        timing=True,
                         shard=lease.shard,
                         worker=worker,
                     ):

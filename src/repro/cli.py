@@ -133,7 +133,6 @@ def _config_from_args(args, workers: "int | None" = None) -> RunConfig:
         reduction=args.reduction,
         cache_dir=_resolve_cache_dir(args),
         workers=workers,
-        telemetry=_resolve_telemetry(args),
     )
 
 

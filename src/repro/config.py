@@ -20,9 +20,6 @@ picklable value object:
 * ``queue_bound`` — channel budget of the bounded search.
 * ``step_bound`` — the run's budget: ``max_states`` for explorations,
   ``max_steps`` for simulations; ``None`` uses each consumer's default.
-* ``telemetry`` — JSONL event-stream path, consumed by *drivers* (the
-  CLI and the campaign runner, which call :func:`repro.obs.configure`);
-  library entry points never install a sink themselves.
 
 ``config=`` is the only way to pass these, and the entry points take
 everything after their data inputs by keyword only.
@@ -84,7 +81,6 @@ class RunConfig:
     workers: "int | None" = None
     queue_bound: int = 3
     step_bound: "int | None" = None
-    telemetry: "str | None" = None
 
     def __post_init__(self) -> None:
         validate_engine(self.engine)
@@ -170,6 +166,5 @@ class RunConfig:
             "workers": self.workers,
             "queue_bound": self.queue_bound,
             "step_bound": self.step_bound,
-            "telemetry": self.telemetry,
         }
 

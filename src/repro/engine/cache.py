@@ -79,6 +79,7 @@ from ..fsutil import (
     sweep_orphan_temps,
 )
 from ..obs import active as _telemetry
+from ..obs import trace_span
 from .activation import INFINITY, ActivationEntry
 from .explorer import ENGINE_REVISION, ExplorationResult, OscillationWitness
 from .reduction import REDUCTION_REVISION
@@ -492,7 +493,7 @@ class VerdictCache:
     def get(self, key: str, instance: SPPInstance) -> "ExplorationResult | None":
         """The cached result for ``key``, re-labeled for ``instance``."""
         tel = _telemetry()
-        with tel.span("cache.get"):
+        with trace_span("cache.get"):
             payload, _ = self._fetch_payload(key)
             if payload is None:
                 self.misses += 1
@@ -520,7 +521,7 @@ class VerdictCache:
         same hit/miss accounting as :meth:`get`.
         """
         tel = _telemetry()
-        with tel.span("cache.get"):
+        with trace_span("cache.get"):
             payload, tier = self._fetch_payload(key)
             if payload is None:
                 self.misses += 1
@@ -583,7 +584,7 @@ class VerdictCache:
         computation that produced ``result``.
         """
         tel = _telemetry()
-        with tel.span("cache.put"):
+        with trace_span("cache.put"):
             payload = result_to_payload(result, instance)
             self.remember(key, payload)
             path = self._path(key)

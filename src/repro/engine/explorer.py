@@ -54,6 +54,7 @@ from ..core.spp import SPPInstance
 from ..models.dimensions import MessageCount, NeighborScope, Reliability
 from ..models.taxonomy import CommunicationModel
 from ..obs import active as _telemetry
+from ..obs import trace_span
 from .activation import INFINITY, ActivationEntry
 from .execution import apply_entry
 from .reduction import (
@@ -468,17 +469,19 @@ class Explorer:
         # Fast path: the packed-integer port of this exact search.
         # Subclasses (e.g. the multi-node explorer) override successor
         # generation, so only the base class may take it.
+        search = self._explore_reference
         if self.engine == "packed" and type(self) is Explorer:
             from .packed import PackedExplorer
 
-            return PackedExplorer(
+            search = PackedExplorer(
                 self.instance,
                 self.model,
                 queue_bound=self.queue_bound,
                 max_states=self.max_states,
                 reduction=self.reduction,
-            ).explore()
-        return self._explore_reference()
+            ).explore
+        with trace_span("explore.search"):
+            return search()
 
     def _explore_reference(self) -> ExplorationResult:
         """The reference (rich-value) search loop."""
@@ -500,7 +503,6 @@ class Explorer:
         checkpoint = 1024
 
         def result(witness, complete) -> ExplorationResult:
-            tel.timing("explore.search", time.perf_counter() - search_start)
             return ExplorationResult(
                 model_name=self.model.name,
                 instance_name=self.instance.name,

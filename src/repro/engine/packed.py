@@ -1002,7 +1002,6 @@ class PackedExplorer:
                  edge_tgt, edge_tau, parent_src, parent_op, parent_tau)
 
         def result(witness, complete) -> "ExplorationResult":
-            tel.timing("explore.search", time.perf_counter() - search_start)
             tel.count("explore.frontier_batches", batches)
             tel.count("explore.orbits_merged", self._orbits_merged)
             return ExplorationResult(

@@ -34,6 +34,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -121,9 +122,6 @@ def _timed_call(function, task) -> tuple:
     return result, (os.getpid(), started, elapsed, deltas)
 
 
-from contextlib import contextmanager
-
-
 @contextmanager
 def _exported_trace_environment():
     """Export the current trace context to ``$REPRO_TRACEPARENT`` while
@@ -155,69 +153,97 @@ def parallel_map(function, tasks, workers: "int | None" = None) -> list:
 
     Returns results in task order.  ``workers=None`` uses
     :func:`default_workers`; ``workers<=1`` (or fewer than two tasks)
-    runs serially in-process.
-
-    With telemetry enabled the fan-out additionally records, in the
-    *parent* process, per-worker task counts plus ``worker.task`` /
-    ``worker.queue_wait`` / ``worker.idle`` span timings — results are
-    identical either way (workers report timing alongside their result;
-    merging still follows task-submission order).
+    runs serially in-process.  The first failing task (in task order)
+    raises its exception; tasks not yet started are cancelled.
     """
     tasks = list(tasks)
     if workers is None:
         workers = default_workers()
     if workers <= 1 or len(tasks) <= 1:
         return [function(task) for task in tasks]
+    return _pooled(function, tasks, workers)
+
+
+def _pooled(function, tasks, workers: int, failures=None, task_timeout=None) -> list:
+    """The one pooled path: ``function`` over ``tasks`` in a fresh pool.
+
+    Returns results in task order.  Every item runs through
+    :func:`_timed_call` with the trace context exported
+    (:func:`_exported_trace_environment`).  With telemetry live the
+    parent records per-worker task counts and the ``worker.task`` /
+    ``worker.queue_wait`` / ``worker.pool`` / ``worker.idle`` timings,
+    and merges the workers' registry deltas, so ``cache.*`` and
+    ``explore.*`` totals survive the worker processes.
+
+    A failed item raises, unless ``failures`` is a list: then
+    ``(position, error)`` is appended and its result slot stays
+    ``None``.  An item without a result ``task_timeout`` seconds into
+    the wait is treated as hung: the pool's worker processes are
+    terminated outright (a hung worker would otherwise block the
+    executor's shutdown forever), so every item still outstanding
+    fails alongside it.
+    """
     tel = _telemetry()
     pool_size = min(workers, len(tasks))
-    if not tel.enabled:
-        with _exported_trace_environment():
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                return list(pool.map(function, tasks))
-    return _instrumented_map(tel, function, tasks, pool_size)
-
-
-def _instrumented_map(tel, function, tasks, pool_size: int) -> list:
-    """The telemetry-recording twin of the executor branch."""
     timed = partial(_timed_call, function)
+    results: list = [None] * len(tasks)
+    worker_index: dict = {}
+    busy = 0.0
+    killed = False
     pool_start = time.perf_counter()
-    with _exported_trace_environment(), ProcessPoolExecutor(
-        max_workers=pool_size
-    ) as pool:
-        submitted = []
-        for task in tasks:
-            submitted.append((pool.submit(timed, task), time.time()))
-        results = []
-        worker_index: dict = {}
-        busy = 0.0
-        for future, submit_wall in submitted:
-            result, (pid, started_wall, elapsed, deltas) = future.result()
-            results.append(result)
-            index = worker_index.setdefault(pid, len(worker_index))
-            tel.count(f"worker.w{index}.tasks")
-            tel.timing("worker.task", elapsed)
-            tel.timing(
-                "worker.queue_wait", max(0.0, started_wall - submit_wall)
-            )
-            busy += elapsed
-            if deltas is not None:
-                counters, timings = deltas
-                for name, value in counters.items():
-                    tel.count(name, value)
-                for name, (calls, total, peak) in timings.items():
-                    cell = tel.timings.get(name)
-                    if cell is None:
-                        tel.timings[name] = [calls, total, peak]
-                    else:
-                        cell[0] += calls
-                        cell[1] += total
-                        if peak > cell[2]:
-                            cell[2] = peak
-    pool_elapsed = time.perf_counter() - pool_start
-    tel.gauge("worker.count", len(worker_index))
-    tel.timing("worker.pool", pool_elapsed)
-    tel.timing("worker.idle", max(0.0, pool_elapsed * pool_size - busy))
+    with _exported_trace_environment():
+        pool = ProcessPoolExecutor(max_workers=pool_size)
+        try:
+            submitted = [(pool.submit(timed, task), time.time()) for task in tasks]
+            for position, (future, submit_wall) in enumerate(submitted):
+                try:
+                    result, (pid, started_wall, elapsed, deltas) = future.result(
+                        timeout=task_timeout
+                    )
+                except Exception as error:
+                    if failures is None:
+                        raise
+                    failures.append((position, error))
+                    if isinstance(error, _FuturesTimeout) and not killed:
+                        killed = True
+                        future.cancel()
+                        for process in getattr(pool, "_processes", {}).values():
+                            process.terminate()
+                    continue
+                results[position] = result
+                if not tel.enabled:
+                    continue
+                index = worker_index.setdefault(pid, len(worker_index))
+                tel.count(f"worker.w{index}.tasks")
+                tel.timing("worker.task", elapsed)
+                tel.timing("worker.queue_wait", max(0.0, started_wall - submit_wall))
+                busy += elapsed
+                if deltas is not None:
+                    _merge_deltas(tel, deltas)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    if tel.enabled:
+        pool_elapsed = time.perf_counter() - pool_start
+        tel.gauge("worker.count", len(worker_index))
+        tel.timing("worker.pool", pool_elapsed)
+        tel.timing("worker.idle", max(0.0, pool_elapsed * pool_size - busy))
     return results
+
+
+def _merge_deltas(tel, deltas) -> None:
+    """Add one worker call's counter and span-timing growth to ``tel``."""
+    counters, timings = deltas
+    for name, value in counters.items():
+        tel.count(name, value)
+    for name, (calls, total, peak) in timings.items():
+        cell = tel.timings.get(name)
+        if cell is None:
+            tel.timings[name] = [calls, total, peak]
+        else:
+            cell[0] += calls
+            cell[1] += total
+            if peak > cell[2]:
+                cell[2] = peak
 
 
 class TaskFailure(RuntimeError):
@@ -271,62 +297,33 @@ def parallel_map_retrying(
         if attempt:
             time.sleep(min(backoff * (2 ** (attempt - 1)), 30.0))
             tel.count("parallel.task.retry", len(pending))
+        round_tasks = [tasks[index] for index in pending]
+        failures: list = []
         if serial:
-            failures = _retry_round_serial(function, tasks, pending, results)
+            outcomes = _serial_round(function, round_tasks, failures)
         else:
-            failures = _retry_round_pooled(
-                function, tasks, pending, results, workers, task_timeout
+            outcomes = _pooled(
+                function, round_tasks, workers,
+                failures=failures, task_timeout=task_timeout,
             )
+        for index, result in zip(pending, outcomes):
+            results[index] = result
         if failures and attempt == retries:
-            index, cause = failures[0]
-            raise TaskFailure(index, attempt + 1, cause) from cause
-        pending = [index for index, _ in failures]
+            position, cause = failures[0]
+            raise TaskFailure(pending[position], attempt + 1, cause) from cause
+        pending = [pending[position] for position, _ in failures]
     return results
 
 
-def _retry_round_serial(function, tasks, pending, results) -> list:
-    """One in-process attempt over ``pending``; returns the failures."""
-    failures = []
-    for index in pending:
+def _serial_round(function, tasks, failures: list) -> list:
+    """The in-process twin of :func:`_pooled` for one retry round."""
+    results: list = [None] * len(tasks)
+    for position, task in enumerate(tasks):
         try:
-            results[index] = function(tasks[index])
+            results[position] = function(task)
         except Exception as error:
-            failures.append((index, error))
-    return failures
-
-
-def _retry_round_pooled(
-    function, tasks, pending, results, workers, task_timeout
-) -> list:
-    """One pooled attempt over ``pending``; returns the failures.
-
-    Futures are drained in submission order.  On a timeout the pool's
-    worker processes are terminated outright — a hung worker would
-    otherwise block the executor's shutdown forever — which makes the
-    pool unusable, so every task still outstanding fails over to the
-    next round alongside the hung one.
-    """
-    failures = []
-    pool_size = min(workers, len(pending))
-    pool = ProcessPoolExecutor(max_workers=pool_size)
-    killed = False
-    try:
-        futures = [
-            (index, pool.submit(function, tasks[index])) for index in pending
-        ]
-        for index, future in futures:
-            try:
-                results[index] = future.result(timeout=task_timeout)
-            except Exception as error:
-                failures.append((index, error))
-                if isinstance(error, _FuturesTimeout) and not killed:
-                    killed = True
-                    future.cancel()
-                    for process in getattr(pool, "_processes", {}).values():
-                        process.terminate()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-    return failures
+            failures.append((position, error))
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +423,7 @@ def _explore_one(task: ExplorationTask):
         or _tracing.current()
         or _tracing.from_environment()
     )
-    with _tracing.trace_span("worker.run", parent=parent, timing=True) as span:
+    with _tracing.trace_span("worker.run", parent=parent) as span:
         span.note(instance=task.instance.name, model=task.model_name)
         config = task.run_config()
         if task.cache_dir is not None:

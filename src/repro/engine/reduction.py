@@ -62,6 +62,7 @@ from __future__ import annotations
 from ..core.paths import EPSILON
 from ..models.dimensions import NeighborScope
 from ..obs import active as _telemetry
+from ..obs import trace_span
 
 __all__ = [
     "REDUCTIONS",
@@ -130,8 +131,7 @@ def representative_tables(instance) -> tuple:
     if cached is not None:
         _telemetry().count("reduction.table_hits")
         return cached
-    tel = _telemetry()
-    with tel.span("reduction.tables"):
+    with trace_span("reduction.tables"):
         routes = route_universe(instance)
         tables = []
         for channel in instance.channels:
@@ -143,7 +143,7 @@ def representative_tables(instance) -> tuple:
                 table.append(first.setdefault(ext, rid))
             tables.append(tuple(table))
         tables = tuple(tables)
-    tel.count("reduction.table_builds")
+    _telemetry().count("reduction.table_builds")
     object.__setattr__(instance, "_reduction_tables", tables)
     return tables
 
@@ -159,7 +159,7 @@ def representative_paths(instance) -> dict:
     if cached is not None:
         return cached
     tables = representative_tables(instance)
-    with _telemetry().span("reduction.tables"):
+    with trace_span("reduction.tables"):
         routes = route_universe(instance)
         mapping = {
             channel: {

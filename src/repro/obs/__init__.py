@@ -1,19 +1,23 @@
 """``repro.obs`` — runtime telemetry: spans, counters, JSONL events.
 
 The observability layer the search/cache/fan-out stack reports into
-(see ``docs/observability.md``).  Six pieces:
+(see ``docs/observability.md``).  Its one instrumentation primitive is
+:func:`trace_span`: with telemetry live, every span feeds the summary
+totals and the ``/metrics`` latency histogram and writes one ``span``
+record into the trace tree; with telemetry off it is a shared no-op.
+Six pieces:
 
-* :mod:`~repro.obs.telemetry` — the process-wide active sink: nested
-  wall-time spans, a counter/gauge registry, and a structured JSONL
-  event stream (run metadata, exploration heartbeats, per-verdict
-  records, a final summary).  Disabled by default at negligible cost.
-* :mod:`~repro.obs.tracing` — distributed request tracing: W3C-style
-  trace/span IDs propagated across threads, HTTP hops, and worker
-  processes; ``span`` JSONL records reconstructed by
-  ``repro trace show``.
+* :mod:`~repro.obs.telemetry` — the process-wide active sink: a
+  counter/gauge/span-timing registry and a structured JSONL event
+  stream (run metadata, exploration heartbeats, per-verdict records,
+  span records, a final summary), plus :func:`metrics_text`, the one
+  ``GET /metrics`` renderer.  Disabled by default at negligible cost.
+* :mod:`~repro.obs.tracing` — :func:`trace_span` and distributed
+  request tracing: W3C-style trace/span IDs propagated across threads,
+  HTTP hops, and worker processes; ``span`` JSONL records
+  reconstructed by ``repro trace show``.
 * :mod:`~repro.obs.metrics` — log-bucketed sliding-window histograms
-  (p50/p95/p99) fed by span timings, exported as Prometheus text on
-  the daemon's ``GET /metrics``.
+  (p50/p95/p99) fed by span timings, exported as Prometheus text.
 * :mod:`~repro.obs.stats` — aggregates one or more JSONL files into a
   per-phase wall-time breakdown (``repro stats``).
 * :mod:`~repro.obs.progress` — a live stderr heartbeat printer
@@ -56,6 +60,7 @@ from .telemetry import (
     active,
     configure,
     install,
+    metrics_text,
     shutdown,
 )
 from .tracing import (
@@ -85,6 +90,7 @@ __all__ = [
     "collect_trace",
     "configure",
     "install",
+    "metrics_text",
     "parse_prometheus",
     "read_records",
     "registry",

@@ -1,4 +1,4 @@
-"""Spans, counters, gauges, and the JSONL event sink.
+"""Counters, gauges, span timings, and the JSONL event sink.
 
 One process owns one *active* telemetry object (module-level, like a
 logging root).  By default it is :data:`NULL`, a no-op whose methods
@@ -12,15 +12,13 @@ by a JSONL file (the CLI's ``--telemetry PATH``; the
 witness, state count, or cache key depends on whether it is enabled
 (``tests/engine/test_telemetry_differential.py`` pins this).
 
-**Spans** measure nested wall time::
-
-    with tel.span("explore.search"):
-        ...
-
-Each span name accumulates ``(calls, total seconds, max seconds)``.
-Span names are dot-separated; the first segment is the *phase* the
-``repro stats`` aggregator groups by (``explore`` / ``reduction`` /
-``cache`` / ``worker``).
+**Span timings** are fed by :func:`repro.obs.tracing.trace_span`, the
+one timed-region primitive, and by :meth:`Telemetry.timing` for
+durations the fan-out derives.  Each span name accumulates ``(calls,
+total seconds, max seconds)`` and a latency histogram.  Span names are
+dot-separated; the first segment is the *phase* the ``repro stats``
+aggregator groups by (``explore`` / ``reduction`` / ``cache`` /
+``worker``).
 
 **Counters and gauges** are a flat name → value registry: counters
 accumulate (``cache.hit``, ``explore.states``), gauges keep the last
@@ -57,6 +55,7 @@ __all__ = [
     "active",
     "configure",
     "install",
+    "metrics_text",
     "shutdown",
 ]
 
@@ -69,21 +68,6 @@ SCHEMA_VERSION = 2
 TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
 
 
-class _NullSpan:
-    """Shared no-op context manager returned by the disabled sink."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class NullTelemetry:
     """The disabled sink: every operation is a no-op.
 
@@ -92,9 +76,6 @@ class NullTelemetry:
     """
 
     enabled = False
-
-    def span(self, name: str):
-        return _NULL_SPAN
 
     def count(self, name: str, n: int = 1) -> None:
         pass
@@ -128,24 +109,6 @@ class NullTelemetry:
 
 
 NULL = NullTelemetry()
-
-
-class _Span:
-    """One timed region; records into the owning telemetry on exit."""
-
-    __slots__ = ("_telemetry", "name", "_start")
-
-    def __init__(self, telemetry: "Telemetry", name: str) -> None:
-        self._telemetry = telemetry
-        self.name = name
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self._telemetry.timing(self.name, time.perf_counter() - self._start)
-        return False
 
 
 class Telemetry:
@@ -190,9 +153,6 @@ class Telemetry:
         self.event("run", **meta)
 
     # -- registries -----------------------------------------------------
-    def span(self, name: str) -> _Span:
-        return _Span(self, name)
-
     def count(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
 
@@ -330,6 +290,26 @@ def configure(
     telemetry = Telemetry(path, run=run)
     install(telemetry)
     return telemetry
+
+
+def metrics_text(counters: "dict | None" = None, gauges: "dict | None" = None) -> str:
+    """A ``GET /metrics`` body (Prometheus text exposition).
+
+    The active telemetry's counters and gauges, overlaid with the
+    caller's own (which win: a daemon's request counters are
+    authoritative even when telemetry is off), plus the latency
+    histograms of its metrics registry — the process-wide one when no
+    telemetry is live.
+    """
+    merged_counters = dict(getattr(_active, "counters", None) or {})
+    merged_counters.update(counters or {})
+    merged_gauges = dict(getattr(_active, "gauges", None) or {})
+    merged_gauges.update(gauges or {})
+    return _metrics_module.render_prometheus(
+        metrics=getattr(_active, "metrics", None) or _metrics_module.registry(),
+        counters=merged_counters,
+        gauges=merged_gauges,
+    )
 
 
 def shutdown() -> None:

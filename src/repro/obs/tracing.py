@@ -17,16 +17,17 @@ adds the causal layer:
   header (:mod:`repro.serve`); across OS processes via the task payload
   (:class:`~repro.engine.parallel.ExplorationTask.traceparent`) and the
   :data:`TRACEPARENT_ENV_VAR` spawn environment.
-* **Span events** — :func:`trace_span` wraps one operation, minting a
-  child span of the current (or explicit) parent and emitting one
-  schema-v2 JSONL record through the active telemetry::
+* **Spans** — :func:`trace_span` is the package's one timed-region
+  primitive.  It mints a child span of the current (or explicit)
+  parent, feeds its duration into the telemetry totals and latency
+  histograms, and emits one schema-v2 JSONL record::
 
       {"type": "span", "trace": ..., "span": ..., "parent": ...,
        "name": ..., "pid": ..., "start_ts": ..., "dur_s": ..., ...}
 
-  With telemetry disabled *and* no parent in scope, the span is the
-  shared no-op — untraced hot paths pay one attribute test.
-* **Reconstruction** — :func:`collect_trace` /: func:`render_trace_tree`
+  With telemetry disabled the span is the shared no-op — hot paths
+  pay one attribute test.
+* **Reconstruction** — :func:`collect_trace` / :func:`render_trace_tree`
   turn any number of telemetry JSONL streams (client + server + worker
   appenders interleave freely) back into the request's span tree:
   ``repro trace show <trace-id> --telemetry FILE...``.
@@ -162,8 +163,9 @@ def from_environment() -> "TraceContext | None":
 # ----------------------------------------------------------------------
 # Span emission.
 # ----------------------------------------------------------------------
-class _NullTraceSpan:
-    """Shared no-op span for untraced paths (no parent, telemetry off)."""
+class _NullSpan:
+    """The shared no-op span :func:`trace_span` returns while telemetry
+    is off: nothing could record it, so it costs one attribute test."""
 
     __slots__ = ()
 
@@ -171,21 +173,41 @@ class _NullTraceSpan:
     trace_id = None
     span_id = None
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, traceback):
+        return False
+
     def note(self, **fields) -> None:
         pass
 
 
-_NULL_TRACE_SPAN = _NullTraceSpan()
+_NULL_SPAN = _NullSpan()
 
 _UNSET = object()
 
 
 class TraceSpan:
-    """A live span: its context plus fields accumulated before close."""
+    """One live timed region: its context plus fields noted before close.
 
-    __slots__ = ("context", "fields")
+    Entering resolves the parent (the explicit one, else the thread's
+    current context), mints the span's own coordinate unless it was
+    pinned, and makes it the current context for the body.  Exiting
+    restores the previous context, feeds the duration into
+    :meth:`Telemetry.timing` under the span's name (the summary totals
+    and the latency histograms), and writes one ``span`` record.
+    """
 
-    def __init__(self, context: TraceContext, fields: dict) -> None:
+    __slots__ = (
+        "_telemetry", "name", "context", "fields", "_parent",
+        "_previous", "_start_wall", "_started",
+    )
+
+    def __init__(self, telemetry, name: str, parent, context, fields: dict) -> None:
+        self._telemetry = telemetry
+        self.name = name
+        self._parent = parent
         self.context = context
         self.fields = fields
 
@@ -201,70 +223,61 @@ class TraceSpan:
         """Attach fields to the span record (e.g. outcome, hit tier)."""
         self.fields.update(fields)
 
+    def __enter__(self) -> "TraceSpan":
+        self._previous = current()
+        parent = self._previous if self._parent is _UNSET else self._parent
+        self._parent = parent
+        if self.context is None:
+            self.context = TraceContext.root() if parent is None else parent.child()
+        _local.context = self.context
+        self._start_wall = time.time()
+        self._started = time.perf_counter()
+        return self
 
-@contextmanager
-def trace_span(
-    name: str, *, parent=_UNSET, context=None, timing: bool = False, **fields
-):
-    """Run one traced operation; yields a :class:`TraceSpan`.
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        elapsed = time.perf_counter() - self._started
+        _local.context = self._previous
+        if exc_type is not None:
+            self.fields.setdefault("error", exc_type.__name__)
+        telemetry = self._telemetry
+        telemetry.timing(self.name, elapsed)
+        telemetry.event(
+            "span",
+            trace=self.context.trace_id,
+            span=self.context.span_id,
+            parent=None if self._parent is None else self._parent.span_id,
+            name=self.name,
+            pid=os.getpid(),
+            start_ts=round(self._start_wall, 6),
+            dur_s=round(elapsed, 6),
+            **self.fields,
+        )
+        return False
 
-    ``parent`` defaults to the thread's current context; pass an
-    explicit :class:`TraceContext` (or ``None`` to force a fresh root).
-    ``context`` instead pins the span's *own* coordinate — the client
-    uses this to put its pre-minted root (already sent in the
-    ``traceparent`` header) on the span record.  The span becomes the
-    current context for the body, so nested ``trace_span`` calls chain
-    parent links automatically.  The ``span`` JSONL record is emitted
-    through the active telemetry at exit — nothing is written when
-    telemetry is disabled.  ``timing=True`` additionally feeds the
-    span's duration into the telemetry span registry (and thus the
-    latency histograms) under ``name``.
 
-    An exception propagating out of the body is recorded as an
-    ``error`` field and re-raised — a failed request still traces.
+def trace_span(name: str, *, parent=_UNSET, context=None, **fields):
+    """The one timed-region primitive: ``with trace_span(name) as span:``.
+
+    With telemetry live the span's duration feeds
+    :meth:`Telemetry.timing` under ``name`` and one ``span`` record is
+    written at exit.  ``parent`` defaults to the thread's current
+    context; pass an explicit :class:`TraceContext` (or ``None`` to
+    force a fresh root).  ``context`` instead pins the span's *own*
+    coordinate — the client uses this to put its pre-minted root
+    (already sent in the ``traceparent`` header) on the span record.
+    The span is the current context for its body, so nested spans
+    chain parent links.  ``fields`` start the record's extra fields.
+
+    With telemetry off the shared no-op span is returned, whatever
+    trace context is in scope: nothing could record it.  An exception
+    propagating out of the body is recorded as an ``error`` field and
+    re-raised — a failed request still traces.
     """
-    tel = _telemetry_module.active()
-    parent_context = current() if parent is _UNSET else parent
-    if context is None and parent_context is None and not tel.enabled:
-        # Untraced and unobserved: stay off the floor entirely.
-        yield _NULL_TRACE_SPAN
-        return
-    if context is not None:
-        parent_span = parent_context.span_id if parent_context else None
-    elif parent_context is None:
-        context = TraceContext.root()
-        parent_span = None
-    else:
-        context = parent_context.child()
-        parent_span = parent_context.span_id
-    span = TraceSpan(context, dict(fields))
-    start_wall = time.time()
-    started = time.perf_counter()
-    error: "BaseException | None" = None
-    with use(context):
-        try:
-            yield span
-        except BaseException as exc:
-            error = exc
-            raise
-        finally:
-            elapsed = time.perf_counter() - started
-            if error is not None:
-                span.fields.setdefault("error", type(error).__name__)
-            if tel.enabled:
-                if timing:
-                    tel.timing(name, elapsed)
-                tel.event(
-                    "span",
-                    trace=context.trace_id,
-                    span=context.span_id,
-                    parent=parent_span,
-                    name=name,
-                    pid=os.getpid(),
-                    start_ts=round(start_wall, 6),
-                    dur_s=round(elapsed, 6),
-                    **span.fields,
-                )
+    # The module global, not ``active()``: this is the whole null path.
+    telemetry = _telemetry_module._active
+    if not telemetry.enabled:
+        return _NULL_SPAN
+    return TraceSpan(telemetry, name, parent, context, fields)
 
 
 # ----------------------------------------------------------------------

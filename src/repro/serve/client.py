@@ -169,9 +169,7 @@ class ServeClient(HttpClient):
             )
         root = tracing.TraceContext.root()
         request_headers = {TRACEPARENT_HEADER: root.to_traceparent()}
-        with tracing.trace_span(
-            "client.query", context=root, timing=True
-        ) as span:
+        with tracing.trace_span("client.query", context=root) as span:
             data, headers = self._request(
                 "POST", "/v1/query", body, extra_headers=request_headers
             )

@@ -49,7 +49,7 @@ from ..engine.cache import result_to_payload, shared_cache, verdict_key
 from ..engine.parallel import ExplorationTask, run_explorations
 from ..faults import fault_point
 from ..obs import active as _telemetry
-from ..obs import metrics as _metrics
+from ..obs import metrics_text as _metrics_text
 from ..obs import tracing as _tracing
 from .protocol import PROTOCOL_VERSION, QueryRequest, parse_query
 
@@ -296,28 +296,22 @@ class VerdictService:
     def metrics_text(self) -> str:
         """The ``GET /metrics`` body (Prometheus text exposition).
 
-        Counters merge the live telemetry registry (cache, explore, and
-        worker counters) with the service's own — the service values
-        win for ``serve.*`` since they are authoritative even when
-        telemetry is disabled.  Latency histograms come from the
-        process-wide metrics registry that span timings feed.
+        The live telemetry's counters (cache, explore, and worker)
+        overlaid with the service's ``serve.*`` counters and gauges,
+        which are authoritative even when telemetry is disabled
+        (:func:`repro.obs.metrics_text`).
         """
-        tel = _telemetry()
-        counters = dict(getattr(tel, "counters", None) or {})
-        gauges = dict(getattr(tel, "gauges", None) or {})
         with self._lock:
-            for name, value in self.counters.items():
-                counters[f"serve.{name}"] = value
-            gauges["serve.inflight"] = len(self._inflight)
-            gauges["serve.pending_batches"] = len(self._pending)
-            gauges["serve.response_cache"] = len(self._responses)
-            gauges["serve.draining"] = self._draining
+            counters = {f"serve.{name}": value for name, value in self.counters.items()}
+            gauges = {
+                "serve.inflight": len(self._inflight),
+                "serve.pending_batches": len(self._pending),
+                "serve.response_cache": len(self._responses),
+                "serve.draining": self._draining,
+            }
         gauges["serve.queue_depth"] = self._queue.qsize()
         gauges["serve.queue_cap"] = self.config.queue_cap
-        registry = getattr(tel, "metrics", None) or _metrics.registry()
-        return _metrics.render_prometheus(
-            metrics=registry, counters=counters, gauges=gauges
-        )
+        return _metrics_text(counters=counters, gauges=gauges)
 
     # -- request path ---------------------------------------------------
     def handle_query(
@@ -332,12 +326,10 @@ class VerdictService:
         deadline below the configured one.
         """
         tel = _telemetry()
-        # trace_span(timing=True) keeps the serve.request wall-time
-        # accounting the flat span gave us, and additionally emits the
-        # request's span record under the caller's trace (the HTTP
-        # layer installs the client's traceparent as the current
-        # context before calling in).
-        with _tracing.trace_span("serve.request", timing=True) as req_span:
+        # The request's span record lands under the caller's trace: the
+        # HTTP layer installs the client's traceparent as the current
+        # context before calling in.
+        with _tracing.trace_span("serve.request") as req_span:
             self._count("requests")
             fault_point("serve.request", None)
             if self._draining:
@@ -388,7 +380,7 @@ class VerdictService:
         results: dict = {}
         served: dict = {}
         missing: dict = {}
-        with _tracing.trace_span("serve.lookup", timing=True) as lookup_span:
+        with _tracing.trace_span("serve.lookup") as lookup_span:
             for model_name, key in keys.items():
                 payload, tier = self.cache.get_payload(key)
                 if payload is not None:
@@ -399,7 +391,7 @@ class VerdictService:
             lookup_span.note(hits=len(served), misses=len(missing))
         if missing:
             owned, joined = self._register(request, canonical, missing, results, served)
-            with _tracing.trace_span("serve.wait", timing=True) as wait_span:
+            with _tracing.trace_span("serve.wait") as wait_span:
                 leaders = sorted(
                     {e.leader_span for e in joined.values() if e.leader_span}
                 )
@@ -555,9 +547,7 @@ class VerdictService:
         )
         # The worker thread has no ambient trace context — the batch
         # carries its creator's, crossing the queue boundary explicitly.
-        with _tracing.trace_span(
-            "serve.compute", parent=batch.trace, timing=True
-        ) as compute_span:
+        with _tracing.trace_span("serve.compute", parent=batch.trace) as compute_span:
             compute_span.note(batch_size=len(batch.jobs))
             traceparent = (
                 compute_span.context.to_traceparent()

@@ -153,3 +153,59 @@ class TestTelemetryVisibility:
             campaign.paths.report_path.read_bytes()
             == reference.paths.report_path.read_bytes()
         )
+
+    def test_pooled_shard_reports_like_a_serial_one(self, tmp_path):
+        """A pooled shard merges its workers' totals into the parent's
+        telemetry: the search counters and ``explore.search`` calls
+        match the serial run, and the fan-out counters appear."""
+        from repro import obs
+        from repro.campaign.runner import compute_shard_records
+
+        def observe(workers):
+            telemetry = obs.Telemetry(metrics=obs.MetricsRegistry())
+            previous = obs.install(telemetry)
+            try:
+                compute_shard_records(
+                    SPEC, 0, workers=workers,
+                    cache_dir=str(tmp_path / f"cache-{workers}"),
+                )
+            finally:
+                obs.install(previous)
+            return telemetry
+
+        serial, pooled = observe(1), observe(2)
+        for name in ("explore.runs", "explore.states", "explore.states_pruned"):
+            assert pooled.counters[name] == serial.counters[name] > 0, name
+        assert (
+            pooled.timings["explore.search"][0]
+            == serial.timings["explore.search"][0]
+        )
+        assert any(
+            name.startswith("worker.w") and name.endswith(".tasks")
+            for name in pooled.counters
+        )
+
+
+class TestReportReads:
+    def test_write_report_reads_each_checkpoint_once(self, tmp_path, monkeypatch):
+        from repro.campaign import runner
+
+        campaign = Campaign.create(tmp_path / "c", SPEC)
+        campaign.run(workers=1)
+        reads = []
+        real = runner.read_json
+
+        def counting(path, *args, **kwargs):
+            reads.append(path.name)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "read_json", counting)
+        campaign.write_report()
+        assert reads == ["shard-0000.json", "shard-0001.json"]
+
+    def test_pending_shards_still_refuse_the_report(self, tmp_path):
+        campaign = Campaign.create(tmp_path / "c", SPEC)
+        campaign.run(workers=1, max_shards=1)
+        with pytest.raises(CampaignError, match=r"shard\(s\) \[1\] still pending"):
+            campaign.write_report()
+        assert campaign.records(ignore=[1]) == campaign._shard_records(0)

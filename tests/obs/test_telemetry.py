@@ -1,4 +1,7 @@
-"""Tests for the telemetry core: spans, registries, events, lifecycle."""
+"""Tests for the telemetry core: registries, events, lifecycle.
+
+Span timings are fed by :func:`repro.obs.tracing.trace_span`; the
+tests of a span's totals live in ``TestSpanTimings`` below."""
 
 import json
 import os
@@ -8,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.obs.telemetry import NULL, NullTelemetry, Telemetry
+from repro.obs.tracing import trace_span
 
 
 @pytest.fixture(autouse=True)
@@ -30,8 +34,6 @@ class TestNullTelemetry:
 
     def test_all_operations_are_noops(self):
         tel = NullTelemetry()
-        with tel.span("explore.search"):
-            pass
         tel.count("x")
         tel.gauge("y", 3)
         tel.timing("z", 0.5)
@@ -42,8 +44,8 @@ class TestNullTelemetry:
         tel.close()
 
     def test_span_is_shared_singleton(self):
-        tel = NullTelemetry()
-        assert tel.span("a") is tel.span("b")
+        assert obs.active() is NULL
+        assert trace_span("a") is trace_span("b")
 
 
 class TestRegistries:
@@ -69,23 +71,6 @@ class TestRegistries:
         assert total == pytest.approx(1.75)
         assert peak == pytest.approx(1.0)
 
-    def test_span_records_a_timing(self):
-        tel = Telemetry()
-        with tel.span("reduction.tables"):
-            pass
-        calls, total, peak = tel.timings["reduction.tables"]
-        assert calls == 1
-        assert total >= 0.0
-        assert peak == total
-
-    def test_nested_spans_accumulate_independently(self):
-        tel = Telemetry()
-        with tel.span("explore.search"):
-            with tel.span("cache.get"):
-                pass
-        assert tel.timings["explore.search"][0] == 1
-        assert tel.timings["cache.get"][0] == 1
-
     def test_summary_shape(self):
         tel = Telemetry()
         tel.count("explore.states", 42)
@@ -96,6 +81,27 @@ class TestRegistries:
         assert summary["gauges"] == {"worker.count": 2}
         assert summary["spans"]["explore.search"]["calls"] == 1
         assert summary["elapsed_s"] >= 0.0
+
+
+class TestSpanTimings:
+    def test_span_records_a_timing(self):
+        tel = Telemetry()
+        obs.install(tel)
+        with trace_span("reduction.tables"):
+            pass
+        calls, total, peak = tel.timings["reduction.tables"]
+        assert calls == 1
+        assert total >= 0.0
+        assert peak == total
+
+    def test_nested_spans_accumulate_independently(self):
+        tel = Telemetry()
+        obs.install(tel)
+        with trace_span("explore.search"):
+            with trace_span("cache.get"):
+                pass
+        assert tel.timings["explore.search"][0] == 1
+        assert tel.timings["cache.get"][0] == 1
 
 
 class TestEventSink:

@@ -93,10 +93,20 @@ class TestTraceSpan:
             assert span.context is None
             span.note(anything=1)  # no-op, no error
 
+    def test_null_span_with_a_context_in_scope(self):
+        """With telemetry off nothing can record a span, so a trace
+        context in scope does not make it live."""
+        context = TraceContext.root()
+        with tracing.use(context):
+            with tracing.trace_span("x") as span:
+                assert span is tracing.trace_span("y")
+                assert span.context is None
+                assert tracing.current() == context
+
     def test_emits_schema_v2_span_record(self, tmp_path):
         path = tmp_path / "t.jsonl"
         obs.install(Telemetry(path))
-        with tracing.trace_span("outer", timing=True) as outer:
+        with tracing.trace_span("outer") as outer:
             with tracing.trace_span("inner") as inner:
                 inner.note(hits=3)
         obs.active().close()
@@ -115,7 +125,7 @@ class TestTraceSpan:
         tel = Telemetry(tmp_path / "t.jsonl")
         tel.metrics.clear()
         obs.install(tel)
-        with tracing.trace_span("serve.request", timing=True):
+        with tracing.trace_span("serve.request"):
             pass
         assert "serve.request" in tel.metrics.names()
         assert tel.metrics.histogram("serve.request").count == 1

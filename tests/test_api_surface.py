@@ -52,7 +52,6 @@ EXPECTED_RUNCONFIG_FIELDS = {
     "workers": None,
     "queue_bound": 3,
     "step_bound": None,
-    "telemetry": None,
 }
 
 

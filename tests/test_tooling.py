@@ -81,6 +81,53 @@ class TestOneHttpTransport:
         assert _importers("http.client") == ["src/repro/serve/http.py"]
 
 
+def _calls(name: str) -> list:
+    """``(module, enclosing function)`` of every ``src/repro`` call
+    whose callee is named ``name`` (``name(...)`` or ``x.name(...)``)."""
+    import ast
+
+    found = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        module = path.relative_to(REPO).as_posix()
+        tree = ast.parse(path.read_text())
+        scopes = [(tree, None)]
+        while scopes:
+            scope, function = scopes.pop()
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scopes.append((node, node.name))
+                    continue
+                scopes.append((node, function))
+                if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    found.append((module, function, node))
+    return found
+
+
+class TestOneSpanPrimitive:
+    """``repro.obs.tracing.trace_span`` is the one way to time a region,
+    and ``engine/parallel.py`` has one pooled path.  A ``.span(`` call,
+    a ``timing=`` flag or a second process pool means an instrumentation
+    layer is growing back beside it."""
+
+    def test_no_telemetry_span_calls(self):
+        assert [(module, function) for module, function, _ in _calls("span")] == []
+
+    def test_trace_span_takes_no_timing_flag(self):
+        flagged = [
+            (module, function)
+            for module, function, call in _calls("trace_span")
+            if any(keyword.arg == "timing" for keyword in call.keywords)
+        ]
+        assert _calls("trace_span") and flagged == []
+
+    def test_one_process_pool(self):
+        pools = [(module, function) for module, function, _ in _calls("ProcessPoolExecutor")]
+        assert pools == [("src/repro/engine/parallel.py", "_pooled")]
+
+
 class TestOneWorkQueue:
     """``repro.campaign.queue`` is the only module that knows the queue's
     schema; a second ``sqlite3`` importer means SQL is leaking out."""
