@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..realization.closure import derive_matrix
+from ..realization.closure import _shared_matrix
 from . import experiments, reporting
 
 __all__ = ["generate_artifacts"]
@@ -32,7 +32,7 @@ def generate_artifacts(directory: "str | Path", full: bool = False) -> list:
     directory.mkdir(parents=True, exist_ok=True)
     written: list = []
 
-    matrix = derive_matrix()
+    matrix = _shared_matrix()
     fig3 = experiments.experiment_figure3()
     fig4 = experiments.experiment_figure4()
     written.append(_write(directory, "figure3.txt", fig3.matrix_text))

@@ -21,7 +21,7 @@ from ..engine.convergence import find_oscillation_evidence
 from ..engine.execution import Execution
 from ..engine.explorer import can_oscillate
 from ..models.taxonomy import model
-from ..realization.closure import derive_matrix
+from ..realization.closure import _shared_matrix
 from ..realization.paper_tables import (
     FIGURE3_COLUMNS,
     FIGURE4_COLUMNS,
@@ -189,7 +189,7 @@ def experiment_figure3(*, config: "RunConfig | None" = None) -> MatrixExperiment
     With ``config`` set, additionally runs :func:`matrix_certification`
     under it and attaches the verdicts.
     """
-    matrix = derive_matrix()
+    matrix = _shared_matrix()
     return MatrixExperiment(
         figure="Figure 3",
         comparisons=compare_with_derived(matrix, columns=FIGURE3_COLUMNS),
@@ -205,7 +205,7 @@ def experiment_figure4(*, config: "RunConfig | None" = None) -> MatrixExperiment
 
     Certifies like :func:`experiment_figure3` when ``config`` is set.
     """
-    matrix = derive_matrix()
+    matrix = _shared_matrix()
     return MatrixExperiment(
         figure="Figure 4",
         comparisons=compare_with_derived(matrix, columns=FIGURE4_COLUMNS),

@@ -49,7 +49,7 @@ from .engine.execution import Execution
 from .engine.explorer import can_oscillate
 from .engine.reduction import REDUCTIONS
 from .models.taxonomy import ALL_MODELS, model
-from .realization.closure import derive_matrix
+from .realization.closure import _shared_matrix
 
 __all__ = ["main", "build_parser"]
 
@@ -678,7 +678,7 @@ def _cmd_list() -> int:
 
 
 def _cmd_matrix(args) -> int:
-    matrix = derive_matrix()
+    matrix = _shared_matrix()
     config = _config_from_args(args, workers=args.workers)
     if args.figure in ("3", "both"):
         print("Derived Figure 3 (rows: realized model; columns: reliable realizers)")
@@ -1011,7 +1011,7 @@ def _cmd_top(args) -> int:
 
 
 def _cmd_explain(realized_name: str, realizer_name: str) -> int:
-    matrix = derive_matrix()
+    matrix = _shared_matrix()
     lines = matrix.explain(model(realized_name), model(realizer_name))
     print("\n".join(lines))
     return 0

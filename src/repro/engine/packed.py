@@ -25,8 +25,8 @@ zero).  Three consequences drive the speed:
   so every generated word is already canonical.
 * **The frontier is flat arrays.**  States live in a list of ints
   keyed by an int→index dict; adjacency is a CSR triple of
-  ``array('q')`` buffers, which the fairness passes (and the optional
-  numpy path) can scan without touching per-state objects.
+  ``array('q')`` buffers, which the fairness passes scan without
+  touching per-state objects.
 * **Search-time symmetry quotienting.**  The instance's automorphism
   group (:func:`repro.core.canonical.automorphisms`) is compiled into
   index permutations on packed words; every successor is replaced by
@@ -55,19 +55,11 @@ never exit early, and covering the quotient covers the whole space),
 never less.  Truncation-zeroness is group-equivariant and the quotient
 is never larger than the concrete graph, so ``packed.complete >=
 reference.complete`` always holds.
-
-An optional vectorized path (auto-detected numpy/scipy, disabled via
-``REPRO_NO_NUMPY=1``) accelerates the SCC/fairness passes: scipy's
-C implementation labels strongly connected components and numpy
-gathers the per-edge fairness masks for large components.  Both paths
-compute identical booleans and identical witnesses; the stdlib path is
-always available.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from array import array
 
@@ -88,22 +80,6 @@ from .reduction import (
 __all__ = ["PackedExplorer"]
 
 _NO_DROPS = frozenset()
-
-
-def _detect_vector_libs():
-    """(numpy, scipy-csgraph helpers) or Nones, honoring REPRO_NO_NUMPY."""
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None, None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is normally present
-        return None, None
-    try:
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components
-    except ImportError:  # pragma: no cover - scipy optional
-        return numpy, None
-    return numpy, (coo_matrix, connected_components)
 
 
 class _PackedOp:
@@ -316,9 +292,6 @@ class PackedExplorer:
         # ---- automorphism group -----------------------------------------
         self._setup_group()
 
-        # ---- optional vectorized path -----------------------------------
-        self._np, self._sp = _detect_vector_libs()
-
     # ------------------------------------------------------------------
     # Tuple-level canonicalization and per-channel read combos
     # ------------------------------------------------------------------
@@ -408,7 +381,7 @@ class PackedExplorer:
         self._gsize = len(group)
         self._omemo: dict = {}
         if len(group) == 1:
-            self._nperms = self._chperms = self._rperms = self._strans = ()
+            self._node_perms = self._chperms = self._rperms = self._strans = ()
             self._comp_tab = ((0,),)
             self._inv_tab = (0,)
             return
@@ -442,7 +415,7 @@ class PackedExplorer:
             chperms.append(chperm)
             rperms.append(rperm)
             strans.append(st)
-        self._nperms = tuple(nperms)
+        self._node_perms = tuple(nperms)
         self._chperms = tuple(chperms)
         self._rperms = tuple(rperms)
         self._strans = tuple(strans)
@@ -474,7 +447,7 @@ class PackedExplorer:
         fmask = self._fmask
         lb = self._lb
         rb = self._rb
-        nperm = self._nperms[g]
+        nperm = self._node_perms[g]
         chperm = self._chperms[g]
         rperm = self._rperms[g]
         strans = self._strans[g]
@@ -545,7 +518,7 @@ class PackedExplorer:
             return tuple(
                 (word >> pi_off[nid]) & rmask for nid in range(self._n_nodes)
             )
-        nperm = self._nperms[g]
+        nperm = self._node_perms[g]
         rperm = self._rperms[g]
         out = [0] * self._n_nodes
         for nid in range(self._n_nodes):
@@ -961,7 +934,6 @@ class PackedExplorer:
         parent_tau = array("i", [0])
         adj_start = array("q", [-1])
         adj_end = array("q", [-1])
-        edge_src = array("q")
         edge_op = array("q")
         edge_tgt = array("q")
         edge_tau = array("i")
@@ -992,14 +964,13 @@ class PackedExplorer:
         astart_append = adj_start.append
         aend_append = adj_end.append
         frontier_append = frontier.append
-        esrc_append = edge_src.append
         eop_append = edge_op.append
         etgt_append = edge_tgt.append
         etau_append = edge_tau.append
         n_states = 1
         n_edges = 0
-        graph = (states, totals, adj_start, adj_end, edge_src, edge_op,
-                 edge_tgt, edge_tau, parent_src, parent_op, parent_tau)
+        graph = (states, totals, adj_start, adj_end, edge_op, edge_tgt,
+                 edge_tau, parent_src, parent_op, parent_tau)
 
         def result(witness, complete) -> "ExplorationResult":
             tel.count("explore.frontier_batches", batches)
@@ -1063,7 +1034,6 @@ class PackedExplorer:
                     astart_append(-1)
                     aend_append(-1)
                     frontier_append(idx)
-                esrc_append(cur)
                 eop_append(op.uid)
                 etgt_append(idx)
                 n_edges += 1
@@ -1110,7 +1080,6 @@ class PackedExplorer:
                             astart_append(-1)
                             aend_append(-1)
                             frontier_append(idx)
-                        esrc_append(cur)
                         eop_append(op.uid)
                         etgt_append(idx)
                         n_edges += 1
@@ -1155,117 +1124,89 @@ class PackedExplorer:
     # SCC enumeration
     # ------------------------------------------------------------------
     def _sccs_csr(self, n, adj_start, adj_end, edge_tgt):
-        """Iterative Tarjan over the CSR arrays (stdlib path)."""
+        """Iterative Tarjan over the CSR arrays, components in emission
+        order.
+
+        ``index[v]`` is -1 before ``v`` is reached, its DFS number while
+        it is on the SCC stack, and ``n`` (above every DFS number) once
+        its component is emitted, so one comparison both skips finished
+        targets and lowers ``low``.  An unexpanded state has
+        ``adj_start == adj_end == -1``: no edges.
+        """
         index = [-1] * n
         low = [0] * n
-        onstk = bytearray(n)
+        starts = adj_start.tolist()
+        ends = adj_end.tolist()
+        targets = edge_tgt.tolist()
         scc_stack: list = []
         comps: list = []
         counter = 0
         for root in range(n):
             if index[root] != -1:
                 continue
-            a = adj_start[root]
-            vstack = [root]
-            pstack = [a if a >= 0 else 0]
-            estack = [adj_end[root] if a >= 0 else 0]
             index[root] = low[root] = counter
             counter += 1
             scc_stack.append(root)
-            onstk[root] = 1
+            vstack = [root]
+            pstack = [starts[root]]
             while vstack:
                 v = vstack[-1]
                 p = pstack[-1]
-                e = estack[-1]
-                advanced = False
+                e = ends[v]
                 lv = low[v]
                 while p < e:
-                    t = edge_tgt[p]
+                    t = targets[p]
                     p += 1
                     ti = index[t]
                     if ti == -1:
-                        pstack[-1] = p
-                        index[t] = low[t] = counter
-                        counter += 1
-                        scc_stack.append(t)
-                        onstk[t] = 1
-                        a = adj_start[t]
-                        vstack.append(t)
-                        if a >= 0:
-                            pstack.append(a)
-                            estack.append(adj_end[t])
-                        else:
-                            pstack.append(0)
-                            estack.append(0)
-                        advanced = True
                         break
-                    elif onstk[t] and ti < lv:
+                    if ti < lv:
                         lv = ti
-                low[v] = lv
-                if advanced:
+                else:
+                    # Every edge of v is done: retire it.
+                    low[v] = lv
+                    vstack.pop()
+                    pstack.pop()
+                    if vstack:
+                        u = vstack[-1]
+                        if lv < low[u]:
+                            low[u] = lv
+                    if lv == index[v]:
+                        comp = []
+                        while True:
+                            w = scc_stack.pop()
+                            index[w] = n
+                            comp.append(w)
+                            if w == v:
+                                break
+                        comps.append(comp)
                     continue
-                vstack.pop()
-                pstack.pop()
-                estack.pop()
-                if vstack:
-                    u = vstack[-1]
-                    if lv < low[u]:
-                        low[u] = lv
-                if lv == index[v]:
-                    comp = []
-                    while True:
-                        w = scc_stack.pop()
-                        onstk[w] = 0
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
+                # Descend into the unreached target t.
+                low[v] = lv
+                pstack[-1] = p
+                index[t] = low[t] = counter
+                counter += 1
+                scc_stack.append(t)
+                vstack.append(t)
+                pstack.append(starts[t])
         return comps
 
-    def _candidate_components(self, graph) -> tuple:
-        """``(components, tarjan_ordered)`` — components that could host
-        a fair cycle, as index lists.
+    def _candidate_components(self, graph) -> list:
+        """Components that could host a fair cycle, as index lists in
+        Tarjan emission order.
 
         Trivial group: only multi-member SCCs can satisfy the two-
         assignment gate.  Nontrivial group: a singleton quotient state
         with a self-loop can unroll to a real multi-state cycle, so
-        those are kept too.  The scipy path labels components in C but
-        loses Tarjan's emission order (``tarjan_ordered=False``); the
-        stdlib path runs Tarjan and preserves it.  The trivial-group
-        caller needs that order to pick the same component the reference
-        engine picks, and re-derives it when the fast path dropped it.
+        those are kept too.
         """
-        states, totals, adj_start, adj_end, edge_src, edge_op, edge_tgt, \
-            edge_tau, parent_src, parent_op, parent_tau = graph
-        n = len(states)
-        n_edges = len(edge_tgt)
-        if n_edges == 0:
-            return [], True
-        np = self._np
-        if np is not None and self._sp is not None and n > 512:
-            coo_matrix, connected_components = self._sp
-            src = np.frombuffer(edge_src, dtype=np.int64)
-            tgt = np.frombuffer(edge_tgt, dtype=np.int64)
-            matrix = coo_matrix(
-                (np.ones(n_edges, dtype=np.int8), (src, tgt)), shape=(n, n)
-            )
-            _, labels = connected_components(
-                matrix, directed=True, connection="strong"
-            )
-            counts = np.bincount(labels)
-            keep = counts >= 2
-            if self._gsize > 1:
-                loop_labels = labels[np.asarray(src[src == tgt])]
-                keep[loop_labels] = True
-            members = np.nonzero(keep[labels])[0]
-            by_label: dict = {}
-            label_arr = labels[members]
-            for s, lab in zip(members.tolist(), label_arr.tolist()):
-                by_label.setdefault(lab, []).append(s)
-            return list(by_label.values()), False
-        comps = self._sccs_csr(n, adj_start, adj_end, edge_tgt)
+        states, totals, adj_start, adj_end, edge_op, edge_tgt, edge_tau, \
+            parent_src, parent_op, parent_tau = graph
+        if not edge_tgt:
+            return []
+        comps = self._sccs_csr(len(states), adj_start, adj_end, edge_tgt)
         if self._gsize == 1:
-            return [c for c in comps if len(c) > 1], True
+            return [c for c in comps if len(c) > 1]
         out = []
         for comp in comps:
             if len(comp) > 1:
@@ -1277,7 +1218,7 @@ class PackedExplorer:
                 edge_tgt[k] == s for k in range(a, adj_end[s])
             ):
                 out.append(comp)
-        return out, True
+        return out
 
     # ------------------------------------------------------------------
     # Fairness gates
@@ -1297,26 +1238,10 @@ class PackedExplorer:
 
     def _collect_inner_masks(self, comp, members, graph):
         """(serviced, dropped, delivered, full_nodes) over inner edges."""
-        states, totals, adj_start, adj_end, edge_src, edge_op, edge_tgt, \
-            edge_tau, parent_src, parent_op, parent_tau = graph
+        states, totals, adj_start, adj_end, edge_op, edge_tgt, edge_tau, \
+            parent_src, parent_op, parent_tau = graph
         ops = self._ops
         serviced = dropped = delivered = full_nodes = 0
-        np = self._np
-        if np is not None and len(comp) >= 2048:
-            memb = np.zeros(len(states), dtype=bool)
-            memb[np.asarray(comp, dtype=np.int64)] = True
-            src = np.frombuffer(edge_src, dtype=np.int64)
-            tgt = np.frombuffer(edge_tgt, dtype=np.int64)
-            sel = memb[src] & memb[tgt]
-            uids = np.unique(np.frombuffer(edge_op, dtype=np.int64)[sel])
-            for uid in uids.tolist():
-                op = ops[uid]
-                serviced |= op.attempts_mask
-                dropped |= op.dropped_mask
-                delivered |= op.delivered_mask
-                if op.full_flag:
-                    full_nodes |= 1 << op.nid
-            return serviced, dropped, delivered, full_nodes
         for s in comp:
             a = adj_start[s]
             if a < 0:
@@ -1363,26 +1288,11 @@ class PackedExplorer:
         return True
 
     def _find_fair_oscillation(self, graph):
-        comps, ordered = self._candidate_components(graph)
+        comps = self._candidate_components(graph)
         if self._gsize == 1:
             # The reference engine returns the *first* qualifying SCC in
             # Tarjan emission order; replicate that exactly so trivial-
-            # group witnesses stay bit-identical.  The scipy screen has
-            # no such order: use it only to dismiss the (common) no-
-            # oscillation case for free, and re-run the stdlib Tarjan
-            # for the ordered scan once a qualifying component exists.
-            if not ordered:
-                if not any(
-                    self._plain_qualifies(comp, graph) for comp in comps
-                ):
-                    return None
-                comps = [
-                    comp
-                    for comp in self._sccs_csr(
-                        len(graph[0]), graph[2], graph[3], graph[6]
-                    )
-                    if len(comp) > 1
-                ]
+            # group witnesses stay bit-identical.
             for comp in comps:
                 if self._plain_qualifies(comp, graph):
                     return self._build_witness_plain(comp, graph)
@@ -1401,8 +1311,8 @@ class PackedExplorer:
         """Entry/target steps start → goal inside ``members`` (CSR order)."""
         if start == goal:
             return []
-        states, totals, adj_start, adj_end, edge_src, edge_op, edge_tgt, \
-            edge_tau, parent_src, parent_op, parent_tau = graph
+        states, totals, adj_start, adj_end, edge_op, edge_tgt, edge_tau, \
+            parent_src, parent_op, parent_tau = graph
         queue = [start]
         back: dict = {start: None}
         while queue:
@@ -1428,9 +1338,9 @@ class PackedExplorer:
 
     def _prefix_uids(self, anchor, graph):
         """Parent-chain (uid, tau) pairs from the root down to anchor."""
-        parent_src = graph[8]
-        parent_op = graph[9]
-        parent_tau = graph[10]
+        parent_src = graph[7]
+        parent_op = graph[8]
+        parent_tau = graph[9]
         chain = []
         cursor = anchor
         while parent_src[cursor] != -1:
@@ -1478,8 +1388,8 @@ class PackedExplorer:
         """Adjacency of the Ip–Dill product restricted to one quotient
         SCC: node (s, g) realizes σ_g(s); a quotient edge s →(op, τ) t
         lifts to (s, g) → (t, g·τ⁻¹) realized as σ_g(op)."""
-        states, totals, adj_start, adj_end, edge_src, edge_op, edge_tgt, \
-            edge_tau, parent_src, parent_op, parent_tau = graph
+        states, totals, adj_start, adj_end, edge_op, edge_tgt, edge_tau, \
+            parent_src, parent_op, parent_tau = graph
         comp_tab = self._comp_tab
         inv_tab = self._inv_tab
         gsize = self._gsize
@@ -1579,7 +1489,7 @@ class PackedExplorer:
     def _threaded_fairness(self, tcomp, inner, states) -> bool:
         """The reference fairness predicate on the realized component."""
         ops = self._ops
-        nperms = self._nperms
+        nperms = self._node_perms
         mask_img = self._mask_img
         serviced = dropped = delivered = full_nodes = 0
         for (s, g), _target, uid in inner:
@@ -1613,7 +1523,7 @@ class PackedExplorer:
         if not g:
             return entry
         node_ids, combo = entry
-        nperm = self._nperms[g]
+        nperm = self._node_perms[g]
         chperm = self._chperms[g]
         return (
             tuple(sorted(nperm[nid] for nid in node_ids)),

@@ -85,41 +85,25 @@ def default_workers() -> int:
 def _timed_call(function, task) -> tuple:
     """Worker-side wrapper: run ``function(task)`` and report telemetry.
 
-    Returns ``(result, (pid, started_wall, elapsed_seconds, deltas))``
+    Returns ``(result, (pid, started_wall, elapsed_seconds, growth))``
     — the parent turns these into per-worker task counts, queue-wait,
-    and idle-time telemetry, and merges ``deltas`` (the counter and
-    span registry growth this call produced in the worker, present when
+    and idle-time telemetry, and merges ``growth`` (the registry growth
+    this call produced in the worker, see
+    :meth:`~repro.obs.telemetry.Telemetry.growth_since`; present when
     the worker inherited an enabled telemetry across ``fork``) into its
-    own registry so ``cache.*``/``explore.*`` totals survive the worker
-    processes.  Module-level (and invoked through
+    own registry so ``cache.*``/``explore.*`` totals and histograms
+    survive the worker processes.  Module-level (and invoked through
     :func:`functools.partial` over a picklable ``function``) so it
     crosses the process boundary.
     """
     tel = _telemetry()
-    before_counters = dict(tel.counters) if tel.enabled else {}
-    before_timings = (
-        {name: tuple(cell) for name, cell in tel.timings.items()}
-        if tel.enabled
-        else {}
-    )
+    mark = tel.mark() if tel.enabled else None
     started = time.time()
     t0 = time.perf_counter()
     result = function(task)
     elapsed = time.perf_counter() - t0
-    deltas = None
-    if tel.enabled:
-        counters = {
-            name: value - before_counters.get(name, 0)
-            for name, value in tel.counters.items()
-            if value != before_counters.get(name, 0)
-        }
-        timings = {}
-        for name, (calls, total, peak) in tel.timings.items():
-            calls_0, total_0, _ = before_timings.get(name, (0, 0.0, 0.0))
-            if calls != calls_0:
-                timings[name] = (calls - calls_0, total - total_0, peak)
-        deltas = (counters, timings)
-    return result, (os.getpid(), started, elapsed, deltas)
+    growth = tel.growth_since(mark) if tel.enabled else None
+    return result, (os.getpid(), started, elapsed, growth)
 
 
 @contextmanager
@@ -172,8 +156,8 @@ def _pooled(function, tasks, workers: int, failures=None, task_timeout=None) -> 
     (:func:`_exported_trace_environment`).  With telemetry live the
     parent records per-worker task counts and the ``worker.task`` /
     ``worker.queue_wait`` / ``worker.pool`` / ``worker.idle`` timings,
-    and merges the workers' registry deltas, so ``cache.*`` and
-    ``explore.*`` totals survive the worker processes.
+    and merges the workers' registry growth, so ``cache.*`` and
+    ``explore.*`` totals and histograms survive the worker processes.
 
     A failed item raises, unless ``failures`` is a list: then
     ``(position, error)`` is appended and its result slot stays
@@ -197,7 +181,7 @@ def _pooled(function, tasks, workers: int, failures=None, task_timeout=None) -> 
             submitted = [(pool.submit(timed, task), time.time()) for task in tasks]
             for position, (future, submit_wall) in enumerate(submitted):
                 try:
-                    result, (pid, started_wall, elapsed, deltas) = future.result(
+                    result, (pid, started_wall, elapsed, growth) = future.result(
                         timeout=task_timeout
                     )
                 except Exception as error:
@@ -218,8 +202,8 @@ def _pooled(function, tasks, workers: int, failures=None, task_timeout=None) -> 
                 tel.timing("worker.task", elapsed)
                 tel.timing("worker.queue_wait", max(0.0, started_wall - submit_wall))
                 busy += elapsed
-                if deltas is not None:
-                    _merge_deltas(tel, deltas)
+                if growth is not None:
+                    tel.merge(growth)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
     if tel.enabled:
@@ -228,22 +212,6 @@ def _pooled(function, tasks, workers: int, failures=None, task_timeout=None) -> 
         tel.timing("worker.pool", pool_elapsed)
         tel.timing("worker.idle", max(0.0, pool_elapsed * pool_size - busy))
     return results
-
-
-def _merge_deltas(tel, deltas) -> None:
-    """Add one worker call's counter and span-timing growth to ``tel``."""
-    counters, timings = deltas
-    for name, value in counters.items():
-        tel.count(name, value)
-    for name, (calls, total, peak) in timings.items():
-        cell = tel.timings.get(name)
-        if cell is None:
-            tel.timings[name] = [calls, total, peak]
-        else:
-            cell[0] += calls
-            cell[1] += total
-            if peak > cell[2]:
-                cell[2] = peak
 
 
 class TaskFailure(RuntimeError):

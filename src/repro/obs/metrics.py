@@ -133,6 +133,21 @@ class LogHistogram:
             self.sum += value
             self._ring[-1][1][index] += 1
 
+    def merge(self, counts, count: int, total: float) -> None:
+        """Add another histogram's cumulative growth — per-bucket
+        ``counts`` over the same boundaries, ``count`` and ``total`` —
+        as if its samples were observed now (a pool worker's spans)."""
+        if len(counts) != len(self.counts):
+            raise ValueError("histogram boundaries differ")
+        with self._lock:
+            self._rotate(self._clock())
+            head = self._ring[-1][1]
+            for index, value in enumerate(counts):
+                self.counts[index] += value
+                head[index] += value
+            self.count += count
+            self.sum += total
+
     # -- reading ----------------------------------------------------------
     def window_counts(self) -> list:
         """Per-bucket counts over the sliding window (a fresh list)."""

@@ -170,6 +170,66 @@ class Telemetry:
                 cell[2] = seconds
         self.metrics.observe(name, seconds)
 
+    # -- merging another process's growth (pool workers) -----------------
+    def mark(self) -> tuple:
+        """The registries as they stand, for :meth:`growth_since`."""
+        return (
+            dict(self.counters),
+            {name: tuple(cell) for name, cell in self.timings.items()},
+            {
+                name: self.metrics.histogram(name).cumulative()
+                for name in self.timings
+            },
+        )
+
+    def growth_since(self, mark) -> tuple:
+        """``(counters, timings)`` this registry gained since ``mark``.
+
+        A counter created since ``mark`` is kept even at zero growth,
+        so a registry that merges the growth has the same names as one
+        that did the work itself.  Each grown span carries ``(calls,
+        total, peak, histogram)``, the histogram as the
+        :meth:`~repro.obs.metrics.LogHistogram.merge` arguments.
+        """
+        counters_0, timings_0, histograms_0 = mark
+        counters = {
+            name: value - counters_0.get(name, 0)
+            for name, value in self.counters.items()
+            if name not in counters_0 or value != counters_0[name]
+        }
+        timings = {}
+        for name, (calls, total, peak) in self.timings.items():
+            calls_0, total_0, _ = timings_0.get(name, (0, 0.0, 0.0))
+            if calls == calls_0:
+                continue
+            counts, count, hsum = self.metrics.histogram(name).cumulative()
+            counts_0, count_0, hsum_0 = histograms_0.get(
+                name, ((0,) * len(counts), 0, 0.0)
+            )
+            histogram = (
+                [now - then for now, then in zip(counts, counts_0)],
+                count - count_0,
+                hsum - hsum_0,
+            )
+            timings[name] = (calls - calls_0, total - total_0, peak, histogram)
+        return counters, timings
+
+    def merge(self, growth) -> None:
+        """Add another registry's :meth:`growth_since` to this one."""
+        counters, timings = growth
+        for name, value in counters.items():
+            self.count(name, value)
+        for name, (calls, total, peak, histogram) in timings.items():
+            cell = self.timings.get(name)
+            if cell is None:
+                self.timings[name] = [calls, total, peak]
+            else:
+                cell[0] += calls
+                cell[1] += total
+                if peak > cell[2]:
+                    cell[2] = peak
+            self.metrics.histogram(name).merge(*histogram)
+
     # -- events ---------------------------------------------------------
     def event(self, type_: str, **fields) -> None:
         if self._handle is None:

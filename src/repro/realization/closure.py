@@ -19,6 +19,7 @@ and 4.  ``(A → B)`` here always reads "B realizes A".
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable
 
 from ..models.taxonomy import ALL_MODELS, CommunicationModel
@@ -234,3 +235,14 @@ def derive_matrix(facts: "Iterable[Fact] | None" = None) -> RealizationMatrix:
     matrix.absorb_facts(foundational_facts() if facts is None else facts)
     matrix.close()
     return matrix
+
+
+@cache
+def _shared_matrix() -> RealizationMatrix:
+    """The closed matrix of the foundational facts, derived once per
+    process for the CLI, the experiments and the artifact writer.
+
+    Every caller shares the same object, so it is read-only by
+    convention; :func:`derive_matrix` returns a fresh one to extend.
+    """
+    return derive_matrix()

@@ -13,8 +13,6 @@ contract against the reference engine:
   is monotone (the quotient graph is never larger, so bounded coverage
   never shrinks), and witnesses — reconstructed by orbit-unwinding —
   still replay as model-legal periodic oscillations;
-* the optional numpy/scipy vector path and the pure-stdlib path
-  (``REPRO_NO_NUMPY=1``) produce identical results;
 * the orbit canonicalizer is idempotent and invariant under the group
   action (the state-level face of label-invariance).
 """
@@ -206,30 +204,6 @@ class TestPackedWitnesses:
             assignments.add(execution.state.assignment_key)
         assert explorer.canonicalize(execution.state) == cycle_start
         assert len(assignments) >= 2
-
-
-class TestStdlibPath:
-    """REPRO_NO_NUMPY=1 switches off the vector SCC/fairness passes;
-    every observable must be unchanged."""
-
-    @pytest.mark.parametrize(
-        "factory", (gadgets.disagree, gadgets.fig6_gadget),
-        ids=lambda f: f.__name__,
-    )
-    def test_stdlib_matches_vectorized(self, factory, monkeypatch):
-        instance = factory()
-        for name in ("R1O", "RMS", "UEA"):
-            monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
-            vec = explore(instance, model(name), "packed")
-            monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-            std = explore(instance, model(name), "packed")
-            assert result_tuple(std) == result_tuple(vec)
-            assert std.witness == vec.witness
-
-    def test_stdlib_explorer_has_no_vector_libs(self, disagree, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        packed = PackedExplorer(disagree, model("R1O"))
-        assert packed._np is None and packed._sp is None
 
 
 class TestOrbitCanonicalizer:

@@ -111,6 +111,41 @@ class TestWindowRotation:
         assert len(hist._ring) <= hist.slices + 1
 
 
+class TestMerge:
+    def test_merge_equals_observing_the_samples(self):
+        clock = FakeClock()
+        merged = LogHistogram(window_s=60.0, clock=clock)
+        other = LogHistogram(window_s=60.0, clock=clock)
+        both = LogHistogram(window_s=60.0, clock=clock)
+        for value in (0.002, 0.5):
+            merged.observe(value)
+            both.observe(value)
+        for value in (0.002, 0.03, 7.0):
+            other.observe(value)
+            both.observe(value)
+        merged.merge(*other.cumulative())
+        assert merged.cumulative() == both.cumulative()
+        assert merged.window_counts() == both.window_counts()
+
+    def test_merged_samples_age_out_of_the_window(self):
+        clock = FakeClock()
+        hist = LogHistogram(window_s=60.0, slices=6, clock=clock)
+        other = LogHistogram(window_s=60.0, slices=6, clock=clock)
+        other.observe(0.010)
+        hist.merge(*other.cumulative())
+        assert sum(hist.window_counts()) == 1
+        clock.advance(120.0)
+        assert sum(hist.window_counts()) == 0
+        assert hist.count == 1
+
+    def test_different_boundaries_rejected(self):
+        hist = LogHistogram()
+        other = LogHistogram(buckets_per_decade=2)
+        other.observe(0.010)
+        with pytest.raises(ValueError, match="boundaries"):
+            hist.merge(*other.cumulative())
+
+
 class TestQuantiles:
     def test_empty_histogram_has_no_quantiles(self):
         hist = LogHistogram()

@@ -83,6 +83,38 @@ class TestRegistries:
         assert summary["elapsed_s"] >= 0.0
 
 
+class TestGrowthMerge:
+    """A pool worker ships ``growth_since(mark)``; the parent merges it."""
+
+    def test_merged_growth_matches_doing_the_work(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        worker = Telemetry(metrics=MetricsRegistry())
+        worker.count("explore.runs")
+        worker.timing("explore.search", 0.25)
+        mark = worker.mark()
+        worker.count("explore.runs", 2)
+        worker.count("explore.orbits_merged", 0)
+        worker.timing("explore.search", 0.5)
+        worker.timing("cache.get", 0.001)
+        parent = Telemetry(metrics=MetricsRegistry())
+        parent.merge(worker.growth_since(mark))
+        assert parent.counters == {"explore.runs": 2, "explore.orbits_merged": 0}
+        assert parent.timings == {
+            "explore.search": [1, 0.5, 0.5],
+            "cache.get": [1, 0.001, 0.001],
+        }
+        assert parent.metrics.names() == ["cache.get", "explore.search"]
+        counts, count, total = parent.metrics.histogram("explore.search").cumulative()
+        assert (sum(counts), count, total) == (1, 1, 0.5)
+
+    def test_unchanged_names_are_not_shipped(self):
+        tel = Telemetry()
+        tel.count("explore.runs")
+        tel.timing("explore.search", 0.25)
+        assert tel.growth_since(tel.mark()) == ({}, {})
+
+
 class TestSpanTimings:
     def test_span_records_a_timing(self):
         tel = Telemetry()

@@ -15,10 +15,12 @@ counters ``worker.w<N>.tasks`` (``repro_worker_w<N>_tasks_total`` on
 ``/metrics``) fold to ``worker.w*.tasks`` because a pool may hand
 every item to one worker.
 
-The expected sets are ``golden/telemetry_shape.json`` — the shapes
-before :func:`~repro.obs.tracing.trace_span` became the one span
-primitive — plus :data:`ADDITIONS`, what that change added.  After a
-further deliberate change, regenerate the golden file with
+The expected sets are ``golden/telemetry_shape.json`` plus
+:data:`ADDITIONS`.  A pooled run (``workers2``) has every counter and
+span series of its serial twin: the pool merges each worker call's
+counter, span-total and histogram growth into the parent.  A
+deliberate change may list what it adds in :data:`ADDITIONS`; to fold
+them in, regenerate the golden file with
 ``PYTHONPATH=src python -m tests.obs.test_telemetry_shape``, empty
 :data:`ADDITIONS`, and review the diff.
 """
@@ -136,56 +138,9 @@ RUNS = {
 }
 
 
-def _span_records(*names) -> list:
-    return [["span", name] for name in names]
-
-
-def _histogram(*names) -> list:
-    return [
-        f"repro_{name}_seconds_{series}"
-        for name in names
-        for series in ("bucket", "count", "sum", "window")
-    ]
-
-
-#: Every timed region writes a ``span`` record now, not only the
-#: regions that used to pass ``timing=True``.
-_SEARCH_SPANS = _span_records("explore.search", "reduction.tables")
-_CACHE_SPANS = _span_records("cache.get", "cache.put")
-
-#: A pooled campaign shard used to report nothing: its fan-out now
-#: merges the workers' counters and span totals and records the
-#: parent-side fan-out timings, like every other pooled fan-out.
-_POOLED_SHARD_COUNTERS = [
-    "cache.miss", "cache.write", "explore.frontier_batches",
-    "explore.implied", "explore.runs", "explore.states",
-    "explore.states_pruned", "reduction.table_builds",
-    "reduction.table_hits", "worker.w*.tasks",
-]
-_FANOUT_SPANS = ["worker.idle", "worker.pool", "worker.queue_wait", "worker.task"]
-
-#: What the one-span-primitive change added to each golden shape.
-ADDITIONS = {
-    "daemon-query": {"records": _CACHE_SPANS + _SEARCH_SPANS},
-    "fig7-workers1": {"records": _SEARCH_SPANS},
-    "fig7-workers2": {"records": _SEARCH_SPANS},
-    "shard-workers1": {
-        "records": _CACHE_SPANS + _SEARCH_SPANS + _span_records("campaign.shard"),
-    },
-    "shard-workers2": {
-        "records": _CACHE_SPANS + _SEARCH_SPANS + _span_records("campaign.shard"),
-        "counters": _POOLED_SHARD_COUNTERS,
-        "spans": [
-            "cache.get", "cache.put", "explore.search", "reduction.tables",
-            "worker.run", *_FANOUT_SPANS,
-        ],
-        "metrics": [
-            "repro_worker_count",
-            *(f"repro_{name.replace('.', '_')}_total" for name in _POOLED_SHARD_COUNTERS),
-            *_histogram(*(name.replace(".", "_") for name in _FANOUT_SPANS)),
-        ],
-    },
-}
+#: What a deliberate change adds to each golden shape until the golden
+#: file is regenerated (empty when the file is current).
+ADDITIONS: dict = {}
 
 
 def _names(items) -> set:
@@ -197,9 +152,22 @@ def test_telemetry_shape_matches_golden(run, tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[run]
     observed = _observe(tmp_path / run, RUNS[run])
     for kind in golden:
-        added = _names(ADDITIONS[run].get(kind, []))
+        added = _names(ADDITIONS.get(run, {}).get(kind, []))
         assert not added & _names(golden[kind]), kind
         assert _names(observed[kind]) == _names(golden[kind]) | added, kind
+
+
+@pytest.mark.parametrize("family", ("fig7", "shard"))
+def test_pooled_run_reports_what_a_serial_run_does(family, tmp_path):
+    """Counters a worker creates (even at zero) and the histograms of
+    its spans reach the parent: the ``workers2`` summary counters and
+    ``/metrics`` series include the ``workers1`` ones, fan-out names
+    aside."""
+    serial = _observe(tmp_path / "serial", RUNS[f"{family}-workers1"])
+    pooled = _observe(tmp_path / "pooled", RUNS[f"{family}-workers2"])
+    for kind, fan_out in (("counters", "worker."), ("metrics", "repro_worker_")):
+        expected = {name for name in serial[kind] if not name.startswith(fan_out)}
+        assert expected - set(pooled[kind]) == set(), kind
 
 
 if __name__ == "__main__":

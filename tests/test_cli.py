@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.realization import closure
 
 
 class TestParser:
@@ -500,3 +506,48 @@ class TestCampaignCli:
             )
         assert excinfo.value.code == 2
         assert "--queue-backend" in capsys.readouterr().err
+
+
+class TestColdMatrix:
+    """A cold ``repro matrix`` derives the Figures 3/4 matrix once and
+    needs nothing beyond the standard library."""
+
+    def test_closure_fixpoint_runs_once(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        closure._shared_matrix.cache_clear()
+        closed = []
+        close = closure.RealizationMatrix.close
+
+        def counting_close(matrix, *args, **kwargs):
+            closed.append(matrix)
+            return close(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(closure.RealizationMatrix, "close", counting_close)
+        assert main(["matrix"]) == 0
+        assert "Figure 4" in capsys.readouterr().out
+        assert len(closed) == 1
+
+    def test_imports_only_the_standard_library(self, tmp_path):
+        """Nothing beyond what the interpreter started with, the
+        standard library and ``repro`` itself (a numerical-library
+        import costs a cold ``repro matrix`` ~0.4 s)."""
+        script = (
+            "import sys\n"
+            "before = {name.split('.')[0] for name in sys.modules}\n"
+            "from repro.cli import main\n"
+            "assert main(['matrix', '--engine', 'packed', '--no-cache']) == 0\n"
+            "added = {name.split('.')[0] for name in sys.modules} - before\n"
+            "print(sorted(added - set(sys.stdlib_module_names)"
+            " - {'repro', '__mp_main__'}))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert "14 models oscillate, 10 proved safe" in done.stdout
+        assert done.stdout.splitlines()[-1] == "[]"
