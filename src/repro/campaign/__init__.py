@@ -19,14 +19,15 @@ report byte for byte.
 
 Campaigns also scale *across hosts*: shards become leasable rows in
 one durable SQLite table, the :mod:`~repro.campaign.queue` in the
-campaign directory's ``queue.sqlite``.  Workers on the same host (or a
-shared disk with reliable locks) pull from it directly; every other
-host joins by URL a :mod:`~repro.campaign.coordinator` daemon
-(``repro campaign serve``), which then alone opens the queue.  Any
-number of ``repro campaign join`` workers can pull shards — dead
-workers' leases are reclaimed after a heartbeat timeout, and the
-write-once determinism above makes the multi-host report byte-identical
-to a single-host run.
+campaign directory's ``queue.sqlite``, handed out under the rules of
+one :mod:`~repro.campaign.broker`.  Workers on the same host (or a
+shared disk with reliable locks) join the directory and broker their
+own leases; every other host joins by URL a
+:mod:`~repro.campaign.coordinator` daemon (``repro campaign serve``),
+which then alone opens the queue.  Any number of ``repro campaign
+join`` workers can pull shards — dead workers' leases are reclaimed
+after a heartbeat timeout, and the write-once determinism above makes
+the multi-host report byte-identical to a single-host run.
 
 Library users should go through :mod:`repro.campaign.api`
 (:class:`~repro.campaign.api.CampaignHandle` plus ``create / attach /

@@ -86,7 +86,7 @@ class CampaignHandle:
         return CampaignCoordinator(self._campaign, **kwargs)
 
     def join(self, **kwargs) -> dict:
-        """Work this campaign's queue from this process (path transport)."""
+        """Work this campaign's queue from this process (a directory join)."""
         from .worker import join as _join
 
         return _join(self.directory, **kwargs)

@@ -413,7 +413,7 @@ class WorkQueue:
 
     def reset(self, shards) -> list:
         """Force ``shards`` back to ``open`` (from ``done`` or
-        ``quarantined``) — the coordinator's boot-reconciliation and
+        ``quarantined``) — the broker's open-time reconciliation and the
         ``repro doctor --repair`` path.  Returns the ids actually
         reset."""
         with self._lock, _transaction(self._conn) as conn:

@@ -471,8 +471,8 @@ class Campaign:
 
     def _audit_queue(self, completed: set, issues: list, repair: bool) -> int:
         """The (derivable) queue against the checkpoints; a database that
-        cannot be used at all is quarantined — the coordinator rebuilds
-        the queue from the checkpoints on its next boot."""
+        cannot be used at all is quarantined — the next broker to open
+        rebuilds the queue from the checkpoints."""
         path = self.paths.queue_db_path
         if not path.is_file():
             return 0

@@ -8,16 +8,21 @@ the workload (records are pure functions of ``(spec, shard)``), which
 is why any number of joiners — starting late, dying mid-shard,
 racing — converge on the same byte-identical ``report.json``.
 
-Two transports behind one :func:`join` entry point:
+Two transports behind one :func:`join` entry point, with one
+interface (``claim``, ``heartbeat``, ``release``, ``complete_shard``,
+``fail``, ``traceparent``, ``complete``, ``lease_ttl``, ``close``):
 
-* **path** — the campaign directory is reachable (same host, or a
-  shared disk with reliable locks).  The worker opens the on-disk
-  :class:`WorkQueue` directly and writes checkpoints itself.
+* **directory** — the campaign directory is reachable (same host, or a
+  shared disk with reliable locks).  The transport is a
+  :class:`~repro.campaign.broker.ShardBroker` over the directory: the
+  worker brokers its own leases and writes checkpoints and the report
+  itself, under the very rules a coordinator applies.
 * **url** — an ``http(s)://`` coordinator (``repro campaign serve``).
   :class:`CoordinatorClient` speaks the v2 envelopes: claims carry a
   ``traceparent`` minted from the coordinator's campaign trace (so this
   worker's shard spans attach to the cross-host trace tree), and
-  completed records POST back for the coordinator to checkpoint.
+  completed records POST back for the coordinator's broker to
+  checkpoint.
 
 Worker identity is ``host:pid`` — it is stamped into every lease, into
 the telemetry run header (:mod:`repro.obs` already records host and
@@ -49,11 +54,11 @@ from ..obs import tracing
 from ..serve.http import WIRE_ERRORS, HttpClient
 from ..serve.protocol import PROTOCOL_VERSION, envelope
 from ..serve.retry import RetryPolicy
+from .broker import ShardBroker
 from .queue import (
     DEFAULT_LEASE_TTL,
     DEFAULT_QUARANTINE_AFTER,
     Lease,
-    WorkQueue,
     default_worker_id,
 )
 from .runner import Campaign, compute_shard_records
@@ -119,86 +124,6 @@ class _HeartbeatThread:
     def stop(self) -> None:
         self._stop.set()
         self._thread.join(timeout=5.0)
-
-
-class _PathTransport:
-    """Direct campaign-directory access (same host / shared disk)."""
-
-    def __init__(self, directory, lease_ttl: float, quarantine_after: int) -> None:
-        self.campaign = Campaign.open(directory)
-        self.queue = WorkQueue(
-            self.campaign.paths.queue_db_path,
-            self.campaign.digest,
-            lease_ttl=lease_ttl,
-            quarantine_after=quarantine_after,
-        )
-        self.queue.enroll(
-            range(self.campaign.spec.n_shards),
-            done=self.campaign.completed_shards(),
-        )
-        self.spec = self.campaign.spec
-        self.cache_dir = (
-            str(self.campaign.paths.cache_dir) if self.spec.cache else None
-        )
-        self._final: "bool | None" = None
-
-    def claim(self, worker: str):
-        lease = self.queue.claim(worker)
-        if lease is None:
-            return None, self.complete()
-        if self.campaign._shard_records(lease.shard) is not None:
-            self.queue.complete(lease)
-            return None, self.complete()
-        return lease, False
-
-    def heartbeat(self, lease: Lease):
-        return self.queue.heartbeat(lease)
-
-    def complete_shard(self, lease: Lease, records: list) -> None:
-        if self.campaign._shard_records(lease.shard) is None:
-            self.campaign.write_shard_checkpoint(lease.shard, records)
-        self.queue.complete(lease)
-        self._maybe_report()
-
-    def fail(self, lease: Lease, error: "str | None" = None) -> str:
-        outcome = self.queue.fail(lease)
-        if outcome == "quarantined":
-            # Quarantining the last unresolved shard resolves the
-            # campaign — someone has to write the partial report, and
-            # with a path transport there is no coordinator to do it.
-            self._maybe_report()
-        return outcome
-
-    def _unresolved(self) -> list:
-        quarantined = set(self.queue.quarantined())
-        return [
-            shard
-            for shard in self.campaign.pending_shards()
-            if shard not in quarantined
-        ]
-
-    def _maybe_report(self) -> None:
-        if self._unresolved():
-            return
-        # Idempotent: whichever joiner resolves the last shard writes
-        # the (deterministic, hence identical) report.
-        self.campaign.write_report(quarantined=self.queue.quarantined())
-        _telemetry().count("campaign.report.written")
-
-    def traceparent(self, lease: Lease) -> "str | None":
-        context = tracing.current() or tracing.from_environment()
-        return context.child().to_traceparent() if context else None
-
-    def complete(self) -> bool:
-        if self._final is not None:
-            return self._final
-        return not self._unresolved()
-
-    def close(self) -> None:
-        # Snapshot completion first: join() builds its summary after
-        # close(), and the queue cannot be queried once closed.
-        self._final = not self._unresolved()
-        self.queue.close()
 
 
 class CoordinatorClient(HttpClient):
@@ -295,33 +220,23 @@ class CoordinatorClient(HttpClient):
 class _UrlTransport:
     """Worker side of the coordinator protocol (no shared filesystem)."""
 
-    def __init__(
-        self,
-        url: str,
-        cache_dir: "str | None",
-        retry_policy: "RetryPolicy | None" = None,
-    ) -> None:
+    def __init__(self, url: str, retry_policy: "RetryPolicy | None" = None) -> None:
         self.client = CoordinatorClient(url, retry_policy=retry_policy)
         info = self.client.describe()
         try:
             self.spec = CampaignSpec.from_dict(info["spec"])
         except (KeyError, TypeError, ValueError) as exc:
             raise JoinError(f"coordinator sent a bad spec: {exc}") from exc
-        self.digest = info.get("digest")
         self.lease_ttl = float(info.get("lease_ttl") or DEFAULT_LEASE_TTL)
-        self._complete = bool(info.get("complete"))
+        self.complete = bool(info.get("complete"))
         self._traceparents: dict = {}
-        # A remote joiner has no campaign directory; verdict caching
-        # (if the spec wants it) goes to a local per-campaign directory.
-        # Cache location never affects record bytes.
-        self.cache_dir = cache_dir
 
-    def claim(self, worker: str):
+    def claim(self, worker: str) -> "Lease | None":
         answer = self.client.claim(worker)
-        self._complete = bool(answer.get("complete"))
+        self.complete = bool(answer.get("complete"))
         shard = answer.get("shard")
         if shard is None:
-            return None, self._complete
+            return None
         lease = Lease(
             shard=int(shard),
             worker=worker,
@@ -329,7 +244,7 @@ class _UrlTransport:
             expires=time.time() + float(answer.get("expires_s") or self.lease_ttl),
         )
         self._traceparents[lease.token] = answer.get("traceparent")
-        return lease, False
+        return lease
 
     def heartbeat(self, lease: Lease):
         answer = self.client.heartbeat(lease)
@@ -342,25 +257,26 @@ class _UrlTransport:
             time.time() + float(answer.get("expires_s") or self.lease_ttl),
         )
 
+    def release(self, lease: Lease) -> None:
+        """Nothing to send: the coordinator reclaims the lease when its
+        TTL runs out."""
+
     def complete_shard(self, lease: Lease, records: list) -> None:
         answer = self.client.complete(lease, records)
-        self._complete = bool(answer.get("complete"))
+        self.complete = bool(answer.get("complete"))
 
-    def fail(self, lease: Lease, error: "str | None" = None) -> str:
+    def fail(self, lease: Lease, error: str = "") -> str:
         try:
             answer = self.client.fail(lease, error)
         except JoinError:
             # A pre-quarantine coordinator has no /fail endpoint; the
             # lease will simply expire and be reclaimed.
             return "lost"
-        self._complete = bool(answer.get("complete"))
+        self.complete = bool(answer.get("complete"))
         return str(answer.get("outcome", "lost"))
 
     def traceparent(self, lease: Lease) -> "str | None":
         return self._traceparents.pop(lease.token, None)
-
-    def complete(self) -> bool:
-        return self._complete
 
     def close(self) -> None:
         self.client.close()
@@ -371,14 +287,25 @@ def _open_transport(
     *,
     lease_ttl: float,
     cache_dir: "str | None",
-    retry_policy: "RetryPolicy | None" = None,
-    quarantine_after: "int | None" = None,
+    retry_policy: "RetryPolicy | None",
+    quarantine_after: "int | None",
 ):
+    """``(transport, spec, cache_dir)`` for a directory or a URL."""
     if isinstance(target, str) and target.startswith(("http://", "https://")):
-        return _UrlTransport(target, cache_dir, retry_policy)
-    if quarantine_after is None:
-        quarantine_after = DEFAULT_QUARANTINE_AFTER
-    return _PathTransport(target, lease_ttl, quarantine_after)
+        transport = _UrlTransport(target, retry_policy)
+        # A remote joiner has no campaign directory; verdict caching
+        # (if the spec wants it) goes to the caller's local directory.
+        # Cache location never affects record bytes.
+        return transport, transport.spec, cache_dir
+    campaign = Campaign.open(target)
+    broker = ShardBroker(
+        campaign,
+        lease_ttl=lease_ttl,
+        quarantine_after=(
+            DEFAULT_QUARANTINE_AFTER if quarantine_after is None else quarantine_after
+        ),
+    )
+    return broker, campaign.spec, str(campaign.paths.cache_dir)
 
 
 def join(
@@ -397,8 +324,9 @@ def join(
     until it completes (or ``max_shards`` shards have been executed).
 
     ``retry_budget`` overrides the per-wire-call retry count of
-    :data:`DEFAULT_JOIN_RETRY_POLICY`; ``quarantine_after`` applies to
-    path transports (URL joiners inherit the coordinator's setting).
+    :data:`DEFAULT_JOIN_RETRY_POLICY`; ``lease_ttl`` and
+    ``quarantine_after`` apply to directory joins (URL joiners inherit
+    the coordinator's settings).
 
     Returns a summary ``{"worker", "shards", "lost_leases",
     "failed_shards", "complete"}``.
@@ -411,7 +339,7 @@ def join(
             base_delay_s=DEFAULT_JOIN_RETRY_POLICY.base_delay_s,
             max_delay_s=DEFAULT_JOIN_RETRY_POLICY.max_delay_s,
         )
-    transport = _open_transport(
+    transport, spec, cache_dir = _open_transport(
         target,
         lease_ttl=lease_ttl,
         cache_dir=cache_dir,
@@ -432,7 +360,7 @@ def join(
             if max_shards is not None and len(executed) >= max_shards:
                 break
             try:
-                lease, complete = transport.claim(worker)
+                lease = transport.claim(worker)
             except (JoinError, *WIRE_ERRORS):
                 # The claim call exhausted its own retries — the
                 # coordinator is down harder than the per-call budget
@@ -445,11 +373,11 @@ def join(
                 continue
             claim_failures = 0
             if lease is None:
-                if complete:
+                if transport.complete:
                     break
                 time.sleep(poll_s)
                 continue
-            renew_every = max(transport_ttl(transport) / 3.0, 0.05)
+            renew_every = max(transport.lease_ttl / 3.0, 0.05)
             beat = _HeartbeatThread(transport.heartbeat, lease, renew_every)
             context = tracing.TraceContext.from_traceparent(
                 transport.traceparent(lease)
@@ -462,10 +390,7 @@ def join(
                         worker=worker,
                     ):
                         records = compute_shard_records(
-                            transport.spec,
-                            lease.shard,
-                            workers=width,
-                            cache_dir=transport.cache_dir,
+                            spec, lease.shard, workers=width, cache_dir=cache_dir
                         )
             except Exception as exc:
                 # The shard's *compute* failed — a poison instance, a
@@ -490,10 +415,7 @@ def join(
                 continue
             except BaseException:
                 beat.stop()
-                try:
-                    transport.queue.release(beat.lease)  # path transport only
-                except AttributeError:
-                    pass
+                transport.release(beat.lease)
                 raise
             beat.stop()
             if beat.lost.is_set():
@@ -525,13 +447,6 @@ def join(
         "shards": executed,
         "lost_leases": lost,
         "failed_shards": failed,
-        "complete": transport.complete(),
+        "complete": transport.complete,
     }
 
-
-def transport_ttl(transport) -> float:
-    """The lease TTL governing ``transport`` (queue- or wire-advertised)."""
-    queue = getattr(transport, "queue", None)
-    if queue is not None:
-        return queue.lease_ttl
-    return getattr(transport, "lease_ttl", DEFAULT_LEASE_TTL)

@@ -1171,7 +1171,7 @@ def _cmd_campaign_join(args) -> int:
     if not args.no_telemetry:
         path = args.telemetry
         if path is None and not args.target.startswith(("http://", "https://")):
-            # Path joiners share the campaign's stream (append-only
+            # Directory joiners share the campaign's stream (append-only
             # JSONL; repro stats/trace merge records by host+pid).
             path = os.path.join(args.target, "telemetry.jsonl")
     obs.configure(path, run={"command": "campaign-join", "worker": worker})

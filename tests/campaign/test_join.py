@@ -2,17 +2,25 @@
 
 The determinism chain under test: records are pure functions of
 ``(spec, shard)``, checkpoints are write-once, and the report
-aggregates in manifest order — so any interleaving of joiners (path or
-HTTP transport, duplicated work included) must reproduce the
-single-host ``report.json`` exactly.
+aggregates in manifest order — so any interleaving of joiners
+(directory or HTTP transport, duplicated work included) must reproduce
+the single-host ``report.json`` exactly.
+
+The ``transport`` scenarios at the end are the shard broker's
+conformance suite: each runs through a directory join and through a
+coordinator, which must apply the same lease-and-finish rules.
 """
 
 import json
 import threading
+import time
 
 import pytest
 
+import repro.campaign.worker as worker_module
 from repro.campaign import api
+from repro.campaign.queue import WorkQueue
+from repro.campaign.runner import compute_shard_records
 from repro.campaign.worker import CoordinatorClient
 from repro.campaign.spec import CampaignSpec
 
@@ -161,23 +169,191 @@ def _leftover_lease_files(directory, digest):
     return sorted(path.name for path in queue_dir.iterdir())
 
 
-@pytest.mark.parametrize("transport", ["path", "url"])
+@pytest.fixture(params=["dir", "url"])
+def transport(request):
+    """How a scenario works its campaign: a directory join, or a join
+    of a coordinator serving the directory."""
+    return request.param
+
+
+def join_via(transport, directory, *, quarantine_after=None, timeout=60.0):
+    """One ``workers=1`` join of ``directory`` through ``transport``;
+    its summary.  The join runs on a daemon thread, so a join that
+    never finishes fails the test after ``timeout`` instead of hanging
+    the suite.  A URL join also waits for the coordinator to finish;
+    ``quarantine_after`` goes to whichever side brokers the shards."""
+    outcome = {}
+
+    def work():
+        try:
+            if transport == "dir":
+                outcome["summary"] = api.join(
+                    str(directory), workers=1, quarantine_after=quarantine_after
+                )
+                return
+            serve_kwargs = {}
+            if quarantine_after is not None:
+                serve_kwargs["quarantine_after"] = quarantine_after
+            with api.serve(directory, port=0, **serve_kwargs) as coordinator:
+                outcome["summary"] = api.join(coordinator.url, workers=1)
+                assert coordinator.wait_complete(timeout=10)
+        except BaseException as error:  # re-raised on the test's thread
+            outcome["error"] = error
+
+    thread = threading.Thread(target=work, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"{transport} join still running after {timeout}s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["summary"]
+
+
 def test_leftover_lease_files_are_ignored(tmp_path, reference_report, transport):
     """A campaign directory with a leftover ``queue/`` resumes on
     ``queue.sqlite``, enrolled from the checkpoints alone."""
     directory = tmp_path / "campaign"
     handle = api.create(CampaignSpec(**SPEC), directory)
     leftover = _leftover_lease_files(directory, handle.digest)
-    if transport == "path":
-        summaries = _join_all(str(directory), 1)
-    else:
-        with api.serve(directory, port=0) as coordinator:
-            summaries = _join_all(coordinator.url, 1)
-            assert coordinator.wait_complete(timeout=10)
+    summary = join_via(transport, directory)
     assert (directory / "report.json").read_bytes() == reference_report
-    assert summaries[0]["shards"] == list(range(CampaignSpec(**SPEC).n_shards))
+    assert summary["shards"] == list(range(CampaignSpec(**SPEC).n_shards))
     assert (directory / "queue.sqlite").is_file()
     assert sorted(p.name for p in (directory / "queue").iterdir()) == leftover
+
+
+def test_done_row_with_lost_checkpoint_is_recomputed(
+    tmp_path, reference_report, transport
+):
+    """A ``done`` queue row whose checkpoint is gone re-opens when a
+    broker opens, so the join recomputes the shard instead of polling
+    forever for it."""
+    directory = tmp_path / "campaign"
+    paths = api.create(CampaignSpec(**SPEC), directory).raw.paths
+    api.join(str(directory), workers=1)
+    paths.shard_path(1).unlink()
+    paths.report_path.unlink()
+    summary = join_via(transport, directory)
+    assert summary["shards"] == [1]
+    assert summary["complete"] is True
+    assert paths.report_path.read_bytes() == reference_report
+
+
+def test_durable_last_checkpoint_with_open_row_writes_report(
+    tmp_path, reference_report, transport
+):
+    """A crash between the last checkpoint and its queue row leaves the
+    row open: the join has nothing to compute but must still write the
+    report before it calls the campaign complete."""
+    spec = CampaignSpec(**SPEC)
+    directory = tmp_path / "campaign"
+    handle = api.create(spec, directory)
+    handle.run(workers=1)
+    handle.raw.paths.report_path.unlink()
+    with WorkQueue(handle.raw.paths.queue_db_path, handle.digest) as queue:
+        queue.enroll(range(spec.n_shards), done=range(spec.n_shards - 1))
+    summary = join_via(transport, directory)
+    assert summary["shards"] == []
+    assert summary["complete"] is True
+    assert handle.raw.paths.report_path.read_bytes() == reference_report
+
+
+def _poison_shard(monkeypatch, poison):
+    def compute(spec, shard, **kwargs):
+        if shard == poison:
+            raise RuntimeError("planted poison")
+        return compute_shard_records(spec, shard, **kwargs)
+
+    monkeypatch.setattr(worker_module, "compute_shard_records", compute)
+
+
+def test_recomputed_quarantined_shard_replaces_partial_report(
+    tmp_path, monkeypatch, reference_report, transport
+):
+    """Once a quarantined shard is reset and recomputed, the partial
+    report on disk gives way to the full one."""
+    directory = tmp_path / "campaign"
+    handle = api.create(CampaignSpec(**SPEC), directory)
+    _poison_shard(monkeypatch, 1)
+    api.join(str(directory), workers=1, quarantine_after=1)
+    report_path = handle.raw.paths.report_path
+    assert json.loads(report_path.read_text())["partial"] is True
+    monkeypatch.undo()
+    with WorkQueue(handle.raw.paths.queue_db_path, handle.digest) as queue:
+        assert queue.reset([1]) == [1]
+    summary = join_via(transport, directory)
+    assert summary["shards"] == [1]
+    assert summary["complete"] is True
+    assert report_path.read_bytes() == reference_report
+
+
+def test_stale_report_does_not_complete_a_held_shard(
+    tmp_path, reference_report, transport
+):
+    """Worker A holds the last shard and a stale ``report.json`` is on
+    disk: worker B finds nothing to claim, but the campaign is not
+    complete until A's shard lands."""
+    spec = CampaignSpec(**SPEC)
+    last = spec.n_shards - 1
+    directory = tmp_path / "campaign"
+    handle = api.create(spec, directory)
+    handle.run(workers=1, max_shards=last)
+    report_path = handle.raw.paths.report_path
+    report_path.write_bytes(reference_report)
+    with WorkQueue(
+        handle.raw.paths.queue_db_path, handle.digest, lease_ttl=60.0
+    ) as holder:
+        holder.enroll(range(spec.n_shards), done=range(last))
+        lease = holder.claim("A")
+        assert lease.shard == last
+        if transport == "url":
+            with api.serve(directory, port=0) as coordinator:
+                answer = coordinator.handle_claim({"v": 2, "worker": "B"})
+                assert answer == {"shard": None, "complete": False}
+                assert not coordinator.complete
+                coordinator.handle_complete({
+                    "shard": last,
+                    "token": lease.token,
+                    "worker": "A",
+                    "records": compute_shard_records(spec, last, workers=1),
+                })
+                assert coordinator.complete
+        else:
+            outcome = {}
+            worker_b = threading.Thread(
+                target=lambda: outcome.update(
+                    api.join(str(directory), workers=1, poll_s=0.02)
+                ),
+                daemon=True,
+            )
+            worker_b.start()
+            time.sleep(0.5)
+            assert worker_b.is_alive() and not outcome
+            holder.release(lease)
+            worker_b.join(timeout=60)
+            assert outcome["shards"] == [last]
+            assert outcome["complete"] is True
+    assert report_path.read_bytes() == reference_report
+
+
+def test_open_on_finished_checkpoints_writes_report_first(
+    tmp_path, reference_report, transport
+):
+    """A campaign with every checkpoint but no report is complete only
+    once opening its broker has written the report."""
+    directory = tmp_path / "campaign"
+    handle = api.create(CampaignSpec(**SPEC), directory)
+    handle.run(workers=1)
+    report_path = handle.raw.paths.report_path
+    report_path.unlink()
+    if transport == "url":
+        with api.serve(directory, port=0) as coordinator:
+            assert coordinator.complete
+            assert report_path.read_bytes() == reference_report
+    else:
+        summary = api.join(str(directory), workers=1, max_shards=0)
+        assert summary["complete"] is True
+        assert report_path.read_bytes() == reference_report
 
 
 def test_coordinator_bootstrap_names_no_backend(tmp_path):

@@ -12,6 +12,10 @@ from repro.campaign import api
 from repro.campaign.report import render_report
 from repro.campaign.runner import compute_shard_records
 from repro.campaign.spec import CampaignSpec
+from repro.obs import install
+from repro.obs.telemetry import Telemetry
+
+from .test_join import join_via
 
 SPEC = dict(
     name="poison-test",
@@ -135,3 +139,50 @@ def test_coordinator_quarantines_over_http(tmp_path, monkeypatch):
     assert summary["failed_shards"] == 1
     assert snap["quarantined"] == 1
     _assert_partial(directory, CampaignSpec(**SPEC))
+
+
+def _poison_run_telemetry(tmp_path, monkeypatch, transport):
+    """The ``campaign.*`` counter names and ``campaign.shard.fail``
+    events of one poison-shard campaign (``quarantine_after=1``) run
+    through ``transport``.  Before the run, shard 0's queue row is done
+    but its checkpoint is gone, so the broker also reconciles."""
+    directory = tmp_path / transport / "campaign"
+    handle = api.create(CampaignSpec(**SPEC), directory)
+    api.join(str(directory), workers=1, max_shards=1)
+    handle.raw.paths.shard_path(0).unlink()
+    _poisoned(monkeypatch)
+    path = tmp_path / transport / "telemetry.jsonl"
+    telemetry = Telemetry(path)
+    previous = install(telemetry)
+    try:
+        join_via(transport, directory, quarantine_after=1)
+    finally:
+        install(previous)
+        telemetry.close()
+    _assert_partial(directory, CampaignSpec(**SPEC))
+    counters = {name for name in telemetry.counters if name.startswith("campaign.")}
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    fails = [
+        (record["shard"], record["outcome"])
+        for record in records
+        if record["type"] == "campaign.shard.fail"
+    ]
+    return counters, fails
+
+
+def test_directory_and_url_joins_emit_the_same_campaign_telemetry(
+    tmp_path, monkeypatch
+):
+    """One broker, one telemetry: the directory join and the URL join
+    count the same ``campaign.*`` names and emit the same failure
+    event for the same poison-shard campaign."""
+    by_dir = _poison_run_telemetry(tmp_path, monkeypatch, "dir")
+    by_url = _poison_run_telemetry(tmp_path, monkeypatch, "url")
+    assert by_dir == by_url
+    counters, fails = by_dir
+    assert {
+        "campaign.queue.reconciled",
+        "campaign.report.partial",
+        "campaign.shard.quarantined",
+    } <= counters
+    assert fails == [(POISON_SHARD, "quarantined")]
