@@ -25,19 +25,38 @@ take a :class:`RunConfig` (engine, reduction, cache, workers, bounds,
 telemetry) instead of ad-hoc keyword arguments, and
 ``tests/test_api_surface.py`` pins this surface so accidental drift
 fails CI.  See ``docs/api.md``.
+
+The package and its subpackages are lazy facades (see
+:mod:`repro._lazy`): a re-exported name imports its defining module on
+first attribute access, so ``import repro`` loads almost nothing.
 """
 
-from . import analysis, campaign, core, engine, faults, models, realization, serve
-from .analysis import matrix_certification, survey_convergence
-from .campaign import Campaign, CampaignHandle, CampaignSpec
-from .config import RunConfig
-from .faults import FaultPlan
-from .core import SPPBuilder, SPPInstance
-from .core import instances as canonical
-from .core.generators import instance_family, random_instance
-from .engine import can_oscillate, simulate
-from .engine.parallel import run_explorations, run_simulations
-from .models import ALL_MODELS, CommunicationModel, model
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".": [
+            "analysis",
+            "campaign",
+            "core",
+            "engine",
+            "faults",
+            "models",
+            "realization",
+            "serve",
+        ],
+        ".analysis": ["matrix_certification", "survey_convergence"],
+        ".campaign": ["Campaign", "CampaignHandle", "CampaignSpec"],
+        ".config": ["RunConfig"],
+        ".faults": ["FaultPlan"],
+        ".core": ["SPPBuilder", "SPPInstance", "instances as canonical"],
+        ".core.generators": ["instance_family", "random_instance"],
+        ".engine": ["can_oscillate", "simulate"],
+        ".engine.parallel": ["run_explorations", "run_simulations"],
+        ".models": ["ALL_MODELS", "CommunicationModel", "model"],
+    },
+)
 
 __version__ = "2.0.0"
 

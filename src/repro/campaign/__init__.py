@@ -35,14 +35,21 @@ run / serve / join / status / report``) rather than the lower-level
 modules.  See ``docs/api.md`` and ``docs/distributed.md``.
 """
 
-from .api import CampaignHandle, attach, create
-from .coordinator import CampaignCoordinator
-from .manifest import CAMPAIGN_SCHEMA, CampaignPaths, build_manifest
-from .queue import Lease, QueueError, WorkQueue
-from .report import aggregate_report, render_report
-from .runner import Campaign, CampaignError, compute_shard_records
-from .spec import MODES, CampaignSpec, spec_digest
-from .worker import join
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".api": ["CampaignHandle", "attach", "create"],
+        ".coordinator": ["CampaignCoordinator"],
+        ".manifest": ["CAMPAIGN_SCHEMA", "CampaignPaths", "build_manifest"],
+        ".queue": ["Lease", "QueueError", "WorkQueue"],
+        ".report": ["aggregate_report", "render_report"],
+        ".runner": ["Campaign", "CampaignError", "compute_shard_records"],
+        ".spec": ["MODES", "CampaignSpec", "spec_digest"],
+        ".worker": ["join"],
+    },
+)
 
 __all__ = [
     "CAMPAIGN_SCHEMA",

@@ -31,7 +31,7 @@ import threading
 from ..obs import active as _telemetry
 from ..obs import tracing
 from .queue import DEFAULT_LEASE_TTL, DEFAULT_QUARANTINE_AFTER, Lease, WorkQueue
-from .runner import Campaign
+from .runner import Campaign, CampaignError
 
 __all__ = ["ShardBroker"]
 
@@ -59,9 +59,12 @@ class ShardBroker:
         if stale:
             self.queue.reset(stale)
             _telemetry().count("campaign.queue.reconciled", len(stale))
+        # Shards this broker has seen checkpointed.  Checkpoints are
+        # write-once, so finishing re-reads only the others.
+        self._durable = set(done)
         self._lock = threading.Lock()
         self._complete = threading.Event()
-        self._finish(pending=sorted(set(range(campaign.spec.n_shards)) - set(done)))
+        self._finish()
 
     @property
     def lease_ttl(self) -> float:
@@ -83,6 +86,7 @@ class ShardBroker:
         if lease is not None and self.campaign._shard_records(lease.shard) is not None:
             # Checkpointed behind the queue's back (a crash between the
             # two writes, or another joiner): complete without recompute.
+            self._durable.add(lease.shard)
             self.queue.complete(lease)
             lease = None
         if lease is None:
@@ -102,6 +106,7 @@ class ShardBroker:
             wrote = self.campaign._shard_records(lease.shard) is None
             if wrote:
                 self.campaign.write_shard_checkpoint(lease.shard, records)
+            self._durable.add(lease.shard)
         owned = self.queue.complete(lease)
         self._finish(changed=wrote)
         return owned
@@ -128,20 +133,27 @@ class ShardBroker:
         return context.child().to_traceparent() if context else None
 
     # -- finishing -----------------------------------------------------------
-    def _finish(self, changed: bool = False, pending=None) -> None:
+    def _finish(self, changed: bool = False) -> None:
         """Write the report if no shard is unresolved, then report
         complete; ``changed`` (a checkpoint landed, a shard was
-        quarantined) re-checks an already finished campaign, and
-        ``pending`` spares re-reading checkpoints the caller just read."""
+        quarantined) re-checks an already finished campaign."""
         with self._lock:
             if self._complete.is_set() and not changed:
                 return
-            if pending is None:
-                pending = self.campaign.pending_shards()
             quarantined = self.queue.quarantined()
-            if any(shard not in quarantined for shard in pending):
+            for shard in range(self.campaign.spec.n_shards):
+                if shard in self._durable or shard in quarantined:
+                    continue
+                if self.campaign._shard_records(shard) is None:
+                    return
+                self._durable.add(shard)
+            try:
+                self.campaign.write_report(quarantined=quarantined)
+            except CampaignError:
+                # A checkpoint seen durable has gone (quarantined by
+                # `repro doctor --repair`): forget what was seen.
+                self._durable.clear()
                 return
-            self.campaign.write_report(quarantined=quarantined)
             self._complete.set()
             tel = _telemetry()
             tel.count("campaign.report.written")

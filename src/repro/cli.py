@@ -40,7 +40,6 @@ import sys
 from . import faults, obs
 from .analysis import experiments, reporting
 from .analysis.traces import format_trace_table
-from .campaign import Campaign, CampaignError, CampaignSpec, QueueError, render_report
 from .config import DEFAULT_ENGINE, ENGINES, RunConfig
 from .core.instances import ALL_NAMED_INSTANCES
 from .engine.cache import DEFAULT_CACHE_DIR, VerdictCache
@@ -1073,8 +1072,10 @@ def _cmd_sat(text: str) -> int:
     return 0
 
 
-def _campaign_for_args(args) -> Campaign:
-    """Create or open the campaign directory named by ``args``."""
+def _campaign_for_args(args):
+    """Create or open the :class:`~repro.campaign.Campaign` named by ``args``."""
+    from .campaign import Campaign, CampaignSpec
+
     if args.campaign_command == "run":
         spec = CampaignSpec.from_file(args.spec)
         directory = args.dir or os.path.join("campaigns", spec.name)
@@ -1082,8 +1083,10 @@ def _campaign_for_args(args) -> Campaign:
     return Campaign.open(args.dir)
 
 
-def _campaign_execute(campaign: Campaign, args) -> int:
+def _campaign_execute(campaign, args) -> int:
     """Run pending shards under the campaign's own telemetry stream."""
+    from .campaign import render_report
+
     path = None
     if not args.no_telemetry:
         path = args.telemetry or str(campaign.paths.telemetry_path)
@@ -1116,7 +1119,7 @@ def _campaign_execute(campaign: Campaign, args) -> int:
 
 def _cmd_campaign_serve(args) -> int:
     """``repro campaign serve <dir>`` — the coordinator daemon."""
-    from .campaign.coordinator import CampaignCoordinator
+    from .campaign import Campaign, CampaignCoordinator
 
     campaign = Campaign.open(args.dir)
     path = None
@@ -1206,6 +1209,10 @@ def _cmd_campaign_join(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    # Imported here, not at module level: a cold `repro matrix` should
+    # not load the campaign stack (SQLite, HTTP) it never uses.
+    from .campaign import CampaignError, QueueError, render_report
+
     if args.campaign_command in ("serve", "join"):
         handler = (
             _cmd_campaign_serve

@@ -15,23 +15,31 @@ module-level no-op — one global ``None`` check — so the engines and
 the ``BENCH_*`` perf gates are untouched.
 
 This package is deliberately the bottom of the layering: it imports
-nothing from the rest of ``repro`` (stdlib only), so any module — the
-telemetry sink included — may call into it.
+nothing from the rest of ``repro`` but the stdlib-only facade helper
+:mod:`repro._lazy`, so any module — the telemetry sink included — may
+call into it.
 """
 
-from .plan import (
-    FAULT_KINDS,
-    FAULT_PLAN_ENV_VAR,
-    ArmedPlan,
-    FaultInjected,
-    FaultPlan,
-    FaultRule,
-    active_plan,
-    arm,
-    armed,
-    disarm,
-    ensure_armed_from_env,
-    fault_point,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".plan": [
+            "FAULT_KINDS",
+            "FAULT_PLAN_ENV_VAR",
+            "ArmedPlan",
+            "FaultInjected",
+            "FaultPlan",
+            "FaultRule",
+            "active_plan",
+            "arm",
+            "armed",
+            "disarm",
+            "ensure_armed_from_env",
+            "fault_point",
+        ],
+    },
 )
 
 __all__ = [

@@ -1,18 +1,30 @@
 """The communication-model taxonomy of Sec. 2.2–2.3."""
 
-from .constraints import entry_violations, is_legal_entry, require_legal_entry
-from .dimensions import MessageCount, NeighborScope, NodeConcurrency, Reliability
-from .taxonomy import (
-    ALL_MODELS,
-    MESSAGE_PASSING_MODELS,
-    MODELS_BY_NAME,
-    POLLING_MODELS,
-    QUEUEING_MODELS,
-    RELIABLE_MODELS,
-    UNRELIABLE_MODELS,
-    CommunicationModel,
-    model,
-    parse_model,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".constraints": ["entry_violations", "is_legal_entry", "require_legal_entry"],
+        ".dimensions": [
+            "MessageCount",
+            "NeighborScope",
+            "NodeConcurrency",
+            "Reliability",
+        ],
+        ".taxonomy": [
+            "ALL_MODELS",
+            "MESSAGE_PASSING_MODELS",
+            "MODELS_BY_NAME",
+            "POLLING_MODELS",
+            "QUEUEING_MODELS",
+            "RELIABLE_MODELS",
+            "UNRELIABLE_MODELS",
+            "CommunicationModel",
+            "model",
+            "parse_model",
+        ],
+    },
 )
 
 __all__ = [

@@ -29,46 +29,54 @@ Everything here *observes only*: enabling telemetry changes no verdict,
 witness, state count, or cache key.  ``repro.obs`` sits below the
 engine in the layering — it imports nothing from the rest of the
 package except the stdlib-only fault-injection leaf
-:mod:`repro.faults`, so any module may report into it.  The JSONL sink
+:mod:`repro.faults` and facade helper :mod:`repro._lazy`, so any
+module may report into it.  The JSONL sink
 degrades rather than aborts: a write failure disables the stream with
 a stderr warning and the run continues.
 """
 
-from .metrics import (
-    LogHistogram,
-    MetricsRegistry,
-    parse_prometheus,
-    registry,
-    render_prometheus,
-)
-from .progress import ProgressReporter
-from .stats import (
-    KNOWN_PHASES,
-    TelemetryAggregate,
-    aggregate_files,
-    aggregate_records,
-    read_records,
-    render_counters,
-    render_phase_table,
-)
-from .telemetry import (
-    NULL,
-    SCHEMA_VERSION,
-    TELEMETRY_ENV_VAR,
-    NullTelemetry,
-    Telemetry,
-    active,
-    configure,
-    install,
-    metrics_text,
-    shutdown,
-)
-from .tracing import (
-    TRACEPARENT_ENV_VAR,
-    TraceContext,
-    collect_trace,
-    render_trace_tree,
-    trace_span,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".metrics": [
+            "LogHistogram",
+            "MetricsRegistry",
+            "parse_prometheus",
+            "registry",
+            "render_prometheus",
+        ],
+        ".progress": ["ProgressReporter"],
+        ".stats": [
+            "KNOWN_PHASES",
+            "TelemetryAggregate",
+            "aggregate_files",
+            "aggregate_records",
+            "read_records",
+            "render_counters",
+            "render_phase_table",
+        ],
+        ".telemetry": [
+            "NULL",
+            "SCHEMA_VERSION",
+            "TELEMETRY_ENV_VAR",
+            "NullTelemetry",
+            "Telemetry",
+            "active",
+            "configure",
+            "install",
+            "metrics_text",
+            "shutdown",
+        ],
+        ".tracing": [
+            "TRACEPARENT_ENV_VAR",
+            "TraceContext",
+            "collect_trace",
+            "render_trace_tree",
+            "trace_span",
+        ],
+    },
 )
 
 __all__ = [

@@ -77,47 +77,85 @@ class RealizationMatrix:
 
     # ------------------------------------------------------------------
     def close(self, max_rounds: int = 64) -> int:
-        """Run the three rules to fixpoint; returns the round count."""
+        """Run the three rules to fixpoint; returns the round count.
+
+        The rules run over flat ``lo``/``hi`` level lists indexed
+        ``a * n + b``: keyed by model pairs, the 24³ loop would hash
+        frozen model dataclasses about a million times per fixpoint.
+        The visiting order and the values each rule reads (``ab`` once
+        per ``(a, b)``, ``bc`` once per ``c``, everything else current)
+        fix which rule tightens an entry first, and so its provenance;
+        ``tests/realization/test_closure.py`` pins the result.
+        """
+        models = self.models
+        n = len(models)
+        keys = [(a, b) for a in models for b in models]
+        lo = [int(self._bounds[key].lo) for key in keys]
+        hi = [int(self._bounds[key].hi) for key in keys]
+        lo_reason, hi_reason = self._lo_reason, self._hi_reason
         for round_number in range(1, max_rounds + 1):
             changed = False
-            for a in self.models:
-                for b in self.models:
-                    ab = self._bounds[(a, b)]
-                    for c in self.models:
-                        bc = self._bounds[(b, c)]
-                        ac = self._bounds[(a, c)]
+            for a in range(n):
+                row_a = a * n
+                for b in range(n):
+                    row_b = b * n
+                    ab_lo = lo[row_a + b]
+                    ba = row_b + a
+                    for c in range(n):
+                        ac = row_a + c
+                        bc = row_b + c
+                        bc_lo, bc_hi = lo[bc], hi[bc]
                         # Positive composition: C realizes A through B.
-                        composed = min(ab.lo, bc.lo)
-                        if composed > ac.lo:
-                            changed |= self.set(
-                                a,
-                                c,
-                                Bounds.at_least(composed),
-                                reason=("compose", b),
-                            )
-                            ac = self._bounds[(a, c)]
+                        composed = ab_lo if ab_lo < bc_lo else bc_lo
+                        if composed > lo[ac]:
+                            if composed > hi[ac]:
+                                self._contradict(
+                                    keys, lo, hi, ac, Bounds.at_least(Level(composed))
+                                )
+                            lo[ac] = composed
+                            lo_reason[keys[ac]] = ("compose", models[b])
+                            changed = True
                         # Negative "push tail": B's strong realization of A
                         # caps anything that realizes B poorly w.r.t. A.
-                        if ab.lo > ac.hi and ac.hi < bc.hi:
-                            changed |= self.set(
-                                b,
-                                c,
-                                Bounds.at_most(ac.hi),
-                                reason=("push", a),
-                            )
+                        ac_hi = hi[ac]
+                        if ab_lo > ac_hi and ac_hi < bc_hi:
+                            if lo[bc] > ac_hi:
+                                self._contradict(
+                                    keys, lo, hi, bc, Bounds.at_most(Level(ac_hi))
+                                )
+                            hi[bc] = ac_hi
+                            hi_reason[keys[bc]] = ("push", models[a])
+                            changed = True
                         # Negative "pull head": C realizes A strongly but
                         # cannot realize B; then A cannot realize B either.
-                        ba = self._bounds[(b, a)]
-                        if ac.lo > bc.hi and bc.hi < ba.hi:
-                            changed |= self.set(
-                                b,
-                                a,
-                                Bounds.at_most(bc.hi),
-                                reason=("pull", c),
-                            )
+                        if lo[ac] > bc_hi and bc_hi < hi[ba]:
+                            if lo[ba] > bc_hi:
+                                self._contradict(
+                                    keys, lo, hi, ba, Bounds.at_most(Level(bc_hi))
+                                )
+                            hi[ba] = bc_hi
+                            hi_reason[keys[ba]] = ("pull", models[c])
+                            changed = True
             if not changed:
+                self._store(keys, lo, hi)
                 return round_number
+        self._store(keys, lo, hi)
         raise RuntimeError("closure did not stabilize (should be impossible)")
+
+    def _store(self, keys: list, lo: list, hi: list) -> None:
+        """Write the flat ``lo``/``hi`` lists of :meth:`close` back."""
+        bounds = self._bounds
+        for key, low, high in zip(keys, lo, hi):
+            old = bounds[key]
+            if old.lo != low or old.hi != high:
+                bounds[key] = Bounds(Level(low), Level(high))
+
+    def _contradict(self, keys, lo, hi, index: int, bounds: Bounds) -> None:
+        """Store the closure's state, then let :meth:`set` raise the
+        contradiction between entry ``index`` and ``bounds``."""
+        self._store(keys, lo, hi)
+        self.set(*keys[index], bounds)
+        raise AssertionError(f"{bounds} does not contradict {keys[index]}")
 
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:

@@ -24,34 +24,47 @@ stdlib-only HTTP/JSON daemon (``repro serve``) with a thin client
 See ``docs/serving.md`` for the wire protocol and deployment notes.
 """
 
-from .client import QueryResponse, ServeClient, ServerError, ServerShedding, query
-from .protocol import (
-    PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
-    ProtocolError,
-    QueryRequest,
-    UnsupportedVersion,
-    check_version,
-    envelope,
-    parse_query,
-)
-from .retry import (
-    BreakerOpen,
-    CircuitBreaker,
-    RetryPolicy,
-    TransientError,
-    call_with_retry,
-    parse_retry_after,
-)
-from .server import ReproServer
-from .service import (
-    ComputeFailed,
-    DeadlineExceeded,
-    Draining,
-    ServeConfig,
-    ServeError,
-    Shed,
-    VerdictService,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".client": [
+            "QueryResponse",
+            "ServeClient",
+            "ServerError",
+            "ServerShedding",
+            "query",
+        ],
+        ".protocol": [
+            "PROTOCOL_VERSION",
+            "SUPPORTED_VERSIONS",
+            "ProtocolError",
+            "QueryRequest",
+            "UnsupportedVersion",
+            "check_version",
+            "envelope",
+            "parse_query",
+        ],
+        ".retry": [
+            "BreakerOpen",
+            "CircuitBreaker",
+            "RetryPolicy",
+            "TransientError",
+            "call_with_retry",
+            "parse_retry_after",
+        ],
+        ".server": ["ReproServer"],
+        ".service": [
+            "ComputeFailed",
+            "DeadlineExceeded",
+            "Draining",
+            "ServeConfig",
+            "ServeError",
+            "Shed",
+            "VerdictService",
+        ],
+    },
 )
 
 __all__ = [

@@ -14,13 +14,15 @@ coordinator, which must apply the same lease-and-finish rules.
 import json
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 import repro.campaign.worker as worker_module
 from repro.campaign import api
+from repro.campaign.broker import ShardBroker
 from repro.campaign.queue import WorkQueue
-from repro.campaign.runner import compute_shard_records
+from repro.campaign.runner import Campaign, compute_shard_records
 from repro.campaign.worker import CoordinatorClient
 from repro.campaign.spec import CampaignSpec
 
@@ -94,6 +96,50 @@ def test_join_then_join_again_is_idempotent(tmp_path, reference_report):
     again = api.join(str(directory), workers=1)
     assert again["shards"] == [] and again["complete"]
     assert (directory / "report.json").read_bytes() == reference_report
+
+
+def test_finishing_reads_each_checkpoint_a_bounded_number_of_times(
+    tmp_path, monkeypatch
+):
+    """Checkpoints are write-once, so the broker re-reads only shards it
+    has not yet seen durable: per shard, the open-time scan, the check at
+    claim and at complete, one finish check while it is the lowest
+    pending shard, and the report.  Re-reading every checkpoint after
+    each completion would read each of 16 shards at least 16 times."""
+    directory = tmp_path / "campaign"
+    spec = CampaignSpec(**{**SPEC, "count": 16, "shard_size": 1})
+    api.create(spec, directory)
+    reads = Counter()
+    shard_records = Campaign._shard_records
+
+    def counting(campaign, shard):
+        reads[shard] += 1
+        return shard_records(campaign, shard)
+
+    monkeypatch.setattr(Campaign, "_shard_records", counting)
+    summary = api.join(str(directory), workers=1)
+    assert summary["complete"] and len(summary["shards"]) == 16
+    assert sorted(reads) == list(range(16))
+    assert max(reads.values()) <= 5, reads
+
+
+def test_checkpoint_lost_after_it_was_seen_blocks_the_report(tmp_path):
+    """Finishing trusts the checkpoints a broker has seen; if one is
+    gone when the report is written (quarantined by ``repro doctor
+    --repair``), the broker does not finish."""
+    spec = CampaignSpec(**SPEC)
+    campaign = api.create(spec, tmp_path / "campaign").raw
+    campaign.run_shard(0, workers=1)
+    broker = ShardBroker(campaign)
+    try:
+        campaign.paths.shard_path(0).unlink()
+        while (lease := broker.claim("w")) is not None:
+            records = compute_shard_records(spec, lease.shard, workers=1)
+            broker.complete_shard(lease, records)
+        assert not broker.complete
+        assert not campaign.paths.report_path.exists()
+    finally:
+        broker.close()
 
 
 def test_max_shards_leaves_early(tmp_path):

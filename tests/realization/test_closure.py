@@ -1,5 +1,7 @@
 """Tests for the transitivity closure — the engine behind Figures 3/4."""
 
+import hashlib
+
 import pytest
 
 from repro.models.taxonomy import ALL_MODELS, model
@@ -162,3 +164,68 @@ class TestSyntacticContainmentConsistency:
             for b in ALL_MODELS:
                 if b.syntactically_contains(a):
                     assert derived.get(a, b).lo == Level.EXACT, (a.name, b.name)
+
+
+class TestClosureGolden:
+    """The closure's full output, pinned byte for byte: every entry's
+    cell, every ``explain`` derivation and the round count."""
+
+    #: sha256 of the lines below, recorded with the pairwise
+    #: (``Bounds``-keyed) fixpoint loop the integer-indexed one replaced.
+    GOLDEN = "e4909397c4ec5cad05ffbf1561263a82d4f9be69dbe5bdb01b49070f24702276"
+
+    def test_every_cell_and_derivation(self):
+        matrix = RealizationMatrix()
+        matrix.absorb_facts(foundational_facts())
+        rounds = matrix.close()
+        lines = [f"rounds {rounds}"]
+        for a in ALL_MODELS:
+            for b in ALL_MODELS:
+                lines.append(f"{a} {b} {matrix.get(a, b).render()}")
+                lines.extend(matrix.explain(a, b))
+        assert rounds == 3
+        assert len(lines) == 4397
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.GOLDEN
+
+    @pytest.mark.parametrize(
+        "facts, message",
+        [
+            (
+                [
+                    ("R1O", "RMO", Bounds.at_least(Level.EXACT)),
+                    ("RMO", "RMS", Bounds.at_least(Level.EXACT)),
+                    ("R1O", "RMS", Bounds.at_most(Level.NONE)),
+                ],
+                "contradiction at (R1O realized by RMS): "
+                "inconsistent realization bounds: -1 versus 4",
+            ),
+            (
+                [
+                    ("REA", "RMS", Bounds.at_least(Level.EXACT)),
+                    ("REA", "R1O", Bounds.at_most(Level.SUBSEQUENCE)),
+                    ("RMS", "R1O", Bounds.at_least(Level.REPETITION)),
+                ],
+                "contradiction at (REA realized by RMS): "
+                "inconsistent realization bounds: 4 versus <=2",
+            ),
+            (
+                [
+                    ("UEA", "U1O", Bounds.at_least(Level.EXACT)),
+                    ("UMS", "U1O", Bounds.at_most(Level.OSCILLATION)),
+                    ("UMS", "UEA", Bounds.at_least(Level.REPETITION)),
+                ],
+                "contradiction at (UMS realized by U1O): "
+                "inconsistent realization bounds: <=1 versus >=3",
+            ),
+        ],
+        ids=["compose", "pull", "compose-under-cap"],
+    )
+    def test_contradiction_met_inside_close(self, facts, message):
+        """Facts that agree pairwise but contradict once closed."""
+        matrix = RealizationMatrix()
+        for realized, realizer, bounds in facts:
+            matrix.set(model(realized), model(realizer), bounds)
+        with pytest.raises(ValueError) as raised:
+            matrix.close()
+        assert str(raised.value) == message

@@ -7,6 +7,7 @@ new name — and removals or renames are breaking.
 """
 
 import dataclasses
+import importlib
 import inspect
 
 import pytest
@@ -59,9 +60,68 @@ def test_public_all_snapshot():
     assert sorted(repro.__all__) == EXPECTED_ALL
 
 
+#: The lazy facades (``repro._lazy``): each resolves its ``__all__`` on
+#: first attribute access.
+PACKAGES = (
+    "repro",
+    "repro.analysis",
+    "repro.campaign",
+    "repro.core",
+    "repro.engine",
+    "repro.faults",
+    "repro.models",
+    "repro.obs",
+    "repro.realization",
+    "repro.serve",
+)
+
+
 def test_all_names_resolve():
-    for name in repro.__all__:
-        assert getattr(repro, name) is not None, name
+    for package in PACKAGES:
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert getattr(module, name) is not None, f"{package}.{name}"
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_star_import_binds_all(package):
+    namespace: dict = {}
+    exec(f"from {package} import *", namespace)
+    module = importlib.import_module(package)
+    assert set(module.__all__) <= set(namespace)
+    for name in module.__all__:
+        assert namespace[name] is getattr(module, name), name
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_dir_lists_all(package):
+    module = importlib.import_module(package)
+    assert set(module.__all__) <= set(dir(module))
+
+
+def test_facade_reads_through_to_the_defining_module(monkeypatch):
+    """Resolved names are not cached in the package: a function rebound
+    in its defining module (a mock, a profiler's wrapper) is seen
+    through both facades, and nothing of it outlives the undoing."""
+    from repro.engine import explorer
+
+    original = explorer.can_oscillate
+
+    def stand_in(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(explorer, "can_oscillate", stand_in)
+    assert repro.engine.can_oscillate is stand_in
+    assert repro.can_oscillate is stand_in
+    monkeypatch.undo()
+    assert repro.engine.can_oscillate is original
+    assert repro.can_oscillate is original
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        repro.no_such_name  # noqa: B018
+    assert not hasattr(repro.engine, "no_such_name")
 
 
 def test_runconfig_fields_snapshot():

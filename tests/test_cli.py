@@ -527,10 +527,24 @@ class TestColdMatrix:
         assert "Figure 4" in capsys.readouterr().out
         assert len(closed) == 1
 
+    #: What ``matrix`` never uses: the serving and campaign stacks, the
+    #: ablation drivers, and the stdlib SQLite/HTTP/TLS/mail packages
+    #: they pull in.  The package facades are lazy, so none of it loads.
+    UNUSED = (
+        "repro.serve",
+        "repro.campaign",
+        "repro.analysis.ablation",
+        "sqlite3",
+        "http.server",
+        "email",
+        "ssl",
+    )
+
     def test_imports_only_the_standard_library(self, tmp_path):
         """Nothing beyond what the interpreter started with, the
         standard library and ``repro`` itself (a numerical-library
-        import costs a cold ``repro matrix`` ~0.4 s)."""
+        import costs a cold ``repro matrix`` ~0.4 s), and nothing of
+        :attr:`UNUSED`."""
         script = (
             "import sys\n"
             "before = {name.split('.')[0] for name in sys.modules}\n"
@@ -539,6 +553,9 @@ class TestColdMatrix:
             "added = {name.split('.')[0] for name in sys.modules} - before\n"
             "print(sorted(added - set(sys.stdlib_module_names)"
             " - {'repro', '__mp_main__'}))\n"
+            f"unused = {self.UNUSED!r}\n"
+            "print(sorted(name for name in sys.modules if any("
+            "name == root or name.startswith(root + '.') for root in unused)))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", script],
@@ -550,4 +567,6 @@ class TestColdMatrix:
         )
         assert done.returncode == 0, done.stderr[-2000:]
         assert "14 models oscillate, 10 proved safe" in done.stdout
-        assert done.stdout.splitlines()[-1] == "[]"
+        non_stdlib, unused = done.stdout.splitlines()[-2:]
+        assert non_stdlib == "[]"
+        assert unused == "[]"
