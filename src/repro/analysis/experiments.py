@@ -189,15 +189,7 @@ def experiment_figure3(*, config: "RunConfig | None" = None) -> MatrixExperiment
     With ``config`` set, additionally runs :func:`matrix_certification`
     under it and attaches the verdicts.
     """
-    matrix = _shared_matrix()
-    return MatrixExperiment(
-        figure="Figure 3",
-        comparisons=compare_with_derived(matrix, columns=FIGURE3_COLUMNS),
-        matrix_text=reporting.render_figure3(matrix),
-        certification=(
-            None if config is None else matrix_certification(config=config)
-        ),
-    )
+    return _figure_experiments(("3",), config=config)[0]
 
 
 def experiment_figure4(*, config: "RunConfig | None" = None) -> MatrixExperiment:
@@ -205,15 +197,44 @@ def experiment_figure4(*, config: "RunConfig | None" = None) -> MatrixExperiment
 
     Certifies like :func:`experiment_figure3` when ``config`` is set.
     """
+    return _figure_experiments(("4",), config=config)[0]
+
+
+#: Figure number -> (title, the paper's columns, renderer).
+_FIGURES = {
+    "3": ("Figure 3", FIGURE3_COLUMNS, reporting.render_figure3),
+    "4": ("Figure 4", FIGURE4_COLUMNS, reporting.render_figure4),
+}
+
+
+def _figure_experiments(figures, *, config: "RunConfig | None" = None) -> list:
+    """The :class:`MatrixExperiment` of each of ``figures`` (``"3"``,
+    ``"4"``), certified under ``config`` when it is set.
+
+    Without a verdict cache the figures share one certification: a
+    second would repeat the same deterministic searches.  With one,
+    each figure certifies as :func:`experiment_figure3` does, so a
+    later figure reports the cache's own answers (its hits).
+    """
     matrix = _shared_matrix()
-    return MatrixExperiment(
-        figure="Figure 4",
-        comparisons=compare_with_derived(matrix, columns=FIGURE4_COLUMNS),
-        matrix_text=reporting.render_figure4(matrix),
-        certification=(
-            None if config is None else matrix_certification(config=config)
-        ),
-    )
+    shared = None
+    if config is not None and config.resolved_cache() is None:
+        shared = matrix_certification(config=config)
+    built = []
+    for figure in figures:
+        title, columns, render = _FIGURES[figure]
+        certification = shared
+        if config is not None and shared is None:
+            certification = matrix_certification(config=config)
+        built.append(
+            MatrixExperiment(
+                figure=title,
+                comparisons=compare_with_derived(matrix, columns=columns),
+                matrix_text=render(matrix),
+                certification=certification,
+            )
+        )
+    return built
 
 
 # ----------------------------------------------------------------------
@@ -781,9 +802,10 @@ def suite_as_dict(*, full: bool = False, config: "RunConfig | None" = None) -> d
         require_solo_activations=True,
     )
     survey = experiment_convergence_rates(config=config.replace(step_bound=None))
+    figure3, figure4 = _figure_experiments(("3", "4"), config=config)
     return {
-        "figure3": experiment_figure3(config=config).as_dict(),
-        "figure4": experiment_figure4(config=config).as_dict(),
+        "figure3": figure3.as_dict(),
+        "figure4": figure4.as_dict(),
         "disagree": experiment_disagree(config=config).as_dict(),
         "fig6": experiment_fig6(polling_models=polling, config=config).as_dict(),
         "fig7": experiment_fig7().as_dict(),

@@ -38,7 +38,7 @@ import os
 import sys
 
 from . import faults, obs
-from .analysis import experiments, reporting
+from .analysis import experiments
 from .analysis.traces import format_trace_table
 from .config import DEFAULT_ENGINE, ENGINES, RunConfig
 from .core.instances import ALL_NAMED_INSTANCES
@@ -677,19 +677,22 @@ def _cmd_list() -> int:
 
 
 def _cmd_matrix(args) -> int:
-    matrix = _shared_matrix()
     config = _config_from_args(args, workers=args.workers)
-    if args.figure in ("3", "both"):
+    figures = ("3", "4") if args.figure == "both" else (args.figure,)
+    built = dict(
+        zip(figures, experiments._figure_experiments(figures, config=config))
+    )
+    if "3" in built:
         print("Derived Figure 3 (rows: realized model; columns: reliable realizers)")
-        print(reporting.render_figure3(matrix))
+        print(built["3"].matrix_text)
         print()
-        print(experiments.experiment_figure3(config=config).summary)
+        print(built["3"].summary)
         print()
-    if args.figure in ("4", "both"):
+    if "4" in built:
         print("Derived Figure 4 (rows: realized model; columns: unreliable realizers)")
-        print(reporting.render_figure4(matrix))
+        print(built["4"].matrix_text)
         print()
-        print(experiments.experiment_figure4(config=config).summary)
+        print(built["4"].summary)
     return 0
 
 
@@ -800,8 +803,8 @@ def _cmd_experiments(args) -> int:
         print(json.dumps(experiments.suite_as_dict(full=full, config=config), indent=2))
         return 0
     print("— E1/E2: Figures 3 and 4 —")
-    print(experiments.experiment_figure3(config=config).summary)
-    print(experiments.experiment_figure4(config=config).summary)
+    for experiment in experiments._figure_experiments(("3", "4"), config=config):
+        print(experiment.summary)
     print("\n— E3: DISAGREE (Ex. A.1) —")
     print(experiments.experiment_disagree(config=config).summary)
     print("\n— E4: Fig. 6 separation (Ex. A.2) —")

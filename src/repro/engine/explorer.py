@@ -831,34 +831,66 @@ def can_oscillate(
     return result
 
 
-#: The searches of the outermost live :func:`_shared_searches` block, as
-#: ``(owner pid, {key: (instance, result)})``; ``None`` outside one.
+#: The memos of the outermost live :func:`_shared_searches` block, as
+#: ``(owner pid, {search key: (instance, result)}, {symmetry key:
+#: (instance, context)})``; ``None`` outside one.
 _SHARED: ContextVar = ContextVar("repro_shared_searches", default=None)
 
 
 @contextmanager
 def _shared_searches():
-    """Within the block, run each search of this thread at most once.
+    """Within the block, run each search of this thread at most once,
+    and compile each instance's symmetry once.
 
-    A fan-out enters this around each group of tasks that can settle
-    one another (:func:`repro.engine.parallel._explore_grouped`), so the
-    twin lookups of one task (:func:`_settle`) and the group's own tasks
-    for those twins share one search; :func:`can_oscillate` enters it
-    too, so a call outside any fan-out never repeats a twin search
-    either.  An enclosing block of this process is reused, not
-    replaced.  The memo dies with the outermost block, so a cold
-    fan-out stays cold.  A process forked inside the block ignores the
-    inherited memo (it belongs to another pid).
+    :func:`repro.engine.parallel.run_explorations` enters this around
+    its whole fan-out and every pooled worker around each item it runs
+    (:func:`repro.engine.parallel._explore_together`), so the twin
+    lookups of one task (:func:`_settle`) and the batch's own tasks for
+    those twins share one search, and every packed search of one
+    instance shares one symmetry context (:func:`_shared_symmetry`);
+    :func:`can_oscillate` enters it too, so a call outside any fan-out
+    never repeats a twin search either.  An enclosing block of this
+    process is reused, not replaced.  The memos die with the outermost
+    block, so a cold fan-out stays cold.  A process forked inside the
+    block ignores the inherited memos (they belong to another pid).
     """
-    shared = _SHARED.get()
-    if shared is not None and shared[0] == os.getpid():
+    if _live_block() is not None:
         yield
         return
-    token = _SHARED.set((os.getpid(), {}))
+    token = _SHARED.set((os.getpid(), {}, {}))
     try:
         yield
     finally:
         _SHARED.reset(token)
+
+
+def _live_block():
+    """This process's live :data:`_SHARED` value, else ``None``."""
+    shared = _SHARED.get()
+    return shared if shared is not None and shared[0] == os.getpid() else None
+
+
+def _shared_symmetry(instance, reduction, queue_bound, build):
+    """The symmetry context of ``instance``'s packed searches at
+    ``(reduction, queue_bound)``: the live block's, made by ``build()``
+    on first use, or a private ``build()`` outside any block.
+
+    Sound because a search's word layout, and so each orbit, is a pure
+    function of the instance, the reduction and the queue bound.  As in
+    :func:`_search`, entries hold their instance and a hit is checked
+    by identity; nothing is stored on the instance itself.
+    """
+    shared = _live_block()
+    if shared is None:
+        return build()
+    contexts = shared[2]
+    key = (id(instance), reduction, queue_bound)
+    entry = contexts.get(key)
+    if entry is not None and entry[0] is instance:
+        return entry[1]
+    context = build()
+    contexts[key] = (instance, context)
+    return context
 
 
 def _settle(instance, model, bounds):
@@ -890,8 +922,8 @@ def _search(instance, model, queue_bound, max_states, engine, reduction):
     when the same instance object was already searched the same way.
     Entries hold their instance, so its ``id`` cannot be reused while
     the memo lives, and a hit is checked by identity."""
-    shared = _SHARED.get()
-    memo = shared[1] if shared is not None and shared[0] == os.getpid() else None
+    shared = _live_block()
+    memo = None if shared is None else shared[1]
     key = (id(instance), model, queue_bound, max_states, engine, reduction)
     if memo is not None:
         entry = memo.get(key)

@@ -71,6 +71,7 @@ from ..models.taxonomy import CommunicationModel
 from ..obs import active as _telemetry
 from .activation import INFINITY
 from .codec import apply_packed, codec_for
+from .explorer import _shared_symmetry
 from .reduction import (
     absorption_allowed,
     representative_tables,
@@ -113,6 +114,42 @@ class _PackedOp:
         self.delivered_mask = delivered_mask
         self.full_flag = full_flag
         self.nid = nid
+
+
+class _Symmetry:
+    """The instance's automorphism group compiled for one word layout —
+    node/channel/route permutations, per-channel digit translations, the
+    composition and inverse tables — plus the memos every search of that
+    layout may share: channel-mask images and the orbit memo (raw word →
+    ``(representative, τ)``).  The layout depends only on the instance,
+    the reduction and the queue bound, never on the model, so the
+    searches of one fan-out share one context
+    (:func:`repro.engine.explorer._shared_symmetry`).
+    """
+
+    __slots__ = (
+        "size",
+        "node_perms",
+        "chperms",
+        "rperms",
+        "strans",
+        "comp_tab",
+        "inv_tab",
+        "mask_img",
+        "orbits",
+    )
+
+    def __init__(self, size, node_perms, chperms, rperms, strans, comp_tab,
+                 inv_tab):
+        self.size = size
+        self.node_perms = node_perms
+        self.chperms = chperms
+        self.rperms = rperms
+        self.strans = strans
+        self.comp_tab = comp_tab
+        self.inv_tab = inv_tab
+        self.mask_img: dict = {}
+        self.orbits: dict = {}
 
 
 class PackedExplorer:
@@ -290,7 +327,23 @@ class PackedExplorer:
         self._init_tau = 0
 
         # ---- automorphism group -----------------------------------------
-        self._setup_group()
+        # The searches of one instance in a live fan-out block share one
+        # context (its word layout does not depend on the model).
+        sym = _shared_symmetry(
+            instance, self.reduction, queue_bound, self._setup_group
+        )
+        self._gsize = sym.size
+        self._node_perms = sym.node_perms
+        self._chperms = sym.chperms
+        self._rperms = sym.rperms
+        self._strans = sym.strans
+        self._comp_tab = sym.comp_tab
+        self._inv_tab = sym.inv_tab
+        self._mask_img_memo = sym.mask_img
+        self._orbits = sym.orbits
+        # This search's own sightings: ``orbits_merged`` counts a merge
+        # on the first one, whichever search computed the orbit.
+        self._omemo: dict = {}
 
     # ------------------------------------------------------------------
     # Tuple-level canonicalization and per-channel read combos
@@ -375,16 +428,12 @@ class PackedExplorer:
     # ------------------------------------------------------------------
     # Symmetry machinery
     # ------------------------------------------------------------------
-    def _setup_group(self) -> None:
+    def _setup_group(self) -> _Symmetry:
+        """The automorphism group compiled for this word layout."""
         codec = self.codec
         group = automorphisms(self.instance)
-        self._gsize = len(group)
-        self._omemo: dict = {}
         if len(group) == 1:
-            self._node_perms = self._chperms = self._rperms = self._strans = ()
-            self._comp_tab = ((0,),)
-            self._inv_tab = (0,)
-            return
+            return _Symmetry(1, (), (), (), (), ((0,),), (0,))
         n_routes = len(codec.routes)
         n_channels = len(codec.channels)
         nperms = []
@@ -415,10 +464,6 @@ class PackedExplorer:
             chperms.append(chperm)
             rperms.append(rperm)
             strans.append(st)
-        self._node_perms = tuple(nperms)
-        self._chperms = tuple(chperms)
-        self._rperms = tuple(rperms)
-        self._strans = tuple(strans)
         key = {perm: g for g, perm in enumerate(nperms)}
         size = len(group)
         n_nodes = len(codec.nodes)
@@ -430,15 +475,21 @@ class PackedExplorer:
                 pb = nperms[b]
                 row.append(key[tuple(pa[pb[i]] for i in range(n_nodes))])
             comp_tab.append(tuple(row))
-        self._comp_tab = tuple(comp_tab)
         inv = [0] * size
         for g, perm in enumerate(nperms):
             ip = [0] * n_nodes
             for i, j in enumerate(perm):
                 ip[j] = i
             inv[g] = key[tuple(ip)]
-        self._inv_tab = tuple(inv)
-        self._mask_img_memo: dict = {}
+        return _Symmetry(
+            size,
+            tuple(nperms),
+            tuple(chperms),
+            tuple(rperms),
+            tuple(strans),
+            tuple(comp_tab),
+            tuple(inv),
+        )
 
     def _image(self, word: int, g: int) -> int:
         """σ_g applied to a packed word (result is canonical again)."""
@@ -478,17 +529,20 @@ class PackedExplorer:
         return out
 
     def _orbit_min(self, raw: int) -> tuple:
-        """(orbit representative, τ) with rep = σ_τ(raw); memoized."""
-        best = raw
-        tau = 0
-        for g in range(1, self._gsize):
-            img = self._image(raw, g)
-            if img < best:
-                best = img
-                tau = g
-        if best != raw:
+        """(orbit representative, τ) with rep = σ_τ(raw); memoized in
+        the symmetry context and recorded as seen by this search."""
+        pair = self._orbits.get(raw)
+        if pair is None:
+            best = raw
+            tau = 0
+            for g in range(1, self._gsize):
+                img = self._image(raw, g)
+                if img < best:
+                    best = img
+                    tau = g
+            pair = self._orbits[raw] = (best, tau)
+        if pair[0] != raw:
             self._orbits_merged += 1
-        pair = (best, tau)
         self._omemo[raw] = pair
         return pair
 

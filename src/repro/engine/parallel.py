@@ -19,7 +19,9 @@ seed — so the fan-out here is parallel *and* reproducible:
   worker as one item and share its search memo, so the twin lookups
   that settle a model (DESIGN.md §7.4) reuse the batch's own tasks for
   those twins, and each model is searched at most once per call at
-  every worker count.
+  every worker count;
+* the packed searches of one instance in one process share its
+  compiled symmetry group and orbit memo (DESIGN.md §6.4).
 
 Tasks and results travel by pickle: :class:`~repro.core.spp.SPPInstance`,
 :class:`~repro.engine.explorer.ExplorationResult`, and witnesses are
@@ -449,11 +451,15 @@ def run_explorations(tasks, *, config: "RunConfig | None" = None) -> list:
     count: each exploration is a deterministic function of its task,
     and merging follows task order.  Within the call each
     ``(instance, model, bounds)`` is searched once, whichever worker
-    runs it (:func:`_explore_grouped`).
+    runs it (:func:`_explore_grouped`).  An in-process fan-out runs
+    all its items in one sharing block, so the packed searches of one
+    instance also share one symmetry context; a pool worker opens one
+    block per item.
     """
     tasks = list(tasks)
     workers = None if config is None else config.workers
-    results = _explore_grouped(partial(parallel_map, workers=workers), tasks)
+    with _shared_searches():
+        results = _explore_grouped(partial(parallel_map, workers=workers), tasks)
     return [
         (task.resolved_key(), result)
         for task, result in zip(tasks, results)

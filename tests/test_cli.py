@@ -527,6 +527,22 @@ class TestColdMatrix:
         assert "Figure 4" in capsys.readouterr().out
         assert len(closed) == 1
 
+    def test_certifies_disagree_once(self, capsys, monkeypatch):
+        from repro.analysis import experiments
+
+        certified = []
+        certify = experiments.matrix_certification
+
+        def counting_certify(**kwargs):
+            certified.append(kwargs)
+            return certify(**kwargs)
+
+        monkeypatch.setattr(experiments, "matrix_certification", counting_certify)
+        assert main(["matrix", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("certified on DISAGREE: 14 models oscillate") == 2
+        assert len(certified) == 1
+
     #: What ``matrix`` never uses: the serving and campaign stacks, the
     #: ablation drivers, and the stdlib SQLite/HTTP/TLS/mail packages
     #: they pull in.  The package facades are lazy, so none of it loads.
