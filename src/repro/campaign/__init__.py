@@ -6,23 +6,23 @@ statistically meaningful coverage of the 24-model taxonomy needs
 must survive crashes.  A campaign is defined entirely by a JSON
 :class:`~repro.campaign.spec.CampaignSpec` (generator parameters, seed,
 model set, bounds, shard size); :class:`~repro.campaign.runner.Campaign`
-materializes a manifest plus per-shard checkpoints under a campaign
-directory, executes shards through the retrying parallel fan-out, and
-aggregates the checkpoints into a survey report with per-model
-oscillation/convergence rates and Wilson confidence intervals.
+materializes a manifest under a campaign directory, executes shards
+through the retrying parallel fan-out, and aggregates their results
+into a survey report with per-model oscillation/convergence rates and
+Wilson confidence intervals.
 
-Interrupt-safety is the design center: checkpoints are atomic,
-write-once, and keyed by the spec digest, every task is a pure function
-of the spec, and the report is a pure function of the checkpoints — so
-``repro campaign run`` after a SIGKILL reproduces the uninterrupted
+Every shard is one row of the :mod:`~repro.campaign.queue` in the
+directory's ``queue.sqlite``, holding its lease state and, once done,
+its checksummed result.  Interrupt-safety is the design center: results
+are write-once and keyed by the spec digest, every task is a pure
+function of the spec, and the report is a pure function of the rows —
+so ``repro campaign run`` after a SIGKILL reproduces the uninterrupted
 report byte for byte.
 
-Campaigns also scale *across hosts*: shards become leasable rows in
-one durable SQLite table, the :mod:`~repro.campaign.queue` in the
-campaign directory's ``queue.sqlite``, handed out under the rules of
-one :mod:`~repro.campaign.broker`.  Workers on the same host (or a
-shared disk with reliable locks) join the directory and broker their
-own leases; every other host joins by URL a
+Campaigns also scale *across hosts*: the rows are leased out under the
+rules of one :mod:`~repro.campaign.broker`.  Workers on the same host
+(or a shared disk with reliable locks) join the directory and broker
+their own leases; every other host joins by URL a
 :mod:`~repro.campaign.coordinator` daemon (``repro campaign serve``),
 which then alone opens the queue.  Any number of ``repro campaign
 join`` workers can pull shards — dead workers' leases are reclaimed

@@ -15,8 +15,8 @@ so callers stop reaching into ``runner.py``/``manifest.py`` internals::
     campaigns.serve("out/survey", port=8643)        # coordinator host
     campaigns.join("http://coord:8643")             # each worker host
 
-``run`` is idempotent — it executes exactly the shards whose
-checkpoints are missing, so it *is* resume.
+``run`` is idempotent — it executes exactly the shards without a
+stored result, so it *is* resume.
 """
 
 from __future__ import annotations

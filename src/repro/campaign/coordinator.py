@@ -7,8 +7,8 @@ over the directory's durable queue — the broker a worker joining the
 directory itself also uses — so directory and URL joiners drain one
 queue under one set of rules.  The coordinator holds no campaign state
 that is not on disk: SIGKILL it mid-campaign, restart it, and its new
-broker reconciles the queue with the checkpoints and resumes where the
-disk says the campaign is, with a byte-identical final report.
+broker resumes where the queue's rows say the campaign is, with a
+byte-identical final report.
 
 The coordinator is a :class:`repro.serve.http.HttpServer`, the one
 transport :class:`repro.serve.server.ReproServer` also runs on
@@ -25,8 +25,9 @@ envelopes (a body without ``"v": 2`` gets a 400 with
   shard (with a child ``traceparent`` so the worker's spans attach to
   the campaign trace), or ``shard: null`` when nothing is claimable.
 * ``POST /v2/campaign/heartbeat`` — lease renewal.
-* ``POST /v2/campaign/complete`` — the worker's records, checkpointed
-  through the write-once store; the last one also writes ``report.json``.
+* ``POST /v2/campaign/complete`` — the worker's records, stored
+  write-once in the shard's queue row; the last one also writes
+  ``report.json``.
 * ``POST /v2/campaign/fail`` — a worker's compute failure on a leased
   shard: re-opened, or quarantined once enough distinct workers have
   failed it (the report is then explicitly *partial*).

@@ -1,36 +1,35 @@
-"""Campaign directory layout, manifest, and crash-safe checkpoint I/O.
+"""Campaign directory layout, manifest, and the shard-result format.
 
 Layout of a campaign directory::
 
     <dir>/
       spec.json                  the submitted CampaignSpec
       manifest.json              digest + shard table (written once)
-      shards/shard-0007.json     one checkpoint per *completed* shard
+      queue.sqlite               one row per shard: lease state + result
       report.json                the final aggregate (all shards done)
       cache/                     shared verdict cache (spec.cache=True)
       telemetry.jsonl            JSONL event stream (--telemetry)
-      queue.sqlite               shard work queue (multi-host)
 
-Every JSON artifact has one text format, :func:`artifact_text`, and is
-written atomically — :func:`atomic_write_json` here, and
-:meth:`CampaignSpec.to_file` for a spec outside a campaign — through a
-tempfile in the destination directory followed by ``os.replace``
-(:func:`repro.fsutil.atomic_write_text`, which also retries transient
-``ENOSPC`` with bounded backoff), so a ``SIGKILL`` at any instant
-leaves either the previous file or the new one, never a torn write.  A
-shard checkpoint only exists once the whole shard finished; resuming
-therefore re-runs exactly the shards whose checkpoints are missing (or
-unreadable, or from a different spec digest), and nothing else.
-:class:`CampaignPaths` is the one place that names the files, in both
-directions (:meth:`~CampaignPaths.shard_path` and
-:meth:`~CampaignPaths.shard_of`).
+A finished shard has one record: its ``queue.sqlite`` row, holding
+:func:`checkpoint_text` (``schema``, ``digest``, ``shard``, ``records``
+and a sha256 ``checksum``), written in the transaction that marks the
+row ``done``.  Resuming re-runs exactly the shards without a usable
+result.  Schema 1 kept results in ``shards/shard-NNNN.json`` files; a
+schema-1 directory is refused by name.
 
-Discarding is never silent: a checkpoint that exists but cannot be
-used (corrupt bytes, foreign digest, wrong shape) is reported on
-stderr, counted as ``campaign.checkpoint_discarded``, and surfaced by
-``repro campaign status``.  ``repro doctor`` checks a campaign
-directory through :meth:`repro.campaign.Campaign.audit`, which applies
-these same rules.
+Every JSON file has one text format, :func:`artifact_text`, and is
+written atomically by :func:`atomic_write_json` (and
+:meth:`CampaignSpec.to_file` for a spec outside a campaign) through
+:func:`repro.fsutil.atomic_write_text`, so a ``SIGKILL`` at any instant
+leaves either the previous file or the new one, never a torn write.
+:class:`CampaignPaths` is the one place that names the files.
+
+Discarding is never silent: a stored result that cannot be used
+(corrupt bytes, a checksum mismatch, a foreign digest, a wrong shape)
+is reported on stderr, counted as ``campaign.checkpoint_discarded``,
+and surfaced by ``repro campaign status``.  ``repro doctor`` checks a
+campaign directory through :meth:`repro.campaign.Campaign.audit`, which
+applies these same rules (:func:`checkpoint_records`).
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ import json
 import sys
 from pathlib import Path
 
+from ..engine.cache import payload_checksum
 from ..fsutil import atomic_write_text
 from ..obs import active as _telemetry
 from .spec import CampaignSpec, spec_digest
@@ -50,16 +50,19 @@ __all__ = [
     "atomic_write_json",
     "build_manifest",
     "checkpoint_issue",
+    "checkpoint_records",
+    "checkpoint_text",
     "read_json",
 ]
 
 #: Bumped whenever the manifest/checkpoint/report payloads change shape.
-CAMPAIGN_SCHEMA = 1
+#: 2: shard results live, checksummed, in their ``queue.sqlite`` rows.
+CAMPAIGN_SCHEMA = 2
 
 
 def artifact_text(payload: dict) -> str:
     """The canonical text of a campaign JSON artifact (spec, manifest,
-    checkpoint, report): the exact bytes on disk."""
+    shard result, report): the exact bytes stored."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -71,11 +74,9 @@ def atomic_write_json(path, payload: dict) -> None:
 def read_json(path, *, warn: bool = True) -> "dict | None":
     """The parsed JSON object at ``path``, or ``None`` if missing/corrupt.
 
-    Corruption is treated like absence — a checkpoint torn by a crashed
-    writer (possible only on filesystems without atomic rename) simply
-    means the shard runs again — but never *silently*: unless ``warn``
-    is off, a file that exists yet cannot be parsed is named on stderr
-    and counted as ``campaign.checkpoint_discarded``.
+    Corruption is treated like absence, but never *silently*: unless
+    ``warn`` is off, a file that exists yet cannot be parsed is named on
+    stderr and counted as ``campaign.checkpoint_discarded``.
     """
     path = Path(path)
     try:
@@ -96,23 +97,36 @@ def read_json(path, *, warn: bool = True) -> "dict | None":
     return payload
 
 
-def _discard(path: Path, reason: str, warn: bool) -> None:
+def _discard(what, reason: str, warn: bool = True) -> None:
+    """Report an unusable artifact: counted, and named on stderr."""
     _telemetry().count("campaign.checkpoint_discarded")
     if warn:
         print(
-            f"repro: warning: discarding {path}: {reason}",
+            f"repro: warning: discarding {what}: {reason}",
             file=sys.stderr,
         )
+
+
+def checkpoint_text(digest: str, shard: int, records: list) -> str:
+    """The stored result of ``shard``: its records, checksummed."""
+    payload = {
+        "schema": CAMPAIGN_SCHEMA,
+        "digest": digest,
+        "shard": shard,
+        "records": records,
+    }
+    payload["checksum"] = payload_checksum(payload)
+    return artifact_text(payload)
 
 
 def checkpoint_issue(
     payload: "dict | None", digest: str, shard: int, expected_tasks: int
 ) -> "str | None":
-    """Why a shard-checkpoint payload is unusable, or ``None`` if valid.
+    """Why a shard-result payload is unusable, or ``None`` if valid.
 
     The runner's one rule: a resume re-runs the shards it rejects, and
     :meth:`~repro.campaign.Campaign.audit` (``repro doctor``) reports
-    and quarantines them.
+    them and resets their rows.
     """
     if payload is None:
         return "missing or unparseable"
@@ -126,7 +140,23 @@ def checkpoint_issue(
     if not isinstance(records, list) or len(records) != expected_tasks:
         found = len(records) if isinstance(records, list) else "no"
         return f"expected {expected_tasks} records, found {found}"
+    if payload.get("checksum") != payload_checksum(payload):
+        return "checksum mismatch (bit rot or torn write)"
     return None
+
+
+def checkpoint_records(
+    text: "str | None", digest: str, shard: int, expected_tasks: int
+) -> "tuple[list | None, str | None]":
+    """``(records, None)`` for a usable stored result of ``shard``, else
+    ``(None, why)`` — the shard is then pending."""
+    try:
+        payload = json.loads(text)
+    except (TypeError, ValueError):  # no text, or not JSON
+        payload = None
+    payload = payload if isinstance(payload, dict) else None
+    issue = checkpoint_issue(payload, digest, shard, expected_tasks)
+    return (None, issue) if issue is not None else (payload["records"], None)
 
 
 class CampaignPaths:
@@ -144,23 +174,6 @@ class CampaignPaths:
         return self.directory / "manifest.json"
 
     @property
-    def shards_dir(self) -> Path:
-        return self.directory / "shards"
-
-    def shard_path(self, shard: int) -> Path:
-        return self.shards_dir / f"shard-{shard:04d}.json"
-
-    def shard_of(self, path) -> "int | None":
-        """The shard whose checkpoint :meth:`shard_path` names ``path``,
-        or ``None`` when the name is not a checkpoint's."""
-        name = Path(path).name
-        digits = name.removeprefix("shard-").removesuffix(".json")
-        if not digits.isdecimal():
-            return None
-        shard = int(digits)
-        return shard if self.shard_path(shard).name == name else None
-
-    @property
     def report_path(self) -> Path:
         return self.directory / "report.json"
 
@@ -174,7 +187,7 @@ class CampaignPaths:
 
     @property
     def queue_db_path(self) -> Path:
-        """SQLite work-queue database (multi-host coordination)."""
+        """The SQLite shard table: lease state and shard results."""
         return self.directory / "queue.sqlite"
 
 

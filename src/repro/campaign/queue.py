@@ -1,12 +1,12 @@
-"""Durable pull-based shard queue: the multi-host coordination layer.
+"""Durable pull-based shard queue: the campaign's one record of its shards.
 
 A campaign's shards are independent, deterministic units of work whose
-checkpoints are atomic and write-once — which means correctness never
-depends on mutual exclusion.  Two workers that somehow run the same
-shard write byte-identical checkpoints; the second ``os.replace`` is a
-no-op in content.  The queue below therefore only has to provide
-*liveness* (every shard eventually runs) and *efficiency* (shards
-rarely run twice), which is exactly what a lease protocol gives:
+results are write-once — which means correctness never depends on
+mutual exclusion.  Two workers that somehow run the same shard compute
+byte-identical records; the second completion stores nothing.  The
+queue below therefore only has to provide *liveness* (every shard
+eventually runs) and *efficiency* (shards rarely run twice), which is
+exactly what a lease protocol gives:
 
 * ``claim`` atomically moves the lowest open shard to ``leased`` and
   hands back a :class:`Lease` (shard id + an unguessable token + an
@@ -18,9 +18,9 @@ rarely run twice), which is exactly what a lease protocol gives:
   workers pick the orphaned shards up.  Every ``claim`` reclaims
   first, so a dead worker's shards are recovered by the next pull with
   no coordinator tick required.
-* ``complete`` marks a shard ``done`` *after* its checkpoint landed in
-  the write-once store, so the queue's ``done`` state never runs ahead
-  of durable results.
+* ``complete`` stores the shard's result text and marks the row
+  ``done`` in one transaction, so the two never disagree; ``store`` is
+  the same write without a lease (a local ``campaign run``).
 * ``fail`` records a worker's compute failure against the shard
   (token-guarded like every other transition).  A shard that keeps
   failing across ``quarantine_after`` *distinct* workers — or across
@@ -28,15 +28,16 @@ rarely run twice), which is exactly what a lease protocol gives:
   livelock on it — moves to ``quarantined``: never re-leased, reported
   explicitly, repairable by ``repro doctor``/``reset``.
 
-The store is one stdlib :mod:`sqlite3` table of leasable shard rows in
-the campaign directory's ``queue.sqlite``
+The store is one stdlib :mod:`sqlite3` table of shard rows in the
+campaign directory's ``queue.sqlite``
 (:attr:`~repro.campaign.manifest.CampaignPaths.queue_db_path`), in WAL
 mode with ``BEGIN IMMEDIATE`` transitions — the PyExperimenter
-experiment-table pattern: any number of processes pull open rows from
-one durable table.  It is correct for any number of processes on one
-host or on a shared disk with sane locking.  Hosts without such a disk
-join a ``repro campaign serve`` coordinator by URL instead; the
-coordinator is then the only process that opens the queue.
+experiment-table pattern: one table holds each unit's status and its
+result, and any number of processes pull open rows and write results
+back.  It is correct for any number of processes on one host or on a
+shared disk with sane locking.  Hosts without such a disk join a
+``repro campaign serve`` coordinator by URL instead; the coordinator is
+then the only process that opens the queue.
 
 This module is the only one that knows the queue's schema:
 :func:`audit` is the check ``repro doctor`` runs over a campaign's
@@ -143,7 +144,7 @@ def _reset(conn, shards) -> list:
     reset = []
     for shard in map(int, shards):
         cursor = conn.execute(
-            f"{_REOPEN}, failures='[]'"
+            f"{_REOPEN}, failures='[]', result=NULL"
             " WHERE shard=? AND state IN ('done', 'quarantined')",
             (shard,),
         )
@@ -157,9 +158,10 @@ class WorkQueue:
     :attr:`~repro.campaign.manifest.CampaignPaths.queue_db_path`).
 
     All methods are safe to call from any number of threads, processes,
-    and hosts concurrently; the invariant they jointly maintain is that
-    at most one *unexpired* lease exists per shard, and ``done`` shards
-    are never claimable again.
+    and hosts concurrently; the invariants they jointly maintain are
+    that at most one *unexpired* lease exists per shard, that ``done``
+    shards are never claimable again, and that a row holds a result
+    exactly when it is ``done``.
     """
 
     def __init__(
@@ -199,19 +201,9 @@ class WorkQueue:
                 " token TEXT,"
                 " expires REAL,"
                 " claims INTEGER NOT NULL DEFAULT 0,"
-                " failures TEXT NOT NULL DEFAULT '[]')"
+                " failures TEXT NOT NULL DEFAULT '[]',"
+                " result TEXT)"
             )
-            # Migration for queues created before the failure counter:
-            # ALTER is idempotent-by-check against the live column list.
-            columns = {
-                row[1]
-                for row in self._conn.execute("PRAGMA table_info(shards)")
-            }
-            if "failures" not in columns:
-                self._conn.execute(
-                    "ALTER TABLE shards ADD COLUMN failures"
-                    " TEXT NOT NULL DEFAULT '[]'"
-                )
             row = self._conn.execute(_SELECT_DIGEST).fetchone()
             if row is None:
                 self._conn.execute(
@@ -252,17 +244,12 @@ class WorkQueue:
         self.close()
 
     # -- protocol -------------------------------------------------------
-    def enroll(self, shards, done=()) -> None:
-        """Idempotently register ``shards`` (marking ``done`` complete)."""
+    def enroll(self, shards) -> None:
+        """Idempotently register ``shards`` as rows (new rows open)."""
         with self._lock, _transaction(self._conn) as conn:
             conn.executemany(
                 "INSERT OR IGNORE INTO shards (shard) VALUES (?)",
                 [(int(shard),) for shard in shards],
-            )
-            conn.executemany(
-                "UPDATE shards SET state='done', worker=NULL,"
-                " token=NULL, expires=NULL WHERE shard=?",
-                [(int(shard),) for shard in set(done)],
             )
 
     def claim(self, worker: str) -> "Lease | None":
@@ -303,33 +290,40 @@ class WorkQueue:
         _telemetry().count("campaign.lease.heartbeat")
         return Lease(lease.shard, lease.worker, lease.token, expires)
 
-    def complete(self, lease: Lease) -> bool:
-        """Mark the leased shard done; ``False`` if the lease was lost
-        (the shard's checkpoint still counts — completion is durable in
-        the store, the queue merely mirrors it)."""
-        state = None
-        with self._lock:
-            cursor = self._conn.execute(
-                "UPDATE shards SET state='done', worker=NULL, token=NULL,"
-                " expires=NULL WHERE shard=? AND token=? AND state='leased'",
-                (lease.shard, lease.token),
-            )
-            if cursor.rowcount != 1:
-                row = self._conn.execute(
-                    "SELECT state FROM shards WHERE shard=?", (lease.shard,)
-                ).fetchone()
-                state = row[0] if row else None
-        if cursor.rowcount != 1:
-            # A completion whose shard is already done is a *duplicate*
-            # (someone else finished the same deterministic work — the
-            # checkpoint bytes match); anything else is a lost lease.
-            if state == "done":
-                _telemetry().count("campaign.complete.duplicate")
-            else:
-                _telemetry().count("campaign.lease.lost")
-            return False
-        _telemetry().count("campaign.lease.completed")
-        return True
+    def complete(self, lease: Lease, result: "str | None" = None) -> bool:
+        """Store ``result`` and mark the leased shard done; whether
+        ``lease`` still owned it.  Results are write-once: completing a
+        done shard is a *duplicate* and stores nothing, while a lost
+        lease still stores ``result`` (records are a pure function of
+        ``(spec, shard)``)."""
+        owned, state = self._complete(lease.shard, lease.token, result)
+        tel = _telemetry()
+        if owned:
+            tel.count("campaign.lease.completed")
+        elif state == "done":
+            tel.count("campaign.complete.duplicate")
+        else:
+            tel.count("campaign.lease.lost")
+        return owned
+
+    def store(self, shard: int, result: str) -> None:
+        """:meth:`complete` for a shard computed without a lease."""
+        self._complete(shard, None, result)
+
+    def _complete(self, shard: int, token, result) -> "tuple[bool, str | None]":
+        with self._lock, _transaction(self._conn) as conn:
+            row = conn.execute(
+                "SELECT state, token FROM shards WHERE shard=?", (shard,)
+            ).fetchone()
+            state, held = row if row else (None, None)
+            owned = state == "leased" and held == token
+            if state not in (None, "done") and (owned or result is not None):
+                conn.execute(
+                    "UPDATE shards SET state='done', worker=NULL, token=NULL,"
+                    " expires=NULL, result=? WHERE shard=?",
+                    (result, shard),
+                )
+        return owned, state
 
     def release(self, lease: Lease) -> None:
         """Return a leased shard to ``open`` (worker giving up cleanly)."""
@@ -396,10 +390,12 @@ class WorkQueue:
             tel.count("campaign.shard.quarantined")
         return state
 
-    def _shards_in(self, state: str) -> list:
+    def _shards_in(self, *states: str) -> list:
         with self._lock:
             rows = self._conn.execute(
-                "SELECT shard FROM shards WHERE state=? ORDER BY shard", (state,)
+                "SELECT shard FROM shards WHERE state IN"
+                f" ({', '.join('?' * len(states))}) ORDER BY shard",
+                states,
             ).fetchall()
         return [row[0] for row in rows]
 
@@ -407,15 +403,23 @@ class WorkQueue:
         """Shard ids currently quarantined, sorted."""
         return self._shards_in("quarantined")
 
-    def done_shards(self) -> list:
-        """Shard ids the queue believes are complete, sorted."""
-        return self._shards_in("done")
+    def results(self) -> dict:
+        """The stored result text of every done shard, by shard id."""
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT shard, result FROM shards WHERE state='done'"
+            ).fetchall()
+        return dict(rows)
+
+    def unresolved(self) -> list:
+        """Shard ids still open or leased, sorted."""
+        return self._shards_in("open", "leased")
 
     def reset(self, shards) -> list:
         """Force ``shards`` back to ``open`` (from ``done`` or
-        ``quarantined``) — the broker's open-time reconciliation and the
-        ``repro doctor --repair`` path.  Returns the ids actually
-        reset."""
+        ``quarantined``), dropping their results and failure history —
+        how an unusable result is discarded, and the ``repro doctor
+        --repair`` path.  Returns the ids actually reset."""
         with self._lock, _transaction(self._conn) as conn:
             reset = _reset(conn, shards)
         if reset:
@@ -462,18 +466,19 @@ class WorkQueue:
 SQLiteWorkQueue = WorkQueue
 
 
-def audit(path, digest: str, n_shards: int, completed, *, repair: bool = False) -> list:
-    """Check the queue at ``path`` against its campaign; the problems
-    found, as ``(severity, detail, repair)`` triples.
+def audit(path, digest: str, n_shards: int, read, *, repair: bool = False) -> tuple:
+    """Check the queue at ``path`` against its campaign: the problems
+    found, as ``(severity, detail, repair)`` triples, and the value of
+    every usable result, by shard id.
 
-    ``completed`` is the set of shards with a valid checkpoint — the
-    source of truth the queue merely mirrors, which makes every repair
-    safe: an out-of-range row is ``"removed"``, an expired lease
-    ``"reclaimed"``, and a ``done`` row without a checkpoint ``"reset"``
-    to open (at worst a worker recomputes deterministic records).
-    Quarantined shards are reported as ``"info"``.  ``repair`` is
-    ``None`` in every triple unless ``repair=True``; without it the
-    database is only read.
+    ``read(shard, text)`` turns a done row's result into ``(value,
+    None)``, or ``(None, why)`` when it is unusable.  Every repair is
+    safe, since a shard's records are a pure function of the spec: an
+    out-of-range row is ``"removed"``, an expired lease ``"reclaimed"``,
+    and a done row with an unusable result ``"reset"`` to open (a
+    worker recomputes it).  Quarantined shards are reported as
+    ``"info"``.  ``repair`` is ``None`` in every triple unless
+    ``repair=True``; without it the database is only read.
 
     Raises :class:`QueueError` when the database cannot be used at all
     (missing, unopenable, corrupt, or coordinating another campaign) —
@@ -490,7 +495,8 @@ def audit(path, digest: str, n_shards: int, completed, *, repair: bool = False) 
         try:
             row = conn.execute(_SELECT_DIGEST).fetchone()
             rows = conn.execute(
-                "SELECT shard, state, worker, expires FROM shards"
+                "SELECT shard, state, worker, expires, result FROM shards"
+                " ORDER BY shard"
             ).fetchall()
         except sqlite3.Error as error:
             raise QueueError(f"corrupt queue database ({error})") from None
@@ -501,9 +507,9 @@ def audit(path, digest: str, n_shards: int, completed, *, repair: bool = False) 
                 f"digest {digest[:12]!r} — foreign queue"
             )
         now = time.time()
-        issues = []
-        out_of_range, stale, quarantined = [], [], []
-        for shard, state, worker, expires in rows:
+        issues, values = [], {}
+        out_of_range, unusable, quarantined = [], [], []
+        for shard, state, worker, expires, result in rows:
             if not 0 <= shard < n_shards:
                 out_of_range.append(shard)
                 issues.append((
@@ -518,12 +524,16 @@ def audit(path, digest: str, n_shards: int, completed, *, repair: bool = False) 
                     " — orphaned by a crashed or partitioned worker",
                     "reclaimed",
                 ))
-            elif state == "done" and shard not in completed:
-                stale.append(shard)
+            elif state == "done":
+                value, why = read(shard, result)
+                if why is None:
+                    values[shard] = value
+                    continue
+                unusable.append(shard)
                 issues.append((
                     "error",
-                    f"shard {shard} marked done in the queue but has no "
-                    "valid checkpoint — it would never re-run",
+                    f"shard {shard} has an unusable result: {why} — the "
+                    "shard will re-run on resume",
                     "reset",
                 ))
             elif state == "quarantined":
@@ -535,7 +545,7 @@ def audit(path, digest: str, n_shards: int, completed, *, repair: bool = False) 
                     [(shard,) for shard in out_of_range],
                 )
                 _reclaim(conn, now)
-                _reset(conn, stale)
+                _reset(conn, unusable)
         else:
             issues = [(severity, detail, None) for severity, detail, _ in issues]
         if quarantined:
@@ -545,6 +555,6 @@ def audit(path, digest: str, n_shards: int, completed, *, repair: bool = False) 
                 "(reset with repro.campaign.queue reset to retry them)",
                 None,
             ))
-        return issues
+        return issues, values
     finally:
         conn.close()

@@ -4,16 +4,19 @@
 shard by shard.  Each shard is one retrying fan-out
 (:func:`repro.engine.parallel.parallel_map_retrying` — per-task retry
 with exponential backoff over worker crashes and hangs) whose records
-are checkpointed atomically on completion.  ``run`` after an
+are stored, checksummed, in the shard's
+:class:`~repro.campaign.queue.WorkQueue` row by the transaction that
+marks it done.  ``run`` after an
 interruption — a SIGKILL of the CLI, a crashed worker, a power cut —
-therefore picks up at the first shard without a valid checkpoint; the
-shared verdict cache under the campaign directory turns the re-run of a
-half-finished shard into mostly cache hits.
+therefore picks up at the first shard without a usable result; the
+shared verdict cache under the campaign directory turns the re-run of
+a half-finished shard into mostly cache hits.
 
 Determinism: every task is a pure function of ``(spec, seed, model)``,
-checkpoints hold no wall-clock or scheduling metadata, and the report
-aggregates records in manifest order — so an interrupted-then-resumed
-campaign's ``report.json`` is byte-identical to an uninterrupted one.
+stored results hold no wall-clock or scheduling metadata, and the
+report aggregates records in manifest order — so an
+interrupted-then-resumed campaign's ``report.json`` is byte-identical
+to an uninterrupted one.
 Retries and cache hits are visible in the telemetry counters
 (``parallel.task.retry``, ``cache.hit``/``cache.miss``) instead.
 """
@@ -30,28 +33,30 @@ from ..engine.parallel import (
     parallel_map_retrying,
 )
 from ..faults import fault_point
-from ..fsutil import quarantine_on_repair, sweep_orphan_temps
+from ..fsutil import quarantine_on_repair, sweep_orphan_temps, write_retrying
 from ..obs import active as _telemetry
 from ..obs import trace_span
 from .manifest import (
     CAMPAIGN_SCHEMA,
     CampaignPaths,
+    _discard,
     artifact_text,
     atomic_write_json,
     build_manifest,
-    checkpoint_issue,
+    checkpoint_records,
+    checkpoint_text,
     read_json,
 )
-from .queue import QueueError
+from .queue import Lease, QueueError, WorkQueue
 from .queue import audit as audit_queue
 from .report import aggregate_report, render_report
 from .spec import CampaignSpec, spec_digest
 
 __all__ = ["Campaign", "CampaignError", "compute_shard_records", "shard_tasks"]
 
-#: Keys of an ExplorationResult's dict form that enter a checkpoint.
+#: Keys of an ExplorationResult's dict form that enter a shard result.
 #: ``cache`` (hit/miss) is deliberately absent: it depends on execution
-#: history, and checkpoints must only hold history-independent facts.
+#: history, and results must only hold history-independent facts.
 _RESULT_KEYS = (
     "oscillates",
     "complete",
@@ -72,7 +77,7 @@ class CampaignError(RuntimeError):
 def shard_tasks(
     spec: CampaignSpec, shard: int, cache_dir: "str | None"
 ) -> "tuple[list, list]":
-    """One shard's (tasks, per-task metadata), in checkpoint order.
+    """One shard's (tasks, per-task metadata), in record order.
 
     A pure function of the spec — usable without a campaign directory,
     which is what lets a ``campaign join`` worker on another host
@@ -113,7 +118,7 @@ def compute_shard_records(
     workers: "int | None" = None,
     cache_dir: "str | None" = None,
 ) -> list:
-    """Execute one shard of ``spec`` and return its checkpoint records.
+    """Execute one shard of ``spec`` and return its records.
 
     The records are a pure function of ``(spec, shard)`` — worker
     width, cache location, retries, and which host ran them leave no
@@ -159,6 +164,7 @@ class Campaign:
         self.paths = CampaignPaths(directory)
         self.spec = spec
         self.digest = spec_digest(spec)
+        self._queue: "WorkQueue | None" = None
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -181,6 +187,7 @@ class Campaign:
                     f"{campaign.paths.directory} already holds campaign "
                     f"{found[:12]}, refusing to overwrite with {campaign.digest[:12]}"
                 )
+            _check_schema(campaign.paths)
             return campaign
         atomic_write_json(campaign.paths.spec_path, spec.as_dict())
         atomic_write_json(campaign.paths.manifest_path, build_manifest(spec))
@@ -193,51 +200,73 @@ class Campaign:
         data = read_json(paths.spec_path)
         if data is None:
             raise CampaignError(f"no campaign at {paths.directory} (missing spec.json)")
+        _check_schema(paths)
         sweep_orphan_temps(paths.directory)
         return cls(directory, CampaignSpec.from_dict(data))
 
     # -- shard bookkeeping ----------------------------------------------
-    def _checkpoint(
-        self, shard: int, *, warn: bool = True
-    ) -> "tuple[list | None, str | None]":
-        """``(records, None)`` for a valid checkpoint of ``shard``, else
-        ``(None, why)`` — the shard is then pending."""
-        payload = read_json(self.paths.shard_path(shard), warn=warn)
-        issue = checkpoint_issue(
-            payload, self.digest, shard, self.spec.shard_task_count(shard)
-        )
-        return (None, issue) if issue is not None else (payload["records"], None)
+    def queue(self, **settings) -> WorkQueue:
+        """The work queue — the one record of the campaign's shards —
+        opened on first use with every shard enrolled; ``settings``
+        other than the open queue's reopen it."""
+        queue = self._queue
+        if queue is None or any(
+            getattr(queue, name) != value for name, value in settings.items()
+        ):
+            self.close()
+            queue = WorkQueue(self.paths.queue_db_path, self.digest, **settings)
+            queue.enroll(range(self.spec.n_shards))
+            self._queue = queue
+        return queue
 
-    def _shard_records(self, shard: int) -> "list | None":
-        """The checkpointed records of ``shard``, or ``None`` if pending."""
-        return self._checkpoint(shard)[0]
+    def close(self) -> None:
+        """Close the work queue (it reopens on next use)."""
+        if self._queue is not None:
+            self._queue.close()
+            self._queue = None
+
+    def _read_result(self, shard: int, text) -> "tuple[list | None, str | None]":
+        return checkpoint_records(
+            text, self.digest, shard, self.spec.shard_task_count(shard)
+        )
+
+    def _results(self) -> "tuple[dict, int]":
+        """The records of every usable result by shard id, read in one
+        query, and how many were discarded: a done row whose result is
+        unusable is warned about, counted, and reset to open."""
+        queue = self.queue()
+        results, unusable = {}, []
+        for shard, text in queue.results().items():
+            if not 0 <= shard < self.spec.n_shards:
+                continue
+            records, issue = self._read_result(shard, text)
+            if issue is None:
+                results[shard] = records
+            else:
+                _discard(f"the result of shard {shard} in {queue.path}", issue)
+                unusable.append(shard)
+        if unusable:
+            queue.reset(unusable)
+        return results, len(unusable)
 
     def completed_shards(self) -> list:
-        return [
-            shard
-            for shard in range(self.spec.n_shards)
-            if self._shard_records(shard) is not None
-        ]
+        return sorted(self._results()[0])
 
     def pending_shards(self) -> list:
-        return [
-            shard
-            for shard in range(self.spec.n_shards)
-            if self._shard_records(shard) is None
-        ]
+        results = self._results()[0]
+        return [shard for shard in range(self.spec.n_shards) if shard not in results]
 
     # -- execution -------------------------------------------------------
-    def _shard_tasks(self, shard: int) -> "tuple[list, list]":
-        """The shard's (tasks, per-task metadata), in checkpoint order."""
-        cache_dir = str(self.paths.cache_dir) if self.spec.cache else None
-        return shard_tasks(self.spec, shard, cache_dir)
-
-    def write_shard_checkpoint(self, shard: int, records: list) -> None:
-        """Atomically checkpoint ``records`` as the result of ``shard``.
+    def write_shard_checkpoint(
+        self, shard: int, records: list, lease: "Lease | None" = None
+    ) -> bool:
+        """Store ``records`` as the result of ``shard`` (write-once) and
+        mark its row done, in one transaction; whether ``lease`` still
+        owned the shard (``False`` without a lease).
 
         Records are validated against the spec (count) before the write,
-        so a truncated or foreign record list never lands on disk —
-        this is the write-back path for both local execution and
+        so a truncated or foreign record list is never stored — this is
+        the write-back path for local execution, directory joins, and
         records received from remote ``join`` workers.
         """
         expected = self.spec.shard_task_count(shard)
@@ -246,22 +275,24 @@ class Campaign:
                 f"shard {shard} expects {expected} records, "
                 f"got {len(records) if isinstance(records, list) else type(records).__name__}"
             )
-        atomic_write_json(
-            self.paths.shard_path(shard),
-            {
-                "schema": CAMPAIGN_SCHEMA,
-                "digest": self.digest,
-                "shard": shard,
-                "records": records,
-            },
+        queue = self.queue()
+        write = (
+            partial(queue.store, shard) if lease is None
+            else partial(queue.complete, lease)
+        )
+        owned = write_retrying(
+            write,
+            checkpoint_text(self.digest, shard, records),
+            fault_site="checkpoint.write",
         )
         tel = _telemetry()
         tel.count("campaign.shard.completed")
         tel.count("campaign.task.completed", len(records))
         tel.heartbeat("campaign", shard=shard, tasks=len(records))
+        return bool(owned)
 
     def run_shard(self, shard: int, workers: "int | None" = None) -> list:
-        """Execute one shard and checkpoint it; returns its records."""
+        """Execute one shard and store its result; returns its records."""
         cache_dir = str(self.paths.cache_dir) if self.spec.cache else None
         records = compute_shard_records(
             self.spec, shard, workers=workers, cache_dir=cache_dir
@@ -299,25 +330,17 @@ class Campaign:
 
     # -- inspection ------------------------------------------------------
     def status(self) -> dict:
-        completed = []
-        discarded = 0
-        for shard in range(self.spec.n_shards):
-            if self._shard_records(shard) is not None:
-                completed.append(shard)
-            elif self.paths.shard_path(shard).is_file():
-                # A checkpoint exists but cannot be used: corrupt bytes,
-                # a foreign digest, or a truncated record list.
-                discarded += 1
+        results, discarded = self._results()
         models = len(self.spec.model_names())
-        tasks_done = sum(self.spec.shard_task_count(shard) for shard in completed)
+        tasks_done = sum(self.spec.shard_task_count(shard) for shard in results)
         return {
             "name": self.spec.name,
             "digest": self.digest,
             "mode": self.spec.mode,
             "directory": str(self.paths.directory),
             "shards_total": self.spec.n_shards,
-            "shards_completed": len(completed),
-            "shards_pending": self.spec.n_shards - len(completed),
+            "shards_completed": len(results),
+            "shards_pending": self.spec.n_shards - len(results),
             "checkpoints_discarded": discarded,
             "tasks_total": self.spec.count * models,
             "tasks_completed": tasks_done,
@@ -325,27 +348,23 @@ class Campaign:
         }
 
     def records(self, ignore=()) -> list:
-        """All checkpointed records in manifest order (complete campaigns).
+        """All stored records in manifest order (complete campaigns).
 
         ``ignore`` names shards excluded from the requirement and the
         result — the quarantined shards of a partial campaign.
         """
+        return self._collect(self._results()[0], ignore)
+
+    def _collect(self, results: dict, ignore=()) -> list:
         ignore = {int(shard) for shard in ignore}
-        records, pending = [], []
-        for shard in range(self.spec.n_shards):
-            if shard in ignore:
-                continue
-            shard_records = self._shard_records(shard)
-            if shard_records is None:
-                pending.append(shard)
-            else:
-                records.extend(shard_records)
+        shards = [s for s in range(self.spec.n_shards) if s not in ignore]
+        pending = [shard for shard in shards if shard not in results]
         if pending:
             raise CampaignError(
                 f"campaign incomplete: shard(s) {pending} still pending "
                 "(run `repro campaign resume` first)"
             )
-        return records
+        return [record for shard in shards for record in results[shard]]
 
     def report(self, quarantined=()) -> dict:
         """The aggregate survey report (requires every shard done, minus
@@ -375,24 +394,33 @@ class Campaign:
 
     # -- audit (``repro doctor``) -----------------------------------------
     def audit(self, *, repair: bool = False) -> "tuple[int, list]":
-        """Check the manifest, checkpoints, work queue and report against
-        the spec, with the same rules the runner reads them by.
+        """Check the manifest, the shard rows of the work queue and the
+        report against the spec, with the same rules the runner reads
+        them by.
 
         Returns ``(healthy, issues)`` like :func:`repro.engine.cache.audit`:
         the number of healthy artifacts, and ``(severity, category, path,
         detail, repair)`` tuples with ``path`` relative to the campaign
         directory.  With ``repair``, derivable artifacts (the manifest, a
-        stale report) are ``"rewritten"``, unusable ones
+        stale report) are ``"rewritten"``, unusable files
         ``"quarantined"``, and the queue is mended by
-        :func:`repro.campaign.queue.audit`; without it nothing is written.
+        :func:`repro.campaign.queue.audit`; without it nothing is
+        written (and no queue is created).
         """
         issues = []
         healthy = self._audit_manifest(issues, repair)
-        completed = self._audit_shards(issues, repair)
-        pending = [s for s in range(self.spec.n_shards) if s not in completed]
-        healthy += len(completed)
-        healthy += self._audit_queue(completed, issues, repair)
-        healthy += self._audit_report(pending, issues, repair)
+        results, queue_healthy = self._audit_queue(issues, repair)
+        pending = [s for s in range(self.spec.n_shards) if s not in results]
+        if pending:
+            issues.append((
+                "info", "campaign.pending",
+                self._relative(self.paths.queue_db_path),
+                f"{len(pending)} of {self.spec.n_shards} shard(s) pending — "
+                f"finish with: repro campaign resume {self.paths.directory}",
+                None,
+            ))
+        healthy += len(results) + queue_healthy
+        healthy += self._audit_report(results, pending, issues, repair)
         return healthy, issues
 
     def _relative(self, path) -> str:
@@ -422,79 +450,35 @@ class Campaign:
         ))
         return 0
 
-    def _audit_shards(self, issues: list, repair: bool) -> set:
-        """Validate every file in ``shards/``; the valid checkpoints' ids."""
-        directory = self.paths.directory
-        completed = set()
-        entries = (
-            sorted(self.paths.shards_dir.iterdir())
-            if self.paths.shards_dir.is_dir()
-            else []
-        )
-        for entry in entries:
-            if not entry.is_file() or entry.name.startswith("."):
-                continue
-            shard = self.paths.shard_of(entry)
-            if shard is None:
-                severity = "warning"
-                detail = "foreign file in shards/ (not a checkpoint)"
-            elif shard >= self.spec.n_shards:
-                severity = "error"
-                detail = (
-                    f"shard id {shard} out of range "
-                    f"(spec has {self.spec.n_shards} shards)"
-                )
-            else:
-                _, issue = self._checkpoint(shard, warn=False)
-                if issue is None:
-                    completed.add(shard)
-                    continue
-                severity = "error"
-                detail = (
-                    f"unusable checkpoint: {issue} — the shard will re-run "
-                    "on resume"
-                )
-            issues.append((
-                severity, "campaign.shard", self._relative(entry), detail,
-                quarantine_on_repair(directory, entry, repair),
-            ))
-        pending = self.spec.n_shards - len(completed)
-        if pending:
-            issues.append((
-                "info", "campaign.pending",
-                f"{self._relative(self.paths.shards_dir)}/",
-                f"{pending} of {self.spec.n_shards} shard(s) pending — "
-                f"finish with: repro campaign resume {directory}",
-                None,
-            ))
-        return completed
-
-    def _audit_queue(self, completed: set, issues: list, repair: bool) -> int:
-        """The (derivable) queue against the checkpoints; a database that
-        cannot be used at all is quarantined — the next broker to open
-        rebuilds the queue from the checkpoints."""
+    def _audit_queue(self, issues: list, repair: bool) -> "tuple[dict, int]":
+        """The shard rows: the records of every usable result, and
+        whether the queue is healthy.  A database that cannot be used at
+        all is quarantined — its shards then re-run."""
         path = self.paths.queue_db_path
         if not path.is_file():
-            return 0
+            return {}, 0
         relative = self._relative(path)
         try:
-            found = audit_queue(
-                path, self.digest, self.spec.n_shards, completed, repair=repair
+            found, results = audit_queue(
+                path, self.digest, self.spec.n_shards, self._read_result,
+                repair=repair,
             )
         except QueueError as error:
             issues.append((
                 "error", "campaign.queue", relative, str(error),
                 quarantine_on_repair(self.paths.directory, path, repair),
             ))
-            return 0
+            return {}, 0
         issues.extend(
             (severity, "campaign.queue", relative, detail, action)
             for severity, detail, action in found
         )
-        return int(all(severity == "info" for severity, _, _ in found))
+        return results, int(all(severity == "info" for severity, _, _ in found))
 
-    def _audit_report(self, pending: list, issues: list, repair: bool) -> int:
-        """``report.json`` against the aggregate of the checkpoints.
+    def _audit_report(
+        self, results: dict, pending: list, issues: list, repair: bool
+    ) -> int:
+        """``report.json`` against the aggregate of the stored results.
 
         A partial report is legitimate exactly when its
         ``quarantined_shards`` account for every pending shard.
@@ -535,14 +519,16 @@ class Campaign:
                 "poison and excluded from the aggregate",
                 None,
             ))
-        expected = self.report(quarantined)
+        expected = aggregate_report(
+            self.spec, self._collect(results, quarantined), quarantined=quarantined
+        )
         try:
             found = path.read_text()
         except OSError as error:
             found = None
             detail = f"unreadable ({error})"
         else:
-            detail = "report does not match the aggregate of the checkpoints"
+            detail = "report does not match the aggregate of the stored results"
         if found == artifact_text(expected):
             return 1
         action = None
@@ -551,3 +537,14 @@ class Campaign:
             action = "rewritten"
         issues.append(("error", "campaign.report", relative, detail, action))
         return 0
+
+
+def _check_schema(paths: CampaignPaths) -> None:
+    """Refuse a directory whose manifest has another campaign schema."""
+    schema = (read_json(paths.manifest_path, warn=False) or {}).get("schema")
+    if schema not in (None, CAMPAIGN_SCHEMA):
+        raise CampaignError(
+            f"{paths.directory} holds a schema-{schema} campaign; this "
+            f"version reads schema {CAMPAIGN_SCHEMA} only (shard results "
+            "moved into queue.sqlite) — run its spec into a new directory"
+        )

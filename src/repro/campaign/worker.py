@@ -15,14 +15,14 @@ interface (``claim``, ``heartbeat``, ``release``, ``complete_shard``,
 * **directory** — the campaign directory is reachable (same host, or a
   shared disk with reliable locks).  The transport is a
   :class:`~repro.campaign.broker.ShardBroker` over the directory: the
-  worker brokers its own leases and writes checkpoints and the report
-  itself, under the very rules a coordinator applies.
+  worker brokers its own leases and stores shard results and the
+  report itself, under the very rules a coordinator applies.
 * **url** — an ``http(s)://`` coordinator (``repro campaign serve``).
   :class:`CoordinatorClient` speaks the v2 envelopes: claims carry a
   ``traceparent`` minted from the coordinator's campaign trace (so this
   worker's shard spans attach to the cross-host trace tree), and
   completed records POST back for the coordinator's broker to
-  checkpoint.
+  store.
 
 Worker identity is ``host:pid`` — it is stamped into every lease, into
 the telemetry run header (:mod:`repro.obs` already records host and
@@ -89,7 +89,7 @@ class _HeartbeatThread:
 
     Losing the lease — the coordinator reclaimed it because we stalled —
     sets :attr:`lost`; the worker finishes its shard anyway (the compute
-    is already sunk and the checkpoint is write-once deterministic, so a
+    is already sunk and results are write-once deterministic, so a
     duplicate completion is harmless) but logs the loss.
     """
 
@@ -421,7 +421,7 @@ def join(
             if beat.lost.is_set():
                 # Our lease was reclaimed mid-compute (we stalled past
                 # the TTL).  The records are still valid — write-once
-                # checkpoints make duplicate completion harmless.
+                # results make duplicate completion harmless.
                 lost += 1
                 elapsed = beat.elapsed()
                 tel.count("campaign.lease.lost.midshard")
@@ -434,7 +434,7 @@ def join(
                 print(
                     f"repro campaign join: warning: lease on shard "
                     f"{lease.shard} lost after {elapsed:.1f}s of compute; "
-                    "completing anyway (duplicate checkpoints are identical)",
+                    "completing anyway (duplicate results are identical)",
                     file=sys.stderr,
                 )
             transport.complete_shard(beat.lease, records)

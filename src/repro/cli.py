@@ -21,8 +21,8 @@ Subcommands
 * ``cache`` — inspect (``stats``) or empty (``clear``) the
   content-addressed verdict cache shared by the search commands.
 * ``doctor`` — fsck a cache root or campaign directory: verify
-  checksums, digests, and checkpoints; ``--repair`` quarantines bad
-  artifacts and rewrites derivable ones.
+  checksums, digests, and shard results; ``--repair`` quarantines bad
+  artifacts, resets bad shard rows and rewrites derivable ones.
 * ``stats`` — aggregate telemetry JSONL files (``--telemetry`` on the
   search commands) into a per-phase wall-time breakdown.
 * ``explain`` / ``solve`` / ``wheel`` / ``sat`` / ``artifacts`` — targeted

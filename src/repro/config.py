@@ -70,8 +70,7 @@ class RunConfig:
     """One immutable bundle of search/fan-out tuning knobs.
 
     Frozen and picklable, so a single config can be validated once and
-    then shipped unchanged to worker processes, campaign shards, and
-    checkpoint files.
+    then shipped unchanged to worker processes and campaign shards.
     """
 
     engine: str = DEFAULT_ENGINE

@@ -4,7 +4,7 @@
 directory and asks the store that writes each artifact to check it:
 :func:`repro.engine.cache.audit` for cache entries (nested ``cache/``
 directories included), :meth:`repro.campaign.Campaign.audit` for the
-manifest, shard checkpoints, work queue and report.  The stores check
+manifest, the work queue's shard rows and the report.  The stores check
 by the rules they read by, so the doctor flags exactly what a lookup
 or a resume would refuse.  This module itself checks only
 ``spec.json`` (unrepairable: the spec *is* the campaign's identity)
@@ -14,7 +14,8 @@ and orphan atomic-write tempfiles, and gathers the findings into a
 With ``repair=True`` the stores also act: bad artifacts are
 *quarantined* (moved to ``<root>/quarantine/``, never deleted),
 derivable ones (the manifest, a stale report) are rewritten from their
-source of truth, and orphan tempfiles are removed.  The doctor never
+source of truth, shard rows with an unusable result are reset to open,
+and orphan tempfiles are removed.  The doctor never
 invents data.
 """
 

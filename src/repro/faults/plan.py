@@ -16,7 +16,8 @@ site                      where
 ``cache.read``            before a verdict-cache entry is read from disk
 ``cache.write``           the serialized entry bytes, before the atomic write
 ``checkpoint.write``      the serialized campaign artifact (spec, manifest,
-                          shard checkpoint, report), before the atomic write
+                          report) before the atomic write, and a shard's
+                          result text before it is stored in its row
 ``campaign.shard``        entry of :meth:`repro.campaign.Campaign.run_shard`
 ``worker.run``            entry of a fan-out worker task
 ``telemetry.emit``        a JSONL event line, before it is appended

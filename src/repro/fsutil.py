@@ -1,7 +1,7 @@
 """Crash-safe filesystem primitives shared by the cache and campaigns.
 
-Every durable JSON artifact in the package — verdict-cache entries,
-campaign specs/manifests/checkpoints/reports — goes through
+Every durable JSON file in the package — verdict-cache entries,
+campaign specs/manifests/reports — goes through
 :func:`atomic_write_text`: a tempfile in the destination directory
 followed by ``os.replace``, so a crash at any instant leaves either the
 previous file or the new one, never a torn write.  Two hardenings on
@@ -10,7 +10,7 @@ top of the bare rename:
 * **ENOSPC retry.**  A full disk is usually transient (log rotation,
   a concurrent cleanup); writes retry with bounded exponential backoff
   before giving up, and the retries are visible as the
-  ``storage.enospc_retry`` telemetry counter.
+  ``storage.enospc_retry`` telemetry counter (:func:`write_retrying`).
 * **Orphan-temp sweep.**  A process killed between ``mkstemp`` and
   ``os.replace`` leaks a ``.<name>-XXXX.tmp`` file.  Stores sweep
   their directories on open (:func:`sweep_orphan_temps`, age-gated so
@@ -27,6 +27,7 @@ import errno
 import os
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 from .faults import fault_point
@@ -43,6 +44,7 @@ __all__ = [
     "quarantine",
     "quarantine_on_repair",
     "sweep_orphan_temps",
+    "write_retrying",
 ]
 
 #: Extra attempts after the first ENOSPC failure.
@@ -60,28 +62,31 @@ ORPHAN_TMP_TTL_S = 300.0
 QUARANTINE_DIR = "quarantine"
 
 
-def atomic_write_text(
-    path,
+def atomic_write_text(path, text: str, **retrying) -> None:
+    """Write ``text`` to ``path`` via tempfile + atomic rename, under
+    :func:`write_retrying` (``fault_site``, ``retries``, ``backoff``)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_retrying(partial(_replace_with, path), text, **retrying)
+
+
+def write_retrying(
+    write,
     text: str,
     *,
     fault_site: "str | None" = None,
     retries: int = ENOSPC_RETRIES,
     backoff: float = ENOSPC_BACKOFF_S,
-) -> None:
-    """Write ``text`` to ``path`` via tempfile + atomic rename.
-
-    ``ENOSPC`` is retried ``retries`` times with exponential backoff
-    (every retry recounted from the original ``text``, so a fault-
-    mutated attempt never leaks into the next one); any other
-    ``OSError`` — and a final ``ENOSPC`` — propagates to the caller.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+):
+    """``write(text)``'s result, retrying ``ENOSPC`` ``retries`` times
+    with exponential backoff.  ``fault_site`` fires on each attempt's
+    copy of the original ``text``, so a fault-mutated attempt never
+    leaks into the next; any other ``OSError`` (and a final ``ENOSPC``)
+    propagates."""
     for attempt in range(retries + 1):
         try:
             blob = text if fault_site is None else fault_point(fault_site, text)
-            _replace_with(path, blob)
-            return
+            return write(blob)
         except OSError as error:
             if error.errno != errno.ENOSPC or attempt == retries:
                 raise

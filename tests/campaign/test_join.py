@@ -1,7 +1,7 @@
 """Multi-worker joins converge on the single-host report, byte for byte.
 
 The determinism chain under test: records are pure functions of
-``(spec, shard)``, checkpoints are write-once, and the report
+``(spec, shard)``, stored results are write-once, and the report
 aggregates in manifest order — so any interleaving of joiners
 (directory or HTTP transport, duplicated work included) must reproduce
 the single-host ``report.json`` exactly.
@@ -25,6 +25,8 @@ from repro.campaign.queue import WorkQueue
 from repro.campaign.runner import Campaign, compute_shard_records
 from repro.campaign.worker import CoordinatorClient
 from repro.campaign.spec import CampaignSpec
+
+from .rows import edit_result
 
 SPEC = dict(
     name="join-test",
@@ -98,46 +100,45 @@ def test_join_then_join_again_is_idempotent(tmp_path, reference_report):
     assert (directory / "report.json").read_bytes() == reference_report
 
 
-def test_finishing_reads_each_checkpoint_a_bounded_number_of_times(
-    tmp_path, monkeypatch
-):
-    """Checkpoints are write-once, so the broker re-reads only shards it
-    has not yet seen durable: per shard, the open-time scan, the check at
-    claim and at complete, one finish check while it is the lowest
-    pending shard, and the report.  Re-reading every checkpoint after
-    each completion would read each of 16 shards at least 16 times."""
+def test_finishing_reads_each_result_once(tmp_path, monkeypatch):
+    """Finishing parses the stored results only once no shard is open
+    or leased: each of 16 shards is read once, for the report.  Reading
+    every result after each completion would read each one up to 16
+    times."""
     directory = tmp_path / "campaign"
     spec = CampaignSpec(**{**SPEC, "count": 16, "shard_size": 1})
     api.create(spec, directory)
     reads = Counter()
-    shard_records = Campaign._shard_records
+    read_result = Campaign._read_result
 
-    def counting(campaign, shard):
+    def counting(campaign, shard, text):
         reads[shard] += 1
-        return shard_records(campaign, shard)
+        return read_result(campaign, shard, text)
 
-    monkeypatch.setattr(Campaign, "_shard_records", counting)
+    monkeypatch.setattr(Campaign, "_read_result", counting)
     summary = api.join(str(directory), workers=1)
     assert summary["complete"] and len(summary["shards"]) == 16
-    assert sorted(reads) == list(range(16))
-    assert max(reads.values()) <= 5, reads
+    assert reads == Counter(range(16)), reads
 
 
-def test_checkpoint_lost_after_it_was_seen_blocks_the_report(tmp_path):
-    """Finishing trusts the checkpoints a broker has seen; if one is
-    gone when the report is written (quarantined by ``repro doctor
-    --repair``), the broker does not finish."""
+def test_result_damaged_after_it_was_stored_is_recomputed(tmp_path):
+    """A done row whose result turns unusable before the report is
+    written is reset when finishing reads it: the broker does not
+    finish on it, and the shard is claimed and computed again."""
     spec = CampaignSpec(**SPEC)
     campaign = api.create(spec, tmp_path / "campaign").raw
     campaign.run_shard(0, workers=1)
     broker = ShardBroker(campaign)
     try:
-        campaign.paths.shard_path(0).unlink()
+        edit_result(campaign.paths.directory, 0, shard=1)
+        ran = []
         while (lease := broker.claim("w")) is not None:
+            ran.append(lease.shard)
             records = compute_shard_records(spec, lease.shard, workers=1)
             broker.complete_shard(lease, records)
-        assert not broker.complete
-        assert not campaign.paths.report_path.exists()
+        assert ran == [1, 2, 0]
+        assert broker.complete
+        assert campaign.paths.report_path.exists()
     finally:
         broker.close()
 
@@ -257,7 +258,7 @@ def join_via(transport, directory, *, quarantine_after=None, timeout=60.0):
 
 def test_leftover_lease_files_are_ignored(tmp_path, reference_report, transport):
     """A campaign directory with a leftover ``queue/`` resumes on
-    ``queue.sqlite``, enrolled from the checkpoints alone."""
+    ``queue.sqlite`` alone."""
     directory = tmp_path / "campaign"
     handle = api.create(CampaignSpec(**SPEC), directory)
     leftover = _leftover_lease_files(directory, handle.digest)
@@ -268,16 +269,16 @@ def test_leftover_lease_files_are_ignored(tmp_path, reference_report, transport)
     assert sorted(p.name for p in (directory / "queue").iterdir()) == leftover
 
 
-def test_done_row_with_lost_checkpoint_is_recomputed(
+def test_done_row_with_unusable_result_is_recomputed(
     tmp_path, reference_report, transport
 ):
-    """A ``done`` queue row whose checkpoint is gone re-opens when a
-    broker opens, so the join recomputes the shard instead of polling
-    forever for it."""
+    """A ``done`` row whose result is unusable re-opens when a broker
+    opens and reads it, so the join recomputes the shard instead of
+    polling forever for it."""
     directory = tmp_path / "campaign"
     paths = api.create(CampaignSpec(**SPEC), directory).raw.paths
     api.join(str(directory), workers=1)
-    paths.shard_path(1).unlink()
+    edit_result(directory, 1, records=[])
     paths.report_path.unlink()
     summary = join_via(transport, directory)
     assert summary["shards"] == [1]
@@ -285,19 +286,17 @@ def test_done_row_with_lost_checkpoint_is_recomputed(
     assert paths.report_path.read_bytes() == reference_report
 
 
-def test_durable_last_checkpoint_with_open_row_writes_report(
+def test_last_row_done_without_report_writes_report(
     tmp_path, reference_report, transport
 ):
-    """A crash between the last checkpoint and its queue row leaves the
-    row open: the join has nothing to compute but must still write the
+    """A crash between the last shard's row and the report leaves every
+    row done: the join has nothing to compute but must still write the
     report before it calls the campaign complete."""
     spec = CampaignSpec(**SPEC)
     directory = tmp_path / "campaign"
     handle = api.create(spec, directory)
     handle.run(workers=1)
     handle.raw.paths.report_path.unlink()
-    with WorkQueue(handle.raw.paths.queue_db_path, handle.digest) as queue:
-        queue.enroll(range(spec.n_shards), done=range(spec.n_shards - 1))
     summary = join_via(transport, directory)
     assert summary["shards"] == []
     assert summary["complete"] is True
@@ -349,7 +348,6 @@ def test_stale_report_does_not_complete_a_held_shard(
     with WorkQueue(
         handle.raw.paths.queue_db_path, handle.digest, lease_ttl=60.0
     ) as holder:
-        holder.enroll(range(spec.n_shards), done=range(last))
         lease = holder.claim("A")
         assert lease.shard == last
         if transport == "url":
@@ -382,11 +380,11 @@ def test_stale_report_does_not_complete_a_held_shard(
     assert report_path.read_bytes() == reference_report
 
 
-def test_open_on_finished_checkpoints_writes_report_first(
+def test_open_on_finished_rows_writes_report_first(
     tmp_path, reference_report, transport
 ):
-    """A campaign with every checkpoint but no report is complete only
-    once opening its broker has written the report."""
+    """A campaign with every result stored but no report is complete
+    only once opening its broker has written the report."""
     directory = tmp_path / "campaign"
     handle = api.create(CampaignSpec(**SPEC), directory)
     handle.run(workers=1)
@@ -400,6 +398,18 @@ def test_open_on_finished_checkpoints_writes_report_first(
         summary = api.join(str(directory), workers=1, max_shards=0)
         assert summary["complete"] is True
         assert report_path.read_bytes() == reference_report
+
+
+def test_serving_a_used_handle_applies_its_lease_settings(tmp_path):
+    """A handle whose campaign already opened its queue (a run) serves
+    with the coordinator's lease settings, not the run's defaults."""
+    handle = api.create(CampaignSpec(**SPEC), tmp_path / "campaign")
+    handle.run(workers=1, max_shards=1)
+    with handle.serve(port=0, lease_ttl=12.5, quarantine_after=1) as coordinator:
+        assert coordinator.describe()["lease_ttl"] == 12.5
+        assert coordinator.queue is handle.raw.queue()
+        assert coordinator.queue.quarantine_after == 1
+        assert handle.status()["shards_completed"] == 1
 
 
 def test_coordinator_bootstrap_names_no_backend(tmp_path):

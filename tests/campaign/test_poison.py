@@ -15,6 +15,7 @@ from repro.campaign.spec import CampaignSpec
 from repro.obs import install
 from repro.obs.telemetry import Telemetry
 
+from .rows import flip_states_explored
 from .test_join import join_via
 
 SPEC = dict(
@@ -144,12 +145,12 @@ def test_coordinator_quarantines_over_http(tmp_path, monkeypatch):
 def _poison_run_telemetry(tmp_path, monkeypatch, transport):
     """The ``campaign.*`` counter names and ``campaign.shard.fail``
     events of one poison-shard campaign (``quarantine_after=1``) run
-    through ``transport``.  Before the run, shard 0's queue row is done
-    but its checkpoint is gone, so the broker also reconciles."""
+    through ``transport``.  Before the run, shard 0's row is done but its
+    stored result is corrupt, so the broker also discards it."""
     directory = tmp_path / transport / "campaign"
-    handle = api.create(CampaignSpec(**SPEC), directory)
+    api.create(CampaignSpec(**SPEC), directory)
     api.join(str(directory), workers=1, max_shards=1)
-    handle.raw.paths.shard_path(0).unlink()
+    flip_states_explored(directory, 0)
     _poisoned(monkeypatch)
     path = tmp_path / transport / "telemetry.jsonl"
     telemetry = Telemetry(path)
@@ -181,7 +182,8 @@ def test_directory_and_url_joins_emit_the_same_campaign_telemetry(
     assert by_dir == by_url
     counters, fails = by_dir
     assert {
-        "campaign.queue.reconciled",
+        "campaign.checkpoint_discarded",
+        "campaign.queue.reset",
         "campaign.report.partial",
         "campaign.shard.quarantined",
     } <= counters

@@ -2,8 +2,9 @@
 
 The queue must uphold its contract: at most one unexpired lease per
 shard (racing claimers never double-assign), heartbeat expiry
-reclaims exactly the dead worker's shards, completion is terminal, and
-a queue directory refuses to serve a foreign campaign digest.
+reclaims exactly the dead worker's shards, completion is terminal and
+stores the shard's result write-once, and a queue directory refuses to
+serve a foreign campaign digest.
 """
 
 import sqlite3
@@ -16,6 +17,7 @@ from repro.campaign.manifest import CampaignPaths
 from repro.campaign.queue import (
     DEFAULT_LEASE_TTL,
     DEFAULT_QUARANTINE_AFTER,
+    Lease,
     QueueError,
     WorkQueue,
     audit,
@@ -23,6 +25,11 @@ from repro.campaign.queue import (
 
 DIGEST = "ab" * 32
 OTHER_DIGEST = "cd" * 32
+
+
+def read(shard, text):
+    """The audit's result rule for these tests: ``"ok <shard>"``."""
+    return (text, None) if text == f"ok {shard}" else (None, "not ok")
 
 
 def make_queue(
@@ -64,14 +71,43 @@ class TestLifecycle:
         assert q.claim("w1").shard == 1
         q.close()
 
-    def test_enroll_is_idempotent_and_respects_done(self, tmp_path):
+    def test_enroll_is_idempotent_and_keeps_results(self, tmp_path):
         q = make_queue(tmp_path)
-        q.enroll(range(4), done=(1, 3))
-        q.enroll(range(4), done=(1, 3))
+        q.enroll(range(4))
+        for shard in (1, 3):
+            q.store(shard, f"ok {shard}")
+        q.enroll(range(4))
         snap = q.snapshot()
         assert snap["open"] == 2 and snap["done"] == 2
         assert [q.claim("w").shard for _ in range(2)] == [0, 2]
         assert q.claim("w") is None
+        assert q.results() == {1: "ok 1", 3: "ok 3"}
+        q.close()
+
+    def test_complete_stores_the_result_in_the_done_row(self, tmp_path):
+        q = make_queue(tmp_path)
+        q.enroll(range(2))
+        assert q.complete(q.claim("w"), "ok 0") is True
+        assert q.results() == {0: "ok 0"}
+        assert q.unresolved() == [1]
+        q.close()
+
+    def test_results_are_write_once(self, tmp_path):
+        from repro.obs import Telemetry, install
+
+        q = make_queue(tmp_path)
+        q.enroll([0])
+        q.store(0, "first")
+        q.store(0, "second")
+        telemetry = Telemetry()
+        previous = install(telemetry)
+        try:
+            stale = q.complete(Lease(0, "late", "00" * 8, 0.0), "third")
+        finally:
+            install(previous)
+        assert stale is False
+        assert telemetry.counters["campaign.complete.duplicate"] == 1
+        assert q.results() == {0: "first"}
         q.close()
 
     def test_release_reopens_the_shard(self, tmp_path):
@@ -133,11 +169,14 @@ class TestLifecycle:
         loser = q.claim("loser")
         time.sleep(0.1)
         winner = q.claim("winner")
-        assert q.complete(loser) is False
-        # Whoever holds the live lease still completes cleanly; either
-        # way the shard ends done (checkpoints are write-once, so a
-        # duplicate completion is harmless by design).
-        q.complete(winner)
+        # The lost lease is told so, but its records still land: they
+        # are a pure function of the shard, whoever computed them.
+        assert q.complete(loser, "ok 0") is False
+        assert q.results() == {0: "ok 0"}
+        # The live lease's completion is then a duplicate (results are
+        # write-once, so a duplicate completion is harmless by design).
+        assert q.complete(winner, "ok 0 again") is False
+        assert q.results() == {0: "ok 0"}
         assert q.snapshot()["done"] == 1
         q.close()
 
@@ -232,11 +271,13 @@ class TestQuarantine:
         q.enroll([0, 1])
         assert self._fail_once(q, "w1") == "quarantined"  # shard 0
         done = q.claim("w1")
-        q.complete(done)  # shard 1
+        q.complete(done, "ok 1")  # shard 1
         assert q.reset([0, 1]) == [0, 1]
         snap = q.snapshot()
         assert snap["open"] == 2 and snap["done"] == 0
         assert q.quarantined() == []
+        # The result goes with the done state: an open row holds none.
+        assert q.results() == {}
         # Failure history is cleared too: the next failure starts the
         # strike count over instead of instantly re-quarantining.
         q2 = make_queue(tmp_path, quarantine_after=2)
@@ -244,12 +285,16 @@ class TestQuarantine:
         q2.close()
         q.close()
 
-    def test_done_shards_lists_completions(self, tmp_path):
-        q = make_queue(tmp_path)
-        q.enroll(range(3), done=[2])
-        lease = q.claim("w")
-        q.complete(lease)
-        assert q.done_shards() == [0, 2]
+    def test_a_quarantined_shard_takes_a_late_result(self, tmp_path):
+        """A result that lands after the shard was quarantined (a slow
+        worker whose lease was reclaimed) completes it."""
+        q = make_queue(tmp_path, lease_ttl=0.05, quarantine_after=1)
+        q.enroll([0])
+        slow = q.claim("slow")
+        time.sleep(0.1)
+        assert self._fail_once(q, "w1") == "quarantined"
+        assert q.complete(slow, "ok 0") is False
+        assert q.quarantined() == [] and q.results() == {0: "ok 0"}
         q.close()
 
 
@@ -322,8 +367,8 @@ def test_failed_transition_rolls_back(tmp_path):
     no open transaction behind."""
     q = make_queue(tmp_path)
     q.enroll([0])
-    with pytest.raises(ValueError):
-        q.enroll([1, 2], done=["not-a-shard"])
+    with pytest.raises(OverflowError):
+        q.enroll([1, 2, 2**70])
     snap = q.snapshot()
     assert (snap["open"], snap["done"]) == (1, 0)
     q.enroll([1])
@@ -355,16 +400,19 @@ class TestConstruction:
 class TestAudit:
     def test_healthy_queue_has_no_issues(self, tmp_path):
         with make_queue(tmp_path) as q:
-            q.enroll(range(3), done=[2])
-            q.complete(q.claim("w"))
+            q.enroll(range(3))
+            q.store(2, "ok 2")
+            q.complete(q.claim("w"), "ok 0")
             q.claim("w")  # a live lease is healthy
         path = CampaignPaths(tmp_path).queue_db_path
-        assert audit(path, DIGEST, 3, {0, 2}) == []
-        assert audit(path, DIGEST, 3, {0, 2}, repair=True) == []
+        usable = {0: "ok 0", 2: "ok 2"}
+        assert audit(path, DIGEST, 3, read) == ([], usable)
+        assert audit(path, DIGEST, 3, read, repair=True) == ([], usable)
 
     def test_repair_fixes_every_issue_in_one_pass(self, tmp_path):
         with make_queue(tmp_path, lease_ttl=0.01, quarantine_after=1) as q:
-            q.enroll([0, 1, 2, 9], done=[1])
+            q.enroll([0, 1, 2, 9])
+            q.store(1, "torn")
             assert q.fail(q.claim("poison")) == "quarantined"  # shard 0
             assert q.claim("ghost").shard == 2
         time.sleep(0.05)  # shard 2's lease expires
@@ -372,8 +420,8 @@ class TestAudit:
         expected = [
             (
                 "error",
-                "shard 1 marked done in the queue but has no valid "
-                "checkpoint — it would never re-run",
+                "shard 1 has an unusable result: not ok — the shard will "
+                "re-run on resume",
                 "reset",
             ),
             (
@@ -395,9 +443,9 @@ class TestAudit:
             ),
         ]
         unrepaired = [(severity, detail, None) for severity, detail, _ in expected]
-        assert audit(path, DIGEST, 3, set()) == unrepaired
-        assert audit(path, DIGEST, 3, set(), repair=True) == expected
-        assert audit(path, DIGEST, 3, set()) == expected[-1:]
+        assert audit(path, DIGEST, 3, read) == (unrepaired, {})
+        assert audit(path, DIGEST, 3, read, repair=True) == (expected, {})
+        assert audit(path, DIGEST, 3, read) == (expected[-1:], {})
         with make_queue(tmp_path) as q:
             snap = q.snapshot()
             assert (snap["open"], snap["leased"], snap["done"]) == (2, 0, 0)
@@ -410,16 +458,16 @@ class TestAudit:
         path = CampaignPaths(tmp_path).queue_db_path
         _execute(path, "DELETE FROM meta")
         with pytest.raises(QueueError, match="'missing' does not match"):
-            audit(path, DIGEST, 1, set())
+            audit(path, DIGEST, 1, read)
 
     def test_database_without_queue_tables_is_corrupt(self, tmp_path):
         path = CampaignPaths(tmp_path).queue_db_path
         _execute(path, "CREATE TABLE unrelated (x)")
         with pytest.raises(QueueError, match="corrupt queue database"):
-            audit(path, DIGEST, 1, set())
+            audit(path, DIGEST, 1, read)
 
     def test_missing_database_is_refused_and_not_created(self, tmp_path):
         path = CampaignPaths(tmp_path).queue_db_path
         with pytest.raises(QueueError, match="no queue database"):
-            audit(path, DIGEST, 1, set(), repair=True)
+            audit(path, DIGEST, 1, read, repair=True)
         assert not path.exists()

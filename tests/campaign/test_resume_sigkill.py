@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from .rows import stored_result
+
 REPO = Path(__file__).resolve().parents[2]
 
 SPEC = {
@@ -63,7 +65,7 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path):
     assert done.returncode == 0, done.stderr
     reference = (reference_dir / "report.json").read_bytes()
 
-    # Interrupted run: SIGKILL as soon as the first checkpoint lands.
+    # Interrupted run: SIGKILL as soon as shard 0's result is stored.
     victim_dir = tmp_path / "victim"
     process = subprocess.Popen(
         [
@@ -75,19 +77,18 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path):
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
-    first_shard = victim_dir / "shards" / "shard-0000.json"
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline:
-        if first_shard.is_file() or process.poll() is not None:
+        if stored_result(victim_dir, 0) or process.poll() is not None:
             break
         # Poll much faster than a shard completes: the gap between the
-        # first checkpoint and campaign completion is tens of ms, so a
-        # coarse poll can miss the kill window entirely.
+        # first stored result and campaign completion is tens of ms, so
+        # a coarse poll can miss the kill window entirely.
         time.sleep(0.002)
     if process.poll() is None:
         process.send_signal(signal.SIGKILL)
     process.wait(timeout=30)
-    assert first_shard.is_file(), "campaign never checkpointed shard 0"
+    assert stored_result(victim_dir, 0), "campaign never stored shard 0"
     # The kill must land before completion for the test to mean anything.
     assert not (victim_dir / "report.json").is_file(), (
         "campaign finished before the kill; shrink bounds to slow it down"

@@ -1,10 +1,12 @@
-"""Campaign execution: checkpoints, resume, idempotence, bit-identical reports."""
+"""Campaign execution: stored results, resume, idempotence, bit-identical reports."""
 
 import json
 
 import pytest
 
 from repro.campaign import Campaign, CampaignError, CampaignSpec
+
+from .rows import store_result
 
 SPEC = CampaignSpec(
     name="unit",
@@ -41,6 +43,16 @@ class TestLifecycle:
     def test_open_missing_directory(self, tmp_path):
         with pytest.raises(CampaignError, match="no campaign"):
             Campaign.open(tmp_path / "nowhere")
+
+    def test_schema_1_directory_is_refused_by_name(self, tmp_path):
+        campaign = Campaign.create(tmp_path / "c", SPEC)
+        manifest = json.loads(campaign.paths.manifest_path.read_text())
+        campaign.paths.manifest_path.write_text(json.dumps({**manifest, "schema": 1}))
+        for reopen in (lambda: Campaign.open(tmp_path / "c"),
+                       lambda: Campaign.create(tmp_path / "c", SPEC)):
+            with pytest.raises(CampaignError, match="schema-1 campaign"):
+                reopen()
+        assert not campaign.paths.queue_db_path.exists()
 
 
 class TestExecution:
@@ -90,7 +102,7 @@ class TestExecution:
         campaign = Campaign.create(tmp_path / "c", SPEC)
         campaign.run(workers=1)
         reference = campaign.paths.report_path.read_bytes()
-        campaign.paths.shard_path(1).write_text("{ not json")
+        store_result(campaign.paths.directory, 1, "{ not json")
         assert campaign.pending_shards() == [1]
         assert campaign.run(workers=1) == [1]
         assert campaign.paths.report_path.read_bytes() == reference
@@ -135,11 +147,11 @@ class TestTelemetryVisibility:
 
         campaign = Campaign.create(tmp_path / "c", SPEC)
         campaign.run(workers=1, max_shards=1)
-        # Wipe shard 0's checkpoint but keep the verdict cache: the
-        # re-run must answer from cache and still write identical bytes.
+        # Reset shard 0's row but keep the verdict cache: the re-run
+        # must answer from cache and still write identical bytes.
         reference = Campaign.create(tmp_path / "ref", SPEC)
         reference.run(workers=1)
-        campaign.paths.shard_path(0).unlink()
+        assert campaign.queue().reset([0]) == [0]
         previous = obs.active()
         telemetry = obs.configure(tmp_path / "t.jsonl")
         try:
@@ -187,25 +199,32 @@ class TestTelemetryVisibility:
 
 
 class TestReportReads:
-    def test_write_report_reads_each_checkpoint_once(self, tmp_path, monkeypatch):
+    def test_write_report_reads_each_result_once(self, tmp_path, monkeypatch):
+        """One query fetches every row, and each result is parsed once."""
         from repro.campaign import runner
 
         campaign = Campaign.create(tmp_path / "c", SPEC)
         campaign.run(workers=1)
-        reads = []
-        real = runner.read_json
+        queries, reads = [], []
+        fetch = runner.WorkQueue.results
+        parse = runner.checkpoint_records
 
-        def counting(path, *args, **kwargs):
-            reads.append(path.name)
-            return real(path, *args, **kwargs)
+        def counting_fetch(queue):
+            queries.append(1)
+            return fetch(queue)
 
-        monkeypatch.setattr(runner, "read_json", counting)
+        def counting_parse(text, digest, shard, expected):
+            reads.append(shard)
+            return parse(text, digest, shard, expected)
+
+        monkeypatch.setattr(runner.WorkQueue, "results", counting_fetch)
+        monkeypatch.setattr(runner, "checkpoint_records", counting_parse)
         campaign.write_report()
-        assert reads == ["shard-0000.json", "shard-0001.json"]
+        assert (len(queries), reads) == (1, [0, 1])
 
     def test_pending_shards_still_refuse_the_report(self, tmp_path):
         campaign = Campaign.create(tmp_path / "c", SPEC)
         campaign.run(workers=1, max_shards=1)
         with pytest.raises(CampaignError, match=r"shard\(s\) \[1\] still pending"):
             campaign.write_report()
-        assert campaign.records(ignore=[1]) == campaign._shard_records(0)
+        assert campaign.records(ignore=[1]) == campaign._results()[0][0]

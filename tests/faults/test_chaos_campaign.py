@@ -108,6 +108,28 @@ def test_hard_checkpoint_enospc_aborts_then_resumes_clean(tmp_path, reference):
     assert resumed.paths.report_path.read_bytes() == reference
 
 
+@pytest.mark.parametrize("kind", ["bitflip", "truncate"])
+def test_damaged_shard_result_is_recomputed_on_resume(
+    tmp_path, reference, kind, capsys
+):
+    directory = tmp_path / "camp"
+    plan = FaultPlan(
+        name=f"result-{kind}",
+        # Let the spec/manifest land, then damage shard 0's stored result.
+        rules=({"site": "checkpoint.write", "kind": kind, "after": 2, "times": 1},),
+    )
+    with faults.armed(plan) as state:
+        campaign = Campaign.create(directory, SPEC)
+        assert campaign.run(workers=1) == [0, 1]
+    assert state.log, f"plan {plan.name} never fired — the test is vacuous"
+    # The run's own final read caught the damage: no report from it.
+    assert "discarding the result of shard 0" in capsys.readouterr().err
+    assert not campaign.paths.report_path.exists()
+    resumed = Campaign.open(directory)
+    assert resumed.run(workers=1) == [0]
+    assert resumed.paths.report_path.read_bytes() == reference
+
+
 def test_parallel_campaign_under_cache_corruption(tmp_path, reference):
     plan = FaultPlan(
         name="parallel-bitflip",

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from ..campaign.rows import stored_result
+
 REPO = Path(__file__).resolve().parents[2]
 
 SPEC = {
@@ -73,7 +75,7 @@ def test_injected_sigkill_then_resume_is_bit_identical(tmp_path):
     reference = (reference_dir / "report.json").read_bytes()
 
     # The armed plan kills the process at the start of shard 1 — after
-    # shard 0's checkpoint landed, before anything else did.
+    # shard 0's result landed, before anything else did.
     victim_dir = tmp_path / "victim"
     killed = _cli(
         "campaign", "run", str(spec_path),
@@ -81,8 +83,8 @@ def test_injected_sigkill_then_resume_is_bit_identical(tmp_path):
         "--fault-plan", str(plan_path),
     )
     assert killed.returncode == -9 or killed.returncode == 137
-    assert (victim_dir / "shards" / "shard-0000.json").is_file()
-    assert not (victim_dir / "shards" / "shard-0001.json").exists()
+    assert stored_result(victim_dir, 0) is not None
+    assert stored_result(victim_dir, 1) is None
     assert not (victim_dir / "report.json").exists()
 
     # Resume WITHOUT the plan: the disk state left by the kill must

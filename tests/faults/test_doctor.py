@@ -14,6 +14,13 @@ from repro.doctor import DoctorError, diagnose
 from repro.engine.cache import QUARANTINE_DIR, VerdictCache, verdict_key
 from repro.engine.explorer import ExplorationResult
 
+from ..campaign.rows import (
+    edit_result,
+    flip_states_explored,
+    store_result,
+    stored_result,
+)
+
 SPEC = CampaignSpec(
     name="doctor", count=4, models=("R1O",), shard_size=2,
     n_nodes=4, queue_bound=2, step_bound=20000,
@@ -26,6 +33,7 @@ def finished_campaign(tmp_path_factory):
     directory = tmp_path_factory.mktemp("campaign") / "camp"
     campaign = Campaign.create(directory, SPEC)
     campaign.run(workers=1)
+    campaign.close()
     return directory
 
 
@@ -141,7 +149,8 @@ def test_healthy_campaign(campaign_dir):
     report = diagnose(campaign_dir)
     assert report.kind == "campaign"
     assert report.ok() and report.errors == 0
-    # spec + manifest + 2 shards + report, plus the nested cache entries.
+    # spec + manifest + 2 shard rows + queue + report, plus the nested
+    # cache entries.
     assert report.healthy >= 5
 
 
@@ -174,23 +183,48 @@ def test_non_string_manifest_digest_is_rewritten(campaign_dir):
     assert json.loads(manifest_path.read_text())["digest"] != 5
 
 
-def test_bad_shard_checkpoint_quarantined(campaign_dir):
-    shard = campaign_dir / "shards" / "shard-0001.json"
-    payload = json.loads(shard.read_text())
-    payload["records"] = payload["records"][:-1]  # truncated checkpoint
-    shard.write_text(json.dumps(payload))
+def test_bad_shard_result_row_is_reset(campaign_dir):
+    records = json.loads(stored_result(campaign_dir, 1))["records"]
+    edit_result(campaign_dir, 1, records=records[:-1])  # truncated result
     report = diagnose(campaign_dir)
     assert not report.ok()
     assert any(
-        "re-run on resume" in f.detail for f in report.findings
-        if f.category == "campaign.shard"
+        f.detail.startswith("shard 1 has an unusable result: expected 2 records")
+        and "re-run on resume" in f.detail
+        for f in report.findings if f.category == "campaign.queue"
     )
     repaired = diagnose(campaign_dir, repair=True)
     assert repaired.ok()
-    assert not shard.exists()
+    assert stored_result(campaign_dir, 1) is None
     # The stale report (now missing a shard) is quarantined too.
     assert not (campaign_dir / "report.json").exists()
     assert any(f.category == "campaign.pending" for f in repaired.findings)
+
+
+def test_flipped_record_resets_the_row_and_spares_the_report(campaign_dir):
+    """A record edited behind the campaign's back — valid JSON, wrong
+    ``states_explored`` — fails its checksum: the doctor blames the
+    row, not the correct report, and never rewrites the report from the
+    corrupt records."""
+    report_path = campaign_dir / "report.json"
+    reference = report_path.read_bytes()
+    flip_states_explored(campaign_dir, 1)
+    findings = diagnose(campaign_dir).findings
+    assert [
+        (f.severity, f.detail) for f in findings if f.category == "campaign.queue"
+    ] == [(
+        "error",
+        "shard 1 has an unusable result: checksum mismatch (bit rot or torn "
+        "write) — the shard will re-run on resume",
+    )]
+    repaired = diagnose(campaign_dir, repair=True)
+    assert stored_result(campaign_dir, 1) is None
+    assert [f.repair for f in repaired.findings if f.repair] == [
+        "reset", "quarantined",
+    ]
+    assert (campaign_dir / QUARANTINE_DIR / "report.json").read_bytes() == reference
+    Campaign.open(campaign_dir).run(workers=1)
+    assert report_path.read_bytes() == reference
 
 
 def test_tampered_report_is_rewritten_byte_identical(campaign_dir):
@@ -204,19 +238,14 @@ def test_tampered_report_is_rewritten_byte_identical(campaign_dir):
     assert report_path.read_bytes() == original
 
 
-def test_foreign_file_in_shards_is_a_warning(campaign_dir):
-    (campaign_dir / "shards" / "notes.txt").write_text("scratch")
-    report = diagnose(campaign_dir)
-    assert report.ok()
-    assert any(
-        f.category == "campaign.shard" and "foreign" in f.detail
-        for f in report.findings
-    )
+def _out_of_range_result(directory):
+    with _queue(directory) as queue:
+        queue.enroll([99])
+        queue.store(99, stored_result(directory, 0))
 
 
 def test_out_of_range_shard_is_an_error(campaign_dir):
-    source = campaign_dir / "shards" / "shard-0000.json"
-    (campaign_dir / "shards" / "shard-0099.json").write_text(source.read_text())
+    _out_of_range_result(campaign_dir)
     report = diagnose(campaign_dir)
     assert not report.ok()
     assert any("out of range" in f.detail for f in report.findings)
@@ -237,35 +266,35 @@ def _queue(directory, digest=None, **kwargs):
     )
 
 
+def _reset_rows(directory, *shards):
+    with _queue(directory) as queue:
+        assert queue.reset(shards) == list(shards)
+
+
 def _corrupt_queue(directory):
     (directory / "queue.sqlite").write_bytes(b"not a database\n" * 64)
 
 
 def _foreign_queue(directory):
+    (directory / "queue.sqlite").unlink()
     _queue(directory, OTHER_DIGEST).close()
 
 
 def _out_of_range_row(directory):
     with _queue(directory) as queue:
-        queue.enroll([0, 1, 7], done=[0, 1])
+        queue.enroll([7])
 
 
 def _expired_lease(directory):
+    _reset_rows(directory, 0)
     with _queue(directory, lease_ttl=0.01) as queue:
-        queue.enroll([0, 1], done=[1])
         assert queue.claim("ghost").shard == 0
     time.sleep(0.05)
 
 
-def _done_without_checkpoint(directory):
-    with _queue(directory) as queue:
-        queue.enroll([0, 1], done=[0, 1])
-    (directory / "shards" / "shard-0001.json").unlink()
-
-
 def _quarantined_shard(directory):
+    _reset_rows(directory, 0)
     with _queue(directory, quarantine_after=1) as queue:
-        queue.enroll([0, 1], done=[1])
         assert queue.fail(queue.claim("w")) == "quarantined"
 
 
@@ -291,10 +320,10 @@ QUEUE_CASES = {
         "partitioned worker",
         "reclaimed",
     ),
-    "done-without-checkpoint": (
-        _done_without_checkpoint, "error",
-        "shard 1 marked done in the queue but has no valid checkpoint — it "
-        "would never re-run",
+    "unusable-result": (
+        lambda directory: flip_states_explored(directory, 1), "error",
+        "shard 1 has an unusable result: checksum mismatch (bit rot or torn "
+        "write) — the shard will re-run on resume",
         "reset",
     ),
     "quarantined": (
@@ -343,9 +372,9 @@ def test_queue_findings_and_repairs(campaign_dir, case):
 # Shard ids past four digits.
 # ----------------------------------------------------------------------
 
-def test_five_digit_shard_checkpoints_are_healthy(tmp_path):
-    """``shard-10000.json`` is what the runner writes for shard 10000:
-    the doctor must read it as a checkpoint, not set it aside."""
+def test_five_digit_shard_results_are_healthy(tmp_path):
+    """Shard 10000's row holds its result like any other: the doctor
+    reads it as healthy, not sets it aside."""
     spec = CampaignSpec(
         name="wide", count=10001, models=("R1O",), shard_size=1,
         n_nodes=4, queue_bound=2, step_bound=20000, cache=False,
@@ -353,13 +382,14 @@ def test_five_digit_shard_checkpoints_are_healthy(tmp_path):
     campaign = Campaign.create(tmp_path / "camp", spec)
     for shard in (9999, 10000):
         campaign.run_shard(shard, workers=1)
-    assert (tmp_path / "camp" / "shards" / "shard-10000.json").is_file()
+    campaign.close()
+    assert stored_result(tmp_path / "camp", 10000) is not None
 
     report = diagnose(tmp_path / "camp")
     assert report.ok() and report.warnings == 0
-    assert [f for f in report.findings if f.category == "campaign.shard"] == []
-    # spec + manifest + both checkpoints.
-    assert report.healthy == 4
+    assert [f for f in report.findings if f.category == "campaign.queue"] == []
+    # spec + manifest + both results + the queue.
+    assert report.healthy == 5
 
     diagnose(tmp_path / "camp", repair=True)
     assert Campaign.open(tmp_path / "camp").completed_shards() == [9999, 10000]
@@ -431,39 +461,37 @@ def test_cache_doctor_agrees_with_reads(tmp_path, case):
     assert store.quarantined == (1 if on_read == "quarantined" else 0)
 
 
-def _shard(directory, shard):
-    return CampaignPaths(directory).shard_path(shard)
-
-
 CHECKPOINT_DAMAGE = {
-    # case: damage applied to a finished two-shard campaign
+    # case: damage applied to the rows of a finished two-shard campaign
     "healthy": lambda d: None,
-    "torn-json": lambda d: _shard(d, 0).write_text(_shard(d, 0).read_text()[:-10]),
-    "non-object": lambda d: _shard(d, 1).write_text("[]"),
-    "foreign-digest": lambda d: _rewrite_json(_shard(d, 0), digest=OTHER_DIGEST),
-    "wrong-shard": lambda d: _shard(d, 1).write_text(_shard(d, 0).read_text()),
-    "short": lambda d: _rewrite_json(
-        _shard(d, 1), records=json.loads(_shard(d, 1).read_text())["records"][:-1]
+    "torn-json": lambda d: store_result(d, 0, stored_result(d, 0)[:-10]),
+    "non-object": lambda d: store_result(d, 1, "[]"),
+    "foreign-digest": lambda d: edit_result(d, 0, digest=OTHER_DIGEST),
+    "wrong-shard": lambda d: store_result(d, 1, stored_result(d, 0)),
+    "short": lambda d: edit_result(
+        d, 1, records=json.loads(stored_result(d, 1))["records"][:-1]
     ),
-    "missing": lambda d: _shard(d, 0).unlink(),
+    "flipped-record": lambda d: flip_states_explored(d, 1),
+    "missing": lambda d: _reset_rows(d, 0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CHECKPOINT_DAMAGE))
-def test_campaign_doctor_agrees_with_pending_shards(campaign_dir, case):
+def test_campaign_doctor_agrees_with_pending_shards(campaign_dir, tmp_path, case):
     CHECKPOINT_DAMAGE[case](campaign_dir)
+    stored = {s for s in range(SPEC.n_shards) if stored_result(campaign_dir, s)}
+    # What the runner would re-run, read from a copy: reading resets
+    # unusable rows, and the doctor must see them first.
+    shutil.copytree(campaign_dir, tmp_path / "runner")
+    pending = Campaign.open(tmp_path / "runner").pending_shards()
     report = diagnose(campaign_dir)
     flagged = {
-        f.path for f in report.findings
-        if f.category == "campaign.shard" and f.severity == "error"
+        int(f.detail.split()[1]) for f in report.findings
+        if f.category == "campaign.queue" and f.severity == "error"
     }
-    pending = Campaign.open(campaign_dir).pending_shards()
-    # Every checkpoint the runner would re-run is one the doctor flags
-    # (or one that is simply absent), and nothing else.
-    present = [s for s in pending if _shard(campaign_dir, s).exists()]
-    assert flagged == {
-        str(_shard(campaign_dir, s).relative_to(campaign_dir)) for s in present
-    }
+    # Every result the runner would re-run is one the doctor flags (or
+    # one that is simply absent), and nothing else.
+    assert flagged == {s for s in pending if s in stored}
     pending_info = [f for f in report.findings if f.category == "campaign.pending"]
     if pending:
         [info] = pending_info
@@ -513,10 +541,11 @@ def _empty_cache_root(tmp_path, finished):
 
 
 def _partial_report(directory, missing=(1,)):
-    _shard(directory, 1).unlink()
-    Campaign.open(directory).write_report(quarantined=[1])
-    for shard in missing:
-        _shard(directory, shard).unlink(missing_ok=True)
+    _reset_rows(directory, 1)
+    campaign = Campaign.open(directory)
+    campaign.write_report(quarantined=[1])
+    campaign.close()
+    _reset_rows(directory, *(shard for shard in missing if shard != 1))
 
 
 def _retarget_manifest(directory):
@@ -566,16 +595,9 @@ CORPORA = {
     "campaign-partial-report-uncovered": _campaign_corpus(
         lambda d: _partial_report(d, missing=(0,))
     ),
-    "campaign-foreign-file": _campaign_corpus(
-        lambda d: (d / "shards" / "notes.txt").write_text("scratch")
-    ),
-    "campaign-out-of-range-shard": _campaign_corpus(
-        lambda d: (d / "shards" / "shard-0099.json").write_text(
-            _shard(d, 0).read_text()
-        )
-    ),
+    "campaign-out-of-range-shard": _campaign_corpus(_out_of_range_result),
     "campaign-orphan-temp": _campaign_corpus(
-        lambda d: (d / "shards" / ".shard-0000.json-abc.tmp").write_text("partial")
+        lambda d: (d / ".report.json-abc.tmp").write_text("partial")
     ),
     "campaign-nested-cache": _campaign_corpus(_corrupt_nested_cache),
     **{

@@ -29,6 +29,8 @@ from repro.faults import FaultPlan
 from repro.fsutil import atomic_write_text, sweep_orphan_temps
 from repro.obs import Telemetry, install
 
+from ..campaign.rows import store_result
+
 
 @pytest.fixture()
 def telemetry():
@@ -283,9 +285,9 @@ def test_campaign_status_surfaces_discarded_checkpoints(tmp_path, capsys):
         n_nodes=4, queue_bound=2, step_bound=20000,
     )
     campaign = Campaign.create(tmp_path / "camp", spec)
-    shard = campaign.paths.shard_path(0)
-    shard.parent.mkdir(parents=True, exist_ok=True)
-    shard.write_text("garbage")
+    campaign.run(workers=1, max_shards=1)
+    store_result(campaign.paths.directory, 0, "garbage")
     status = campaign.status()
     assert status["checkpoints_discarded"] == 1
     assert status["shards_pending"] == 2
+    assert "discarding the result of shard 0" in capsys.readouterr().err

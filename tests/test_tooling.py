@@ -139,14 +139,16 @@ class TestOneWorkQueue:
 class TestStoresOwnTheirChecks:
     """Each durable store checks its own artifacts; ``repro doctor`` only
     dispatches.  A ``json``/``re`` import in the doctor, or a checksum
-    computed outside the cache, means a rule is being copied again."""
+    computed outside the format modules of the two checksummed stores
+    (verdict-cache entries, campaign shard results), means a rule is
+    being copied again."""
 
     def test_doctor_parses_nothing(self):
         doctor = "src/repro/doctor.py"
         assert doctor not in _importers("json")
         assert doctor not in _importers("re")
 
-    def test_payload_checksum_called_only_in_the_cache(self):
+    def test_payload_checksum_called_only_by_the_stores(self):
         import ast
 
         callers = []
@@ -158,7 +160,9 @@ class TestStoresOwnTheirChecks:
                 ):
                     callers.append(path.relative_to(REPO).as_posix())
                     break
-        assert callers == ["src/repro/engine/cache.py"]
+        assert callers == [
+            "src/repro/campaign/manifest.py", "src/repro/engine/cache.py",
+        ]
 
 
 class TestVersion:
