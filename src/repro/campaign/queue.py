@@ -26,12 +26,13 @@ exactly what a lease protocol gives:
   failing across ``quarantine_after`` *distinct* workers — or across
   three times that many attempts total, so a lone worker cannot
   livelock on it — moves to ``quarantined``: never re-leased, reported
-  explicitly, repairable by ``repro doctor``/``reset``.
+  explicitly, retried only after :meth:`WorkQueue.reset`.
 
 The store is one stdlib :mod:`sqlite3` table of shard rows in the
 campaign directory's ``queue.sqlite``
 (:attr:`~repro.campaign.manifest.CampaignPaths.queue_db_path`), in WAL
-mode with ``BEGIN IMMEDIATE`` transitions — the PyExperimenter
+mode with ``BEGIN IMMEDIATE`` transitions (both from
+:mod:`repro.sqlstore`, shared with the verdict cache) — the PyExperimenter
 experiment-table pattern: one table holds each unit's status and its
 result, and any number of processes pull open rows and write results
 back.  It is correct for any number of processes on one host or on a
@@ -55,15 +56,15 @@ from __future__ import annotations
 import json
 import os
 import socket
-import sqlite3
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
+from .. import sqlstore
 from ..faults import fault_point
 from ..obs import active as _telemetry
+from ..sqlstore import transaction as _transaction
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
@@ -120,19 +121,6 @@ class Lease:
         return self.expires - (time.time() if now is None else now)
 
 
-@contextmanager
-def _transaction(conn):
-    """One ``BEGIN IMMEDIATE`` transaction: every read-modify-write in
-    it is atomic against other processes (SQLite serializes writers)."""
-    conn.execute("BEGIN IMMEDIATE")
-    try:
-        yield conn
-    except BaseException:
-        conn.execute("ROLLBACK")
-        raise
-    conn.execute("COMMIT")
-
-
 def _reclaim(conn, now: float) -> list:
     rows = conn.execute(f"SELECT shard FROM shards WHERE {_EXPIRED}", (now,)).fetchall()
     if rows:
@@ -182,13 +170,8 @@ class WorkQueue:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # The lock serializes this connection across threads.
         self._lock = threading.Lock()
-        self._conn = sqlite3.connect(
-            self.path, timeout=30.0, check_same_thread=False,
-            isolation_level=None,
-        )
+        self._conn = sqlstore.connect(self.path, timeout=30.0)
         with self._lock:
-            self._enable_wal(timeout=30.0)
-            self._conn.execute("PRAGMA busy_timeout=30000")
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS meta "
                 "(key TEXT PRIMARY KEY, value TEXT NOT NULL)"
@@ -217,21 +200,6 @@ class WorkQueue:
                     f"{self.path} coordinates campaign {row[0][:12]}, "
                     f"refusing to serve {self.digest[:12]}"
                 )
-
-    def _enable_wal(self, timeout: float) -> None:
-        """Switch to WAL, retrying within the busy timeout: SQLite
-        answers a journal-mode change that races another connection's
-        open with an immediate "database is locked", without consulting
-        the busy handler."""
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                self._conn.execute("PRAGMA journal_mode=WAL")
-                return
-            except sqlite3.OperationalError as error:
-                if "locked" not in str(error) or time.monotonic() >= deadline:
-                    raise
-                time.sleep(0.01)
 
     def close(self) -> None:
         with self._lock:
@@ -488,8 +456,8 @@ def audit(path, digest: str, n_shards: int, read, *, repair: bool = False) -> tu
         # sqlite3.connect would create an empty database here.
         raise QueueError(f"no queue database at {path}")
     try:
-        conn = sqlite3.connect(path, timeout=5.0, isolation_level=None)
-    except sqlite3.Error as error:
+        conn = sqlstore.connect(path, timeout=5.0, wal=False)
+    except sqlstore.Error as error:
         raise QueueError(f"cannot open queue database ({error})") from None
     try:
         try:
@@ -498,7 +466,7 @@ def audit(path, digest: str, n_shards: int, read, *, repair: bool = False) -> tu
                 "SELECT shard, state, worker, expires, result FROM shards"
                 " ORDER BY shard"
             ).fetchall()
-        except sqlite3.Error as error:
+        except sqlstore.Error as error:
             raise QueueError(f"corrupt queue database ({error})") from None
         if row is None or row[0] != digest:
             found = row[0][:12] if row else "missing"
@@ -551,8 +519,9 @@ def audit(path, digest: str, n_shards: int, read, *, repair: bool = False) -> tu
         if quarantined:
             issues.append((
                 "info",
-                f"shard(s) {sorted(quarantined)} quarantined as poison "
-                "(reset with repro.campaign.queue reset to retry them)",
+                f"shard(s) {sorted(quarantined)} quarantined as poison (reset "
+                "with repro.campaign.WorkQueue(path, digest).reset("
+                f"{sorted(quarantined)}) to retry them)",
                 None,
             ))
         return issues, values

@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry",
         default=None,
         metavar="FILE",
-        help="also report hit/miss/write/evicted counters aggregated "
+        help="also report hit/miss/write counters aggregated "
         "from a telemetry JSONL file (stats action only)",
     )
 
@@ -648,9 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
     doctor.add_argument(
         "--repair",
         action="store_true",
-        help="quarantine bad artifacts, rewrite derivable ones, and "
-        "remove orphan tempfiles (nothing is ever deleted outright "
-        "except tempfiles)",
+        help="quarantine bad files, remove unusable cache rows, "
+        "rewrite derivable files, and remove orphan tempfiles (no file "
+        "is ever deleted outright except tempfiles)",
     )
     doctor.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
@@ -949,11 +949,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    cache = VerdictCache(
-        args.cache_dir
-        or os.environ.get("REPRO_CACHE_DIR")
-        or DEFAULT_CACHE_DIR
-    )
+    cache = VerdictCache(args.cache_dir or None)  # None: $REPRO_CACHE_DIR or default
     if args.action == "stats":
         stats = cache.stats()
         print(f"cache root: {stats['root']}")
@@ -965,8 +961,7 @@ def _cmd_cache(args) -> int:
                 "recorded: "
                 f"hits: {counters.get('cache.hit', 0)}   "
                 f"misses: {counters.get('cache.miss', 0)}   "
-                f"writes: {counters.get('cache.write', 0)}   "
-                f"evicted: {counters.get('cache.evicted', 0)}"
+                f"writes: {counters.get('cache.write', 0)}"
             )
         return 0
     removed = cache.clear()

@@ -11,12 +11,12 @@ or a resume would refuse.  This module itself checks only
 and orphan atomic-write tempfiles, and gathers the findings into a
 :class:`DoctorReport`.
 
-With ``repair=True`` the stores also act: bad artifacts are
-*quarantined* (moved to ``<root>/quarantine/``, never deleted),
-derivable ones (the manifest, a stale report) are rewritten from their
-source of truth, shard rows with an unusable result are reset to open,
-and orphan tempfiles are removed.  The doctor never
-invents data.
+With ``repair=True`` the stores also act: bad files are *quarantined*
+(moved to ``<root>/quarantine/``, never deleted), derivable ones (the
+manifest, a stale report) are rewritten from their source of truth,
+shard rows with an unusable result are reset to open, unusable cache
+rows are removed (a lookup recomputes them), and orphan tempfiles are
+removed.  The doctor never invents data.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def diagnose(path, repair: bool = False) -> DoctorReport:
     else:
         raise DoctorError(
             f"{root} is neither a campaign directory (no spec.json) nor a "
-            "verdict-cache root (no verdicts/)"
+            "verdict-cache root (no verdict store)"
         )
     _check_orphans(root, report, repair)
     return report

@@ -24,26 +24,22 @@ canonical hash, a renamed copy of a cached gadget hits the same entry;
 stored witnesses are encoded in canonical-index space and translated
 back into the requesting instance's node names on load.
 
-**Storage.**  One JSON file per key under
-``<root>/verdicts/<key[:2]>/<key>.json`` (default root ``.repro-cache``,
-overridable via the ``REPRO_CACHE_DIR`` environment variable or the
-constructor).  Entries are write-once and written atomically (tempfile
-in the destination directory + ``os.replace``), so concurrent
-``parallel.py`` workers can share one cache directory without locks:
-racing writers of the same key produce identical bytes, and readers
-never observe a partial file.
+**Storage.**  One SQLite table ``verdicts (key TEXT PRIMARY KEY,
+payload TEXT NOT NULL)`` in ``<root>/verdicts.sqlite`` (default root
+``.repro-cache``, or ``REPRO_CACHE_DIR``), opened through
+:mod:`repro.sqlstore` like the campaign work queue.  A row holds the
+canonical JSON text of one payload and is written once (``INSERT OR
+IGNORE``): racing writers of a key carry identical text.  Nothing is
+opened, nor :mod:`sqlite3` imported, until the first read or write, and
+a forked pool worker opens its own connection.
 
-**Integrity and degradation.**  Every entry embeds a sha256
-``checksum`` of its own payload; an entry that fails to parse, fails
-its checksum, or carries a stale :data:`CACHE_VERSION` is *quarantined*
-(moved to ``<root>/quarantine/``, counted as ``cache.quarantined``) and
-transparently recomputed — a corrupt cache can cost time, never
-correctness.  All cache I/O degrades gracefully: a read error is a
-miss, a write error (disk full, permissions) drops the store and keeps
-the in-process memo, so a broken cache directory can slow a campaign
-down but cannot abort it.  Orphan tempfiles left by crashed writers
-are swept on store open (see :mod:`repro.fsutil`) and by ``repro
-doctor``.
+**Integrity and degradation.**  A row that fails :func:`payload_issue`
+(unparseable, checksum mismatch, stale :data:`CACHE_VERSION`) is
+deleted — only while it still holds the text that was read — counted
+as ``cache.quarantined``, and recomputed.  Any ``OSError`` or SQLite
+error (a junk ``verdicts.sqlite`` included) turns a read into a miss
+and a write into a memo-only store, counted as ``cache.io_error``: a
+broken cache directory can slow a campaign down but cannot abort it.
 
 **Hot tier.**  Entries that have been verified once (checksum checked
 on first disk read, or produced by this process) are kept in a bounded
@@ -63,21 +59,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import threading
 from collections import OrderedDict
+from functools import partial
 from pathlib import Path
 
 from ..core.canonical import canonical_hash, canonical_labeling
 from ..core.spp import SPPInstance
 from ..faults import fault_point
-from ..fsutil import (
-    QUARANTINE_DIR,
-    atomic_write_text,
-    quarantine,
-    quarantine_on_repair,
-    sweep_orphan_temps,
-)
+from ..fsutil import quarantine_on_repair, write_retrying
 from ..obs import active as _telemetry
 from ..obs import trace_span
 from .activation import INFINITY, ActivationEntry
@@ -88,7 +78,6 @@ __all__ = [
     "CACHE_VERSION",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_MEMO_ENTRIES",
-    "QUARANTINE_DIR",
     "VerdictCache",
     "as_cache",
     "audit",
@@ -152,7 +141,7 @@ def payload_issue(payload) -> "str | None":
 
 
 def _parse_entry(raw: bytes) -> "tuple[object, str | None]":
-    """The decoded bytes of a stored entry, and why they cannot be trusted."""
+    """The decoded bytes of a stored row, and why they cannot be trusted."""
     try:
         payload = json.loads(raw.decode("utf-8"))
     except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
@@ -321,107 +310,111 @@ def result_from_payload(payload: dict, instance: SPPInstance) -> ExplorationResu
 
 
 # ----------------------------------------------------------------------
-# On-disk layout: ``<root>/verdicts/<key[:2]>/<key>.json``.
+# The store: one table in ``<root>/verdicts.sqlite``.
 
-_VERDICTS = "verdicts"
-_KEY = re.compile(r"[0-9a-f]{64}")
+_STORE = "verdicts.sqlite"
+_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS verdicts "
+    "(key TEXT PRIMARY KEY, payload TEXT NOT NULL)"
+)
+_SELECT = "SELECT payload FROM verdicts WHERE key=?"
+_INSERT = "INSERT OR IGNORE INTO verdicts (key, payload) VALUES (?, ?)"
+# Compare-and-delete on the bytes that were read.
+_DELETE_IF = "DELETE FROM verdicts WHERE key=? AND CAST(payload AS BLOB)=?"
 
-
-def _entry_path(root: Path, key: str) -> Path:
-    return root / _VERDICTS / key[:2] / f"{key}.json"
-
-
-def _entries(root: Path):
-    verdict_dir = root / _VERDICTS
-    if not verdict_dir.is_dir():
-        return
-    for shard in sorted(verdict_dir.iterdir()):
-        if shard.is_dir():
-            yield from sorted(shard.glob("*.json"))
-
-
-def _quarantine_backlog(root: Path) -> int:
-    quarantine_dir = root / QUARANTINE_DIR
-    if not quarantine_dir.is_dir():
-        return 0
-    return sum(1 for p in quarantine_dir.iterdir() if p.is_file())
+# Connections a forked child inherited.  They stay referenced, never
+# closed: closing a parent's SQLite connection in a child can disturb
+# the parent's locks.
+_INHERITED: list = []
 
 
-def _stored_entry_issue(root: Path, entry: Path) -> "tuple[str, str] | None":
-    """``(severity, detail)`` for an entry a lookup would not serve."""
-    try:
-        payload, issue = _parse_entry(entry.read_bytes())
-    except OSError as error:
-        return "error", f"corrupt entry ({error})"
-    if issue is not None:
-        # An entry of another format version is obsolete, not damaged.
-        stale = isinstance(payload, dict) and not _is_current(payload)
-        return ("warning" if stale else "error"), issue
-    if not _KEY.fullmatch(entry.stem):
-        return "warning", "file name is not a sha256 content key"
-    if entry != _entry_path(root, entry.stem):
-        return "warning", (
-            f"misplaced entry (in shard {entry.parent.name!r}, key "
-            f"prescribes {entry.stem[:2]!r}) — unreachable by lookup"
-        )
-    return None
+def _encode(payload: dict) -> str:
+    """The canonical JSON text a row holds for ``payload``."""
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True, allow_nan=False)
+
+
+def _connect(path: Path, *, timeout: float, wal: bool = True):
+    """A connection to the store at ``path`` that reads text columns as
+    bytes: a rotted row need not even be valid UTF-8."""
+    from .. import sqlstore  # sqlite3 loads with the first store access
+
+    conn = sqlstore.connect(path, timeout=timeout, wal=wal)
+    conn.text_factory = bytes
+    return conn
 
 
 def is_cache_root(root) -> bool:
-    """Whether ``root`` is a verdict-cache root: it holds a ``verdicts/``
-    directory, or is named like :data:`DEFAULT_CACHE_DIR`."""
+    """Whether ``root`` is a verdict-cache root: it holds the store, or
+    is named like :data:`DEFAULT_CACHE_DIR`."""
     root = Path(root)
-    return (root / _VERDICTS).is_dir() or root.name == DEFAULT_CACHE_DIR
+    return (root / _STORE).is_file() or root.name == DEFAULT_CACHE_DIR
 
 
 def audit(root, *, repair: bool = False) -> "tuple[int, list]":
     """Check the cache store at ``root`` the way a lookup would read it.
 
-    Returns ``(healthy, issues)``: the number of entries a lookup would
+    Returns ``(healthy, issues)``: the number of rows a lookup would
     serve, and ``(severity, category, path, detail, repair)`` tuples
-    with ``path`` relative to ``root``.  An entry a lookup would not
-    serve is ``"quarantined"`` when ``repair`` is set (a lookup
-    quarantines it too, or never reaches it); the quarantine backlog
-    is reported as ``"info"``.
+    with ``path`` relative to ``root``.  A row that fails
+    :func:`payload_issue` is an error (a stale version only a warning),
+    ``"removed"`` when ``repair`` is set, as a lookup would remove it.
+    A store that cannot be read at all is an error, set aside into
+    ``<root>/quarantine/`` when ``repair`` is set.
     """
+    from .. import sqlstore
+
     root = Path(root)
-    healthy, issues = 0, []
-    if not (root / _VERDICTS).is_dir():
-        issues.append(
-            ("info", "cache.empty", _VERDICTS,
-             "no verdicts directory (cache never written)", None)
-        )
-    for entry in _entries(root):
-        problem = _stored_entry_issue(root, entry)
-        if problem is None:
-            healthy += 1
-            continue
-        severity, detail = problem
-        issues.append((
-            severity, "cache.entry", str(entry.relative_to(root)), detail,
-            quarantine_on_repair(root, entry, repair),
-        ))
-    backlog = _quarantine_backlog(root)
-    if backlog:
-        issues.append((
-            "info", "cache.quarantine", QUARANTINE_DIR,
-            f"{backlog} quarantined artifact(s) awaiting post-mortem "
-            "(safe to delete)",
-            None,
-        ))
+    path = root / _STORE
+    if not path.is_file():
+        return 0, [
+            ("info", "cache.empty", _STORE, "no store (cache never written)", None)
+        ]
+    healthy, issues, bad = 0, [], []
+    try:
+        conn = _connect(path, timeout=5.0, wal=False)
+        try:
+            rows = conn.execute(
+                "SELECT rowid, key, payload FROM verdicts ORDER BY key"
+            ).fetchall()
+            for rowid, key, raw in rows:
+                payload, issue = _parse_entry(raw)
+                if issue is None:
+                    healthy += 1
+                    continue
+                # An entry of another format version is obsolete, not damaged.
+                stale = isinstance(payload, dict) and not _is_current(payload)
+                bad.append((rowid, raw))
+                issues.append((
+                    "warning" if stale else "error", "cache.entry", _STORE,
+                    f"entry {key.decode('utf-8', 'replace')}: {issue}",
+                    "removed" if repair else None,
+                ))
+            if repair and bad:
+                conn.executemany(
+                    "DELETE FROM verdicts WHERE rowid=? AND CAST(payload AS BLOB)=?",
+                    bad,
+                )
+        finally:
+            conn.close()
+    except sqlstore.Error as error:
+        return 0, [(
+            "error", "cache.store", _STORE, f"unreadable store ({error})",
+            quarantine_on_repair(root, path, repair),
+        )]
     return healthy, issues
 
 
 # ----------------------------------------------------------------------
 
 class VerdictCache:
-    """A directory of memoized exploration results.
+    """A store of memoized exploration results under ``root``.
 
-    Safe to share between processes: entries are write-once and all
-    writes are atomic renames.  A bounded in-process LRU memo keeps
-    verified-once payloads resident so hot keys skip disk I/O, JSON
-    parsing, and checksum verification on repeat reads; it is guarded
-    by a lock, so one cache object can serve many threads.
+    Safe to share between processes: rows are write-once and every
+    process uses its own connection.  A bounded in-process LRU memo
+    keeps verified-once payloads resident so hot keys skip the store,
+    JSON parsing, and checksum verification on repeat reads; it and the
+    connection are each guarded by a lock, so one cache object can
+    serve many threads.
     """
 
     def __init__(
@@ -441,29 +434,21 @@ class VerdictCache:
         self.memo_entries = memo_entries
         self._memo: "OrderedDict[str, dict]" = OrderedDict()
         self._lock = threading.Lock()
+        # The store connection, opened on first use by process _pid.
+        self._db_lock = threading.Lock()
+        self._conn = None
+        self._pid = None
         self.hits = 0
         self.misses = 0
         self.writes = 0
-        self.evictions = 0
         self.quarantined = 0
         self.io_errors = 0
         self.mem_hits = 0
         self.mem_evictions = 0
-        # Stale tempfiles from crashed writers (age-gated: a live
-        # writer's tempfile is never touched).
-        sweep_orphan_temps(self.verdict_dir)
-
-    # -- paths ----------------------------------------------------------
-    @property
-    def verdict_dir(self) -> Path:
-        return self.root / _VERDICTS
-
-    def _path(self, key: str) -> Path:
-        return _entry_path(self.root, key)
 
     # -- hot tier -------------------------------------------------------
     def peek_memo(self, key: str) -> "dict | None":
-        """The memoized payload for ``key``, if resident (no disk I/O)."""
+        """The memoized payload for ``key``, if resident (no store I/O)."""
         with self._lock:
             payload = self._memo.get(key)
             if payload is not None:
@@ -485,9 +470,44 @@ class VerdictCache:
         if evicted:
             _telemetry().count("cache.mem_evicted", evicted)
 
-    def _forget(self, key: str) -> None:
+    # -- the store --------------------------------------------------------
+    def _with_store(self, use, *, create: bool = False):
+        """``use(connection)`` under the connection lock, or ``None``
+        when the store does not exist and ``create`` is false.  Any
+        SQLite error is raised as :class:`OSError`, so every caller
+        degrades on one exception type."""
+        from .. import sqlstore
+
+        try:
+            with self._db_lock:
+                if self._pid != os.getpid():
+                    path = self.root / _STORE
+                    if not (create or path.is_file()):
+                        return None
+                    self.root.mkdir(parents=True, exist_ok=True)
+                    conn = _connect(path, timeout=30.0)
+                    # A lost cache row is recomputed, so the WAL need
+                    # not be synced on every commit.
+                    conn.execute("PRAGMA synchronous=NORMAL")
+                    conn.execute(_SCHEMA)
+                    if self._conn is not None:
+                        _INHERITED.append(self._conn)
+                    self._conn, self._pid = conn, os.getpid()
+                return use(self._conn)
+        except sqlstore.Error as error:
+            raise OSError(f"verdict store {self.root}: {error}") from error
+
+    def _discard(self, key: str, raw: bytes) -> None:
+        """Forget an unusable entry and delete its row — only while it
+        still holds ``raw``, so a healthy row written since survives."""
         with self._lock:
             self._memo.pop(key, None)
+        try:
+            self._with_store(lambda conn: conn.execute(_DELETE_IF, (key, raw)))
+        except OSError:
+            pass  # the next read finds the same row and recomputes again
+        self.quarantined += 1
+        _telemetry().count("cache.quarantined")
 
     # -- core operations ------------------------------------------------
     def get(self, key: str, instance: SPPInstance) -> "ExplorationResult | None":
@@ -495,15 +515,13 @@ class VerdictCache:
         tel = _telemetry()
         with trace_span("cache.get"):
             payload, _ = self._fetch_payload(key)
-            if payload is None:
-                self.misses += 1
-                tel.count("cache.miss")
-                return None
-            try:
-                result = _result_from_jsonable(payload, instance)
-            except (KeyError, IndexError, TypeError, ValueError):
-                self._forget(key)
-                self._quarantine(self._path(key))
+            result = None
+            if payload is not None:
+                try:
+                    result = _result_from_jsonable(payload, instance)
+                except (KeyError, IndexError, TypeError, ValueError):
+                    self._discard(key, _encode(payload).encode("utf-8"))
+            if result is None:
                 self.misses += 1
                 tel.count("cache.miss")
                 return None
@@ -515,7 +533,7 @@ class VerdictCache:
         """The verified raw payload for ``key`` plus the tier that served it.
 
         Returns ``(payload, tier)`` with ``tier`` one of ``"memory"``
-        (hot-tier hit: no disk I/O, parse, or checksum work),
+        (hot-tier hit: no store I/O, parse, or checksum work),
         ``"disk"`` (read, parsed, and verified from the store — now
         memoized), or ``"miss"`` (``payload is None``).  Maintains the
         same hit/miss accounting as :meth:`get`.
@@ -532,103 +550,86 @@ class VerdictCache:
         return payload, tier
 
     def _fetch_payload(self, key: str) -> "tuple[dict | None, str]":
-        """Memo-then-disk payload fetch; verifies before memoizing."""
+        """Memo-then-store payload fetch; verifies before memoizing."""
         payload = self.peek_memo(key)
         if payload is not None:
             self.mem_hits += 1
             _telemetry().count("cache.mem_hit")
             return payload, "memory"
-        path = self._path(key)
         try:
-            fault_point("cache.read", path)
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return None, "miss"
+            fault_point("cache.read", key)
+            row = self._with_store(lambda conn: conn.execute(_SELECT, (key,)).fetchone())
         except OSError:
-            # Unreadable store (I/O error, permissions): degrade to
-            # a recompute without touching the entry — it may be
-            # perfectly healthy once the filesystem recovers.
+            # Unreadable store (I/O error, permissions, not a database):
+            # degrade to a recompute without touching the row — it may
+            # be perfectly healthy once the filesystem recovers.
             self.io_errors += 1
             _telemetry().count("cache.io_error")
             return None, "miss"
-        payload, issue = _parse_entry(raw)
+        if row is None:
+            return None, "miss"
+        payload, issue = _parse_entry(row[0])
         if issue is not None:
-            # Corrupt (e.g. a crashed writer on a filesystem without
-            # atomic rename), checksum-failing, or version-skewed: never
-            # trusted — quarantined, so the write-once store can re-fill
-            # the slot, and recomputed.
-            self._quarantine(path)
+            # Corrupt, checksum-failing, or version-skewed: never
+            # trusted — deleted, so the write-once store can re-fill the
+            # slot, and recomputed.
+            self._discard(key, row[0])
             return None, "miss"
         self.remember(key, payload)
         return payload, "disk"
 
-    def _quarantine(self, path: Path) -> None:
-        """Move a bad entry to ``<root>/quarantine/`` (best effort).
-
-        If the move fails the entry is deleted instead: the write-once
-        :meth:`put` never overwrites a path that exists, so a bad entry
-        left in place would never be replaced.
-        """
-        try:
-            quarantine(self.root, path)
-        except OSError:
-            path.unlink(missing_ok=True)
-        self.quarantined += 1
-        _telemetry().count("cache.quarantined")
-
     def put(self, key: str, instance: SPPInstance, result: ExplorationResult) -> None:
         """Store ``result`` under ``key`` (no-op if already present).
 
-        Write failures (disk full, read-only store) degrade to the
-        in-process memo — a broken cache directory never aborts the
-        computation that produced ``result``.
+        Write failures (disk full, read-only or unreadable store)
+        degrade to the in-process memo — a broken cache directory never
+        aborts the computation that produced ``result``.
         """
         tel = _telemetry()
         with trace_span("cache.put"):
             payload = result_to_payload(result, instance)
             self.remember(key, payload)
-            path = self._path(key)
             try:
-                if path.exists():
-                    return
-                blob = json.dumps(
-                    payload, separators=(",", ":"), sort_keys=True, allow_nan=False
-                )
-                atomic_write_text(
-                    path, blob, fault_site="cache.write", retries=0
+                inserted = write_retrying(
+                    partial(self._insert, key), _encode(payload),
+                    fault_site="cache.write", retries=0,
                 )
             except OSError:
                 self.io_errors += 1
                 tel.count("cache.io_error")
                 return
-        self.writes += 1
-        tel.count("cache.write")
+        if inserted:
+            self.writes += 1
+            tel.count("cache.write")
+
+    def _insert(self, key: str, text: str) -> bool:
+        cursor = self._with_store(
+            lambda conn: conn.execute(_INSERT, (key, text)), create=True
+        )
+        return cursor.rowcount == 1
 
     # -- maintenance ----------------------------------------------------
     def stats(self) -> dict:
-        """Entry count / byte totals on disk plus this process's hit rate."""
-        entries = 0
-        total_bytes = 0
-        for path in _entries(self.root):
-            entries += 1
-            try:
-                total_bytes += path.stat().st_size
-            except OSError:
-                pass
-        in_quarantine = _quarantine_backlog(self.root)
+        """Entry count / payload bytes in the store plus this process's
+        hit rate."""
+        try:
+            row = self._with_store(lambda conn: conn.execute(
+                "SELECT COUNT(*), SUM(LENGTH(CAST(payload AS BLOB))) FROM verdicts"
+            ).fetchone())
+        except OSError:
+            row = None
+        entries, total_bytes = row or (0, 0)
         with self._lock:
             memo_resident = len(self._memo)
         return {
             "root": str(self.root),
             "entries": entries,
-            "bytes": total_bytes,
+            "bytes": total_bytes or 0,
             "hits": self.hits,
             "misses": self.misses,
             "writes": self.writes,
-            "evictions": self.evictions,
             "quarantined": self.quarantined,
             "io_errors": self.io_errors,
-            "in_quarantine": in_quarantine,
             "mem_hits": self.mem_hits,
             "mem_evictions": self.mem_evictions,
             "memo_entries": self.memo_entries,
@@ -637,31 +638,10 @@ class VerdictCache:
 
     def clear(self) -> int:
         """Delete every cached verdict; returns the number removed."""
-        removed = 0
-        for path in list(_entries(self.root)):
-            path.unlink(missing_ok=True)
-            removed += 1
+        cursor = self._with_store(lambda conn: conn.execute("DELETE FROM verdicts"))
         with self._lock:
             self._memo.clear()
-        return removed
-
-    def evict(self, max_entries: int) -> int:
-        """Keep the ``max_entries`` most recently touched verdicts."""
-        if max_entries < 0:
-            raise ValueError("max_entries must be non-negative")
-        paths = list(_entries(self.root))
-        if len(paths) <= max_entries:
-            return 0
-        paths.sort(key=lambda p: p.stat().st_mtime, reverse=True)
-        removed = 0
-        for path in paths[max_entries:]:
-            path.unlink(missing_ok=True)
-            removed += 1
-        with self._lock:
-            self._memo.clear()
-        self.evictions += removed
-        _telemetry().count("cache.evicted", removed)
-        return removed
+        return 0 if cursor is None else cursor.rowcount
 
 
 # Process-wide registry for shared_cache(): one VerdictCache (and thus
@@ -698,14 +678,13 @@ def shared_cache(root: "str | os.PathLike | None" = None) -> VerdictCache:
 def as_cache(cache) -> "VerdictCache | None":
     """Coerce the user-facing ``cache`` argument to a :class:`VerdictCache`.
 
-    ``None`` stays ``None`` (caching off); ``True`` opens the default
-    directory; a string or path opens that directory; an existing
-    :class:`VerdictCache` passes through.
+    ``None`` stays ``None`` (caching off); ``True`` names the default
+    directory and a string or path that directory, each answered by its
+    :func:`shared_cache` (so repeated calls reuse one connection and hot
+    tier); an existing :class:`VerdictCache` passes through.
     """
     if cache is None or isinstance(cache, VerdictCache):
         return cache
-    if cache is True:
-        return VerdictCache()
-    if isinstance(cache, (str, os.PathLike)):
-        return VerdictCache(cache)
+    if cache is True or isinstance(cache, (str, os.PathLike)):
+        return shared_cache(None if cache is True else cache)
     raise TypeError(f"cannot interpret {cache!r} as a verdict cache")

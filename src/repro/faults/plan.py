@@ -13,8 +13,8 @@ or killing the process.  Sites threaded through the package:
 ========================  ====================================================
 site                      where
 ========================  ====================================================
-``cache.read``            before a verdict-cache entry is read from disk
-``cache.write``           the serialized entry bytes, before the atomic write
+``cache.read``            before a verdict-cache row is read from the store
+``cache.write``           the serialized payload text, before the row insert
 ``checkpoint.write``      the serialized campaign artifact (spec, manifest,
                           report) before the atomic write, and a shard's
                           result text before it is stored in its row

@@ -1,18 +1,19 @@
-"""Crash-safe filesystem primitives shared by the cache and campaigns.
+"""Crash-safe filesystem primitives shared by the stores.
 
-Every durable JSON file in the package — verdict-cache entries,
-campaign specs/manifests/reports — goes through
-:func:`atomic_write_text`: a tempfile in the destination directory
-followed by ``os.replace``, so a crash at any instant leaves either the
-previous file or the new one, never a torn write.  Two hardenings on
-top of the bare rename:
+Every durable JSON file in the package — a campaign's spec, manifest
+and report — goes through :func:`atomic_write_text`: a tempfile in the
+destination directory followed by ``os.replace``, so a crash at any
+instant leaves either the previous file or the new one, never a torn
+write.  Two hardenings on top of the bare rename:
 
 * **ENOSPC retry.**  A full disk is usually transient (log rotation,
   a concurrent cleanup); writes retry with bounded exponential backoff
   before giving up, and the retries are visible as the
-  ``storage.enospc_retry`` telemetry counter (:func:`write_retrying`).
+  ``storage.enospc_retry`` telemetry counter (:func:`write_retrying`,
+  which also carries the fault site of the row writes of the SQLite
+  stores).
 * **Orphan-temp sweep.**  A process killed between ``mkstemp`` and
-  ``os.replace`` leaks a ``.<name>-XXXX.tmp`` file.  Stores sweep
+  ``os.replace`` leaks a ``.<name>-XXXX.tmp`` file.  Campaigns sweep
   their directories on open (:func:`sweep_orphan_temps`, age-gated so
   a *live* writer's tempfile is never stolen), and ``repro doctor``
   reports/removes them regardless of age.
@@ -40,8 +41,6 @@ __all__ = [
     "QUARANTINE_DIR",
     "atomic_write_text",
     "find_orphan_temps",
-    "is_orphan_temp",
-    "quarantine",
     "quarantine_on_repair",
     "sweep_orphan_temps",
     "write_retrying",
@@ -110,11 +109,6 @@ def _replace_with(path: Path, blob: str) -> None:
         raise
 
 
-def is_orphan_temp(name: str) -> bool:
-    """Whether a file name matches the atomic-write tempfile pattern."""
-    return name.startswith(".") and name.endswith(".tmp")
-
-
 def find_orphan_temps(root) -> list:
     """Every atomic-write tempfile under ``root``, regardless of age."""
     root = Path(root)
@@ -144,37 +138,28 @@ def sweep_orphan_temps(root, max_age_s: float = ORPHAN_TMP_TTL_S) -> int:
     return removed
 
 
-def quarantine(root, path) -> Path:
-    """Move ``path`` into ``<root>/quarantine/``; where it landed.
-
-    Never overwrites: a name an earlier artifact already holds there (a
-    second corruption of one cache key, say) gets a ``.1``, ``.2``, …
-    suffix, so every post-mortem copy survives.  Raises ``OSError``
-    when the move fails.
-    """
-    path = Path(path)
-    target_dir = Path(root) / QUARANTINE_DIR
-    target_dir.mkdir(parents=True, exist_ok=True)
-    target = target_dir / path.name
-    counter = 0
-    while target.exists():
-        counter += 1
-        target = target_dir / f"{path.name}.{counter}"
-    os.replace(path, target)
-    return target
-
-
 def quarantine_on_repair(root, path, repair: bool) -> "str | None":
     """The repair of a store audit for an unusable artifact.
 
     With ``repair`` set, moves ``path`` into ``<root>/quarantine/`` and
     returns ``"quarantined"``; returns ``None`` when not repairing or
-    when the move fails (the finding then stays unrepaired).
+    when the move fails (the finding then stays unrepaired).  Never
+    overwrites: a name an earlier artifact already holds there (a
+    second bad ``report.json``, say) gets a ``.1``, ``.2``, … suffix, so
+    every post-mortem copy survives.
     """
     if not repair:
         return None
+    path = Path(path)
     try:
-        quarantine(root, path)
+        target_dir = Path(root) / QUARANTINE_DIR
+        target_dir.mkdir(parents=True, exist_ok=True)
+        target = target_dir / path.name
+        counter = 0
+        while target.exists():
+            counter += 1
+            target = target_dir / f"{path.name}.{counter}"
+        os.replace(path, target)
     except OSError:
         return None
     return "quarantined"

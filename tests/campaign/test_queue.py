@@ -438,7 +438,7 @@ class TestAudit:
             (
                 "info",
                 "shard(s) [0] quarantined as poison (reset with "
-                "repro.campaign.queue reset to retry them)",
+                "repro.campaign.WorkQueue(path, digest).reset([0]) to retry them)",
                 None,
             ),
         ]

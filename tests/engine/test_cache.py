@@ -18,6 +18,8 @@ from repro.engine.explorer import can_oscillate
 from repro.engine.parallel import ExplorationTask, run_explorations
 from repro.models.taxonomy import ALL_MODELS, model
 
+from .verdict_rows import edit_payload, rows, store_payload
+
 BOUNDS = dict(
     queue_bound=3, max_states=200_000, reliable_twin_first=True,
     reduction="ample",
@@ -136,36 +138,48 @@ class TestRobustness:
         can_oscillate(
             disagree, model("R1O"), config=RunConfig(queue_bound=3, cache=cache)
         )
-        return cache._path(key)
+        return key
 
-    def test_corrupt_entry_is_quarantined(self, tmp_path, disagree):
-        path = self._populate_one(tmp_path, disagree)
-        path.write_text("{not json")
+    def test_corrupt_row_is_removed_and_refilled(self, tmp_path, disagree):
+        key = self._populate_one(tmp_path, disagree)
+        store_payload(tmp_path, key, "{not json")
         cache = VerdictCache(tmp_path)
         result = can_oscillate(
             disagree, model("R1O"), config=RunConfig(queue_bound=3, cache=cache)
         )
-        assert cache.misses == 1
+        assert cache.misses == 1 and cache.quarantined == 1
         assert result.oscillates  # recomputed and re-stored
-        assert json.loads(path.read_text())["model_name"] == "R1O"
+        assert json.loads(rows(tmp_path)[key])["model_name"] == "R1O"
 
     def test_version_skew_is_a_miss(self, tmp_path, disagree):
-        path = self._populate_one(tmp_path, disagree)
-        payload = json.loads(path.read_text())
-        payload["cache_version"] = CACHE_VERSION + 1
-        path.write_text(json.dumps(payload))
+        key = self._populate_one(tmp_path, disagree)
+        edit_payload(tmp_path, key, cache_version=CACHE_VERSION + 1)
         cache = VerdictCache(tmp_path)
-        assert cache.get(verdict_key(disagree, "R1O", **BOUNDS), disagree) is None
+        assert cache.get(key, disagree) is None
         assert cache.misses == 1
 
     def test_put_is_write_once(self, tmp_path, disagree):
-        path = self._populate_one(tmp_path, disagree)
-        before = path.read_bytes()
+        key = self._populate_one(tmp_path, disagree)
+        before = rows(tmp_path)
         cache = VerdictCache(tmp_path)
-        key = verdict_key(disagree, "R1O", **BOUNDS)
         result = cache.get(key, disagree)
         cache.put(key, disagree, result)
-        assert path.read_bytes() == before
+        assert rows(tmp_path) == before
+        assert cache.writes == 0
+
+    def test_row_holds_the_canonical_payload_text(self, tmp_path, disagree):
+        """A row is byte for byte the entry file the store used to write,
+        so payloads, ``stats()["bytes"]`` and ``CACHE_VERSION`` carry over."""
+        from repro.engine.cache import result_to_payload
+
+        key = self._populate_one(tmp_path, disagree)
+        result = can_oscillate(disagree, model("R1O"), config=RunConfig(queue_bound=3))
+        text = json.dumps(
+            result_to_payload(result, disagree), separators=(",", ":"),
+            sort_keys=True, allow_nan=False,
+        ).encode()
+        assert rows(tmp_path) == {key: text}
+        assert VerdictCache(tmp_path).stats()["bytes"] == len(text)
 
 
 class TestMaintenance:
@@ -181,7 +195,7 @@ class TestMaintenance:
         cache = self._populate(tmp_path, disagree)
         stats = cache.stats()
         assert stats["entries"] == 3
-        assert stats["bytes"] > 0
+        assert stats["bytes"] == sum(map(len, rows(tmp_path).values()))
         assert stats["misses"] == 3
 
     def test_clear_removes_everything(self, tmp_path, disagree):
@@ -194,29 +208,26 @@ class TestMaintenance:
         )
         assert cache.stats()["entries"] == 1
 
-    def test_evict_keeps_most_recent(self, tmp_path, disagree):
-        cache = self._populate(tmp_path, disagree)
-        assert cache.evict(2) == 1
-        assert cache.stats()["entries"] == 2
-        assert cache.evict(2) == 0
-        with pytest.raises(ValueError):
-            cache.evict(-1)
+    def test_reading_an_absent_store_creates_nothing(self, tmp_path, disagree):
+        root = tmp_path / "never-written"
+        cache = VerdictCache(root)
+        assert cache.get(verdict_key(disagree, "R1O", **BOUNDS), disagree) is None
+        assert cache.stats()["entries"] == 0
+        assert cache.clear() == 0
+        assert not root.exists()
 
-    def test_stats_counts_writes_and_evictions(self, tmp_path, disagree):
+    def test_stats_counts_writes(self, tmp_path, disagree):
         from repro import obs
 
         previous = obs.active()
         telemetry = obs.configure(None)
         try:
             cache = self._populate(tmp_path, disagree)
-            cache.evict(1)
         finally:
             obs.install(previous)
         stats = cache.stats()
         assert stats["writes"] == 3
-        assert stats["evictions"] == 2
         assert telemetry.counters["cache.write"] == 3
-        assert telemetry.counters["cache.evicted"] == 2
         assert telemetry.counters["cache.miss"] == 3
 
 
@@ -284,8 +295,8 @@ class TestHotTier:
     def test_memory_hits_skip_disk_entirely(self, tmp_path, disagree):
         cache = VerdictCache(tmp_path)
         key, cold = self.put_one(cache, disagree)
-        # Destroy the disk store: a memo-resident key must still answer.
-        for path in tmp_path.rglob("*.json"):
+        # Destroy the store: a memo-resident key must still answer.
+        for path in tmp_path.glob("verdicts.sqlite*"):
             path.unlink()
         warm = can_oscillate(disagree, model("R1O"), config=RunConfig(cache=cache))
         assert result_tuple(warm) == result_tuple(cold)

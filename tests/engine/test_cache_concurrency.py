@@ -1,22 +1,29 @@
-"""Concurrent verdict-cache writers racing the same key.
+"""Concurrent verdict-cache writers: racing processes and forked pools.
 
-The cache's multi-process contract: entries are write-once, writes are
-tempfile + atomic rename, and racing writers of one key produce
-identical bytes — so N processes putting the same verdict must leave
-exactly one valid entry and zero debris, with every process still able
-to read it back.
+The cache's multi-process contract: rows are write-once and racing
+writers of one key carry identical text — so N processes putting the
+same verdict must leave exactly one valid row, with every process still
+able to read it back.  A forked pool worker inherits its parent's open
+cache object and must open its own connection, not share the parent's.
 """
 
 import json
 import multiprocessing
+from dataclasses import replace
 
+from repro.analysis.experiments import matrix_certification
+from repro.config import RunConfig
 from repro.core.instances import ALL_NAMED_INSTANCES
 from repro.engine.cache import (
     VerdictCache,
+    audit,
     payload_checksum,
+    shared_cache,
     verdict_key,
 )
 from repro.engine.explorer import ExplorationResult
+
+from .verdict_rows import rows
 
 N_WRITERS = 4
 
@@ -40,11 +47,11 @@ def _racing_writer(root, barrier, results):
     cache = VerdictCache(root)
     barrier.wait(timeout=30)  # all writers put() as simultaneously as possible
     cache.put(_make_key(instance), instance, _make_result(instance))
-    loaded = cache.get(_make_key(instance), instance)
-    results.put(loaded == _make_result(instance))
+    loaded = VerdictCache(root, memo_entries=0).get(_make_key(instance), instance)
+    results.put((loaded == _make_result(instance), cache.io_errors))
 
 
-def test_racing_writers_leave_exactly_one_valid_entry(tmp_path):
+def test_racing_writers_leave_exactly_one_valid_row(tmp_path):
     root = tmp_path / "cache"
     context = multiprocessing.get_context("fork")
     barrier = context.Barrier(N_WRITERS)
@@ -59,22 +66,45 @@ def test_racing_writers_leave_exactly_one_valid_entry(tmp_path):
         writer.join(timeout=60)
         assert writer.exitcode == 0
 
-    # Every process read its own write back.
+    # Every process stored without an error and read the row back.
     for _ in range(N_WRITERS):
-        assert results.get(timeout=10) is True
+        assert results.get(timeout=10) == (True, 0)
 
     instance = ALL_NAMED_INSTANCES["disagree"]()
     key = _make_key(instance)
-    entries = list((root / "verdicts").rglob("*.json"))
-    assert len(entries) == 1
-    [entry] = entries
-    assert entry.name == f"{key}.json"
-    payload = json.loads(entry.read_text())
+    stored = rows(root)
+    assert list(stored) == [key]
+    payload = json.loads(stored[key])
     assert payload["checksum"] == payload_checksum(payload)
+    assert audit(root) == (1, [])
 
-    # No tempfile debris, no quarantine: the race was clean.
-    assert not list(root.rglob(".*.tmp"))
-    assert not (root / "quarantine").exists()
-
-    # A fresh reader (cold memo) decodes the surviving entry.
+    # A fresh reader (cold memo) decodes the surviving row.
     assert VerdictCache(root).get(key, instance) == _make_result(instance)
+
+
+def _verdicts(results):
+    return {name: replace(result, cache_hit=False) for name, result in results.items()}
+
+
+def test_pool_on_a_cache_the_parent_opened_matches_the_serial_run(tmp_path, disagree):
+    serial = matrix_certification(
+        instance=disagree, config=RunConfig(workers=1, queue_bound=2, cache=False)
+    )
+    root = tmp_path / "cache"
+    # The parent opens the store (and memoizes one verdict) before the
+    # pool forks, so every worker inherits an open connection.
+    parent = shared_cache(root)
+    key = verdict_key(
+        disagree, "R1O", queue_bound=2, max_states=200_000,
+        reliable_twin_first=True, reduction="ample",
+    )
+    parent.put(key, disagree, serial["R1O"])
+    pooled = matrix_certification(
+        instance=disagree,
+        config=RunConfig(workers=2, queue_bound=2, cache_dir=str(root)),
+    )
+    assert _verdicts(pooled) == _verdicts(serial)
+    assert audit(root) == (len(serial), [])
+    # The parent's own connection still works after the pool's writes.
+    assert parent.stats()["entries"] == len(serial)
+    assert parent.io_errors == 0

@@ -14,7 +14,10 @@ import pytest
 from repro import faults
 from repro.campaign import Campaign, CampaignSpec
 from repro.faults import FaultPlan
+from repro.fsutil import ENOSPC_RETRIES
 from repro.obs import Telemetry, install
+
+from ..campaign.rows import stored_result
 
 pytestmark = pytest.mark.chaos
 
@@ -31,6 +34,11 @@ def reference(tmp_path_factory):
     directory = tmp_path_factory.mktemp("reference") / "camp"
     Campaign.create(directory, SPEC).run(workers=1)
     return (directory / "report.json").read_bytes()
+
+
+def stored_rows(directory):
+    """The shards whose queue row holds a result."""
+    return [s for s in range(SPEC.n_shards) if stored_result(directory, s)]
 
 
 def _run_under(plan, directory, workers=1):
@@ -90,21 +98,41 @@ def test_campaign_with_telemetry_survives_emit_failures(tmp_path, reference):
     assert state.log
 
 
-def test_hard_checkpoint_enospc_aborts_then_resumes_clean(tmp_path, reference):
+@pytest.mark.parametrize(
+    "failing,stored_before_abort",
+    [
+        # Created under the plan: the spec and manifest land, then
+        # shard 0's result write is the first to fail.
+        ("shard-result", []),
+        # Created before the plan: both shard results land, then the
+        # report write fails.
+        ("report", [0, 1]),
+    ],
+)
+def test_hard_checkpoint_enospc_aborts_then_resumes_clean(
+    tmp_path, reference, failing, stored_before_abort
+):
     directory = tmp_path / "camp"
     plan = FaultPlan(
         name="disk-full-forever",
-        # Let the spec/manifest land, then every checkpoint write fails.
+        # Let two writes land, then every checkpoint write fails.
         rules=({"site": "checkpoint.write", "kind": "enospc", "after": 2},),
     )
-    campaign = Campaign.create(directory, SPEC)
-    with faults.armed(plan):
+    create_armed = failing == "shard-result"
+    campaign = None if create_armed else Campaign.create(directory, SPEC)
+    with faults.armed(plan) as state:
+        if create_armed:
+            campaign = Campaign.create(directory, SPEC)
         with pytest.raises(OSError):
             campaign.run(workers=1)
+    # One write failed, through all of its ENOSPC retries.
+    assert state.log == [("checkpoint.write", "enospc")] * (ENOSPC_RETRIES + 1)
+    assert stored_rows(directory) == stored_before_abort
     assert not campaign.paths.report_path.exists()
+    campaign.close()
     # The disk "recovers": a plain resume finishes byte-identical.
     resumed = Campaign.open(directory)
-    resumed.run(workers=1)
+    assert resumed.run(workers=1) == [0, 1][len(stored_before_abort):]
     assert resumed.paths.report_path.read_bytes() == reference
 
 

@@ -1,4 +1,4 @@
-"""Chaos for the serving tier: dead leaders, quarantined stores.
+"""Chaos for the serving tier: dead leaders, broken stores.
 
 Two promises under fault injection:
 
@@ -6,7 +6,7 @@ Two promises under fault injection:
   dies (``serve.compute`` raise), every coalesced waiter receives the
   error promptly instead of blocking forever.
 * **A broken disk cache costs time, not correctness.**  With the store
-  unreadable/unwritable (or its entries corrupted into quarantine) and
+  unreadable/unwritable (or its rows corrupted) and
   the in-memory tiers disabled, the server degrades to recomputing
   every request — and still answers bit-identically.
 """
@@ -22,6 +22,8 @@ from repro.faults import FaultPlan
 from repro.obs.telemetry import Telemetry
 from repro.serve import ComputeFailed, ServeConfig, VerdictService
 from repro.serve.client import build_query_body
+
+from ..engine.verdict_rows import rows, store_payload
 
 
 @pytest.fixture(autouse=True)
@@ -133,26 +135,25 @@ class TestDegradedStore:
         assert service.cache.io_errors >= 2
         assert service.statz()["serve"]["computed"] == 2
 
-    def test_quarantined_entries_recompute_with_identical_answers(
+    def test_rotted_rows_recompute_with_identical_answers(
         self, tmp_path, disagree, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CACHE_MEMO", "0")
         service = make_service(tmp_path, response_cache_entries=0)
         body = build_query_body(disagree, ["R1O"], queue_bound=2)
         first, _ = service.handle_query(body)
-        # Rot every stored verdict: the next read must quarantine and
+        # Rot every stored verdict: the next read must discard and
         # recompute, not trust the corrupt bytes.
         cache_root = tmp_path / "cache"
-        rotted = 0
-        for path in (cache_root / "verdicts").rglob("*.json"):
-            path.write_text("{corrupt")
-            rotted += 1
-        assert rotted >= 1
+        stored = rows(cache_root)
+        assert len(stored) >= 1
+        for key in stored:
+            store_payload(cache_root, key, "{corrupt")
         second, _ = service.handle_query(body)
         assert json.loads(first)["results"] == json.loads(second)["results"]
-        assert service.cache.quarantined == rotted
-        assert (cache_root / "quarantine").is_dir()
-        # The recompute re-fills the write-once store with good entries.
+        assert service.cache.quarantined == len(stored)
+        # The recompute re-fills the write-once store with good rows.
+        assert rows(cache_root) == stored
         third, _ = service.handle_query(body)
         service.close()
         assert json.loads(third)["results"] == json.loads(first)["results"]

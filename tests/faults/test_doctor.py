@@ -11,8 +11,9 @@ from repro import cli
 from repro.campaign import Campaign, CampaignPaths, CampaignSpec, WorkQueue
 from repro.core.instances import ALL_NAMED_INSTANCES
 from repro.doctor import DoctorError, diagnose
-from repro.engine.cache import QUARANTINE_DIR, VerdictCache, verdict_key
+from repro.engine.cache import VerdictCache, verdict_key
 from repro.engine.explorer import ExplorationResult
+from repro.fsutil import QUARANTINE_DIR
 
 from ..campaign.rows import (
     edit_result,
@@ -20,6 +21,7 @@ from ..campaign.rows import (
     store_result,
     stored_result,
 )
+from ..engine.verdict_rows import damage, edit_payload, only_key, rows, store_path
 
 SPEC = CampaignSpec(
     name="doctor", count=4, models=("R1O",), shard_size=2,
@@ -96,48 +98,44 @@ def test_healthy_cache_root(tmp_path):
     assert report.ok() and report.healthy == 1 and report.errors == 0
 
 
-def test_corrupt_cache_entry_detected_and_quarantined(tmp_path):
+def test_corrupt_cache_row_detected_and_removed(tmp_path):
     root = tmp_path / "cache"
     _cache_with_entry(root)
-    [entry] = list(root.rglob("*/*.json"))
-    entry.write_text(entry.read_text()[:-10])
+    key = only_key(root)
+    damage(root, key, lambda raw: raw[:-10])
 
     report = diagnose(root)
     assert not report.ok()
     [finding] = [f for f in report.findings if f.severity == "error"]
     assert finding.category == "cache.entry"
-    assert entry.exists()  # diagnose-only never moves anything
+    assert finding.detail.startswith(f"entry {key}: corrupt entry")
+    assert key in rows(root)  # diagnose-only never changes anything
 
     repaired = diagnose(root, repair=True)
     assert repaired.ok()
-    assert not entry.exists()
-    assert len(list((root / QUARANTINE_DIR).iterdir())) == 1
+    assert [f.repair for f in repaired.findings] == ["removed"]
+    assert rows(root) == {}
+    assert not (root / QUARANTINE_DIR).exists()
 
 
-def test_misplaced_cache_entry_is_a_warning(tmp_path):
+def test_unreadable_store_is_set_aside(tmp_path):
     root = tmp_path / "cache"
-    _cache_with_entry(root)
-    [entry] = list(root.rglob("*/*.json"))
-    wrong = root / "verdicts" / ("zz" if entry.parent.name != "zz" else "zy")
-    wrong.mkdir(parents=True)
-    shutil.move(str(entry), wrong / entry.name)
-    report = diagnose(root)
-    assert report.ok()  # warnings never fail the check
-    assert any(
-        f.category == "cache.entry" and "misplaced" in f.detail
-        for f in report.findings
-    )
+    root.mkdir()
+    store_path(root).write_bytes(b"not a database\n" * 64)
+    [finding] = diagnose(root).findings
+    assert (finding.severity, finding.category) == ("error", "cache.store")
+    repaired = diagnose(root, repair=True)
+    assert repaired.ok() and repaired.findings[0].repair == "quarantined"
+    assert (root / QUARANTINE_DIR / "verdicts.sqlite").is_file()
 
 
-def test_orphan_temps_reported_and_removed(tmp_path):
-    root = tmp_path / "cache"
-    _cache_with_entry(root)
-    orphan = root / "verdicts" / ".stale-entry.json-abc.tmp"
+def test_orphan_temps_reported_and_removed(campaign_dir):
+    orphan = campaign_dir / ".report.json-abc.tmp"
     orphan.write_text("partial")
-    report = diagnose(root)
+    report = diagnose(campaign_dir)
     assert any(f.category == "storage.orphan_temp" for f in report.findings)
     assert orphan.exists()
-    diagnose(root, repair=True)
+    diagnose(campaign_dir, repair=True)
     assert not orphan.exists()
 
 
@@ -329,7 +327,7 @@ QUEUE_CASES = {
     "quarantined": (
         _quarantined_shard, "info",
         "shard(s) [0] quarantined as poison (reset with "
-        "repro.campaign.queue reset to retry them)",
+        "repro.campaign.WorkQueue(path, digest).reset([0]) to retry them)",
         None,
     ),
 }
@@ -406,48 +404,39 @@ def _rewrite_json(path, **changes):
     path.write_text(json.dumps(payload))
 
 
-def _misplace(entry):
-    wrong = entry.parent.parent / ("zz" if entry.parent.name != "zz" else "zy")
-    wrong.mkdir()
-    shutil.move(str(entry), wrong / entry.name)
-
-
 CACHE_DAMAGE = {
-    # case: (damage, doctor severity, what the store does on read)
-    "healthy": (lambda entry: None, None, "served"),
+    # case: (damage to the row's payload, doctor severity, what a read does)
+    "healthy": (lambda root, key: None, None, "served"),
     "torn-json": (
-        lambda entry: entry.write_text(entry.read_text()[:-10]),
-        "error", "quarantined",
+        lambda root, key: damage(root, key, lambda raw: raw[:-10]),
+        "error", "removed",
     ),
-    "non-object": (lambda entry: entry.write_text("[1, 2]"), "error", "quarantined"),
+    "non-object": (
+        lambda root, key: damage(root, key, lambda raw: b"[1, 2]"),
+        "error", "removed",
+    ),
     "invalid-utf8": (
-        lambda entry: entry.write_bytes(b"\xff" + entry.read_bytes()[1:]),
-        "error", "quarantined",
+        lambda root, key: damage(root, key, lambda raw: b"\xff" + raw[1:]),
+        "error", "removed",
     ),
     "stale-version": (
-        lambda entry: _rewrite_json(entry, cache_version=1),
-        "warning", "quarantined",
+        lambda root, key: edit_payload(root, key, cache_version=1),
+        "warning", "removed",
     ),
     "flipped-checksum": (
-        lambda entry: _rewrite_json(entry, checksum="0" * 64),
-        "error", "quarantined",
-    ),
-    "misplaced": (_misplace, "warning", "unreachable"),
-    "bad-key-name": (
-        lambda entry: entry.rename(entry.with_name("notakey.json")),
-        "warning", "unreachable",
+        lambda root, key: edit_payload(root, key, checksum="0" * 64),
+        "error", "removed",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CACHE_DAMAGE))
 def test_cache_doctor_agrees_with_reads(tmp_path, case):
-    damage, severity, on_read = CACHE_DAMAGE[case]
+    damage_row, severity, on_read = CACHE_DAMAGE[case]
     root = tmp_path / "cache"
     _cache_with_entry(root)
-    [entry] = list(root.rglob("*/*.json"))
-    key = entry.stem
-    damage(entry)
+    key = only_key(root)
+    damage_row(root, key)
 
     report = diagnose(root)
     found = [f.severity for f in report.findings if f.category == "cache.entry"]
@@ -458,7 +447,8 @@ def test_cache_doctor_agrees_with_reads(tmp_path, case):
     payload, tier = store.get_payload(key)
     assert (payload is not None) == (on_read == "served")
     assert tier == ("disk" if on_read == "served" else "miss")
-    assert store.quarantined == (1 if on_read == "quarantined" else 0)
+    assert store.quarantined == (1 if on_read == "removed" else 0)
+    assert (key in rows(root)) == (on_read == "served")
 
 
 CHECKPOINT_DAMAGE = {
@@ -513,12 +503,11 @@ def test_campaign_doctor_agrees_with_pending_shards(campaign_dir, tmp_path, case
 GOLDEN = Path(__file__).with_name("doctor_golden.json")
 
 
-def _cache_corpus(damage):
+def _cache_corpus(damage_row):
     def build(tmp_path, finished):
         root = tmp_path / "cache"
         _cache_with_entry(root)
-        [entry] = list(root.rglob("*/*.json"))
-        damage(entry)
+        damage_row(root, only_key(root))
         return root
 
     return build
@@ -556,8 +545,15 @@ def _retarget_manifest(directory):
 
 
 def _corrupt_nested_cache(directory):
-    entry = sorted((directory / "cache").rglob("*/*.json"))[0]
-    entry.write_text(entry.read_text()[:-10])
+    root = directory / "cache"
+    damage(root, sorted(rows(root))[0], lambda raw: raw[:-10])
+
+
+def _junk_store(tmp_path, finished):
+    root = tmp_path / ".repro-cache"
+    root.mkdir()
+    store_path(root).write_bytes(b"not a database\n" * 64)
+    return root
 
 
 CORPORA = {
@@ -566,11 +562,7 @@ CORPORA = {
         for case, (damage, _, _) in CACHE_DAMAGE.items()
     },
     "cache-empty": _empty_cache_root,
-    "cache-orphan-temp": _cache_corpus(
-        lambda entry: (
-            entry.parent.parent / ".stale-entry.json-abc.tmp"
-        ).write_text("partial")
-    ),
+    "cache-junk-store": _junk_store,
     **{
         f"campaign-checkpoint-{case}": _campaign_corpus(damage)
         for case, damage in CHECKPOINT_DAMAGE.items()

@@ -1,4 +1,4 @@
-"""Storage hardening under injected faults: degrade, retry, quarantine.
+"""Storage hardening under injected faults: degrade, retry, discard.
 
 These are the fast, single-operation counterparts of the campaign-level
 chaos suite: each test arms a plan around exactly one hardened
@@ -10,6 +10,7 @@ import errno
 import json
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -19,17 +20,18 @@ from repro.campaign.manifest import read_json
 from repro.core.instances import ALL_NAMED_INSTANCES
 from repro.engine.cache import (
     CACHE_VERSION,
-    QUARANTINE_DIR,
     VerdictCache,
     payload_checksum,
     verdict_key,
 )
+from repro.engine.cache import audit as audit_cache
 from repro.engine.explorer import ExplorationResult
 from repro.faults import FaultPlan
-from repro.fsutil import atomic_write_text, sweep_orphan_temps
+from repro.fsutil import QUARANTINE_DIR, atomic_write_text, sweep_orphan_temps
 from repro.obs import Telemetry, install
 
 from ..campaign.rows import store_result
+from ..engine.verdict_rows import damage, rows, store_path, store_payload
 
 
 @pytest.fixture()
@@ -125,7 +127,7 @@ def test_cache_write_failure_degrades_to_memo(tmp_path, telemetry):
         cache.put(_key(instance), instance, _result(instance))
     assert cache.io_errors == 1
     assert telemetry.counters["cache.io_error"] == 1
-    assert not list((tmp_path / "cache").rglob("*.json"))
+    assert rows(tmp_path / "cache") == {}
     # The in-process memo still serves the result.
     assert cache.get(_key(instance), instance) == _result(instance)
 
@@ -139,68 +141,117 @@ def test_cache_read_failure_is_a_miss_not_an_abort(tmp_path, telemetry):
     with faults.armed(plan):
         assert fresh.get(_key(instance), instance) is None
     assert fresh.io_errors == 1
-    # The entry itself was never touched: disarmed, it hits again.
+    # The row itself was never touched: disarmed, it hits again.
     assert VerdictCache(tmp_path / "cache").get(
         _key(instance), instance
     ) == _result(instance)
 
 
-def test_corrupt_entry_is_quarantined_and_recomputable(tmp_path, telemetry):
+def test_corrupt_row_is_removed_and_recomputable(tmp_path, telemetry):
     instance = _instance()
     root = tmp_path / "cache"
     cache = VerdictCache(root)
     key = _key(instance)
     cache.put(key, instance, _result(instance))
-    [entry] = list(root.rglob("*/*.json"))
-    blob = bytearray(entry.read_bytes())
-    blob[len(blob) // 2] ^= 0x40  # silent bit rot
-    entry.write_bytes(bytes(blob))
 
+    def rot(raw):
+        blob = bytearray(raw)
+        blob[len(blob) // 2] ^= 0x40  # silent bit rot
+        return bytes(blob)
+
+    damage(root, key, rot)
     fresh = VerdictCache(root)
     assert fresh.get(key, instance) is None
     assert fresh.quarantined == 1
     assert telemetry.counters["cache.quarantined"] == 1
-    assert not entry.exists()
-    assert len(list((root / QUARANTINE_DIR).iterdir())) == 1
-    # The write-once slot refills with a healthy entry.
+    assert rows(root) == {}
+    # The write-once slot refills with a healthy row.
     fresh.put(key, instance, _result(instance))
     assert VerdictCache(root).get(key, instance) == _result(instance)
-    assert fresh.stats()["in_quarantine"] == 1
 
 
-def test_repeat_corruption_of_one_key_keeps_every_copy(tmp_path):
-    """A second quarantine of the same key must not overwrite the first
-    post-mortem copy (the rule ``repro doctor --repair`` follows too)."""
-    instance = _instance()
-    root = tmp_path / "cache"
-    key = _key(instance)
-    for _ in range(2):
-        VerdictCache(root).put(key, instance, _result(instance))
-        entry = VerdictCache(root)._path(key)
-        entry.write_text("{not json")
-        assert VerdictCache(root).get(key, instance) is None
-    kept = sorted(p.name for p in (root / QUARANTINE_DIR).iterdir())
-    assert kept == [entry.name, f"{entry.name}.1"]
-
-
-def test_stale_cache_version_is_quarantined_and_refilled(tmp_path):
+def test_stale_cache_version_is_removed_and_refilled(tmp_path):
     instance = _instance()
     root = tmp_path / "cache"
     cache = VerdictCache(root)
     key = _key(instance)
     cache.put(key, instance, _result(instance))
-    [entry] = list(root.rglob("*/*.json"))
-    payload = json.loads(entry.read_text())
+    payload = json.loads(rows(root)[key])
     payload["cache_version"] = CACHE_VERSION - 1
     payload["checksum"] = payload_checksum(payload)
-    entry.write_text(json.dumps(payload))
+    store_payload(root, key, json.dumps(payload))
 
     fresh = VerdictCache(root)
     assert fresh.get(key, instance) is None
     assert fresh.quarantined == 1
     fresh.put(key, instance, _result(instance))
-    found = json.loads(entry.read_text())
-    assert found["cache_version"] == CACHE_VERSION
+    assert json.loads(rows(root)[key])["cache_version"] == CACHE_VERSION
+
+
+def test_a_row_changed_since_it_was_read_is_not_deleted(tmp_path):
+    """Deleting a bad row is guarded by the text that was read: a
+    healthy row another process stored in between survives."""
+    instance = _instance()
+    root = tmp_path / "cache"
+    key = _key(instance)
+    VerdictCache(root).put(key, instance, _result(instance))
+    healthy = rows(root)[key]
+    store_payload(root, key, "{rotten")
+    reader = VerdictCache(root)
+    reader._with_store(lambda conn: None)  # open before the row heals
+    store_payload(root, key, healthy)
+    reader._discard(key, b"{rotten")
+    assert rows(root) == {key: healthy}
+
+
+@pytest.mark.parametrize("kind", ["truncate", "bitflip"])
+def test_damaged_cache_write_is_caught_on_the_next_read(tmp_path, telemetry, kind):
+    instance = _instance()
+    root = tmp_path / "cache"
+    with faults.armed(FaultPlan(rules=({"site": "cache.write", "kind": kind},))):
+        VerdictCache(root).put(_key(instance), instance, _result(instance))
+    assert audit_cache(root)[0] == 0  # the stored row is unusable
+    fresh = VerdictCache(root)
+    assert fresh.get(_key(instance), instance) is None
+    assert fresh.quarantined == 1
+    # Recomputed and stored again, undamaged this time.
+    fresh.put(_key(instance), instance, _result(instance))
+    assert VerdictCache(root, memo_entries=0).get(
+        _key(instance), instance
+    ) == _result(instance)
+    assert audit_cache(root) == (1, [])
+
+
+def test_junk_store_gives_identical_verdicts_and_is_set_aside(
+    tmp_path, telemetry, capsys
+):
+    from repro import cli
+    from repro.analysis.experiments import matrix_certification
+    from repro.config import RunConfig
+
+    instance = _instance()
+    config = RunConfig(workers=1, queue_bound=2, cache=False)
+    expected = matrix_certification(instance=instance, config=config)
+    root = tmp_path / "cache"
+    root.mkdir()
+    junk = b"not a database\n" * 64
+    store_path(root).write_bytes(junk)
+
+    found = matrix_certification(
+        instance=instance, config=config.replace(cache=VerdictCache(root))
+    )
+    assert {name: replace(r, cache_hit=False) for name, r in found.items()} == expected
+    assert telemetry.counters["cache.io_error"] >= len(expected)
+    assert store_path(root).read_bytes() == junk  # never overwritten
+
+    assert cli.main(["doctor", str(root)]) == 1
+    assert "unreadable store" in capsys.readouterr().out
+    assert cli.main(["doctor", str(root), "--repair"]) == 0
+    assert not store_path(root).exists()
+    assert (root / QUARANTINE_DIR / "verdicts.sqlite").read_bytes() == junk
+    # The next run starts a fresh store.
+    VerdictCache(root).put(_key(instance), instance, _result(instance))
+    assert audit_cache(root) == (1, [])
 
 
 # ----------------------------------------------------------------------

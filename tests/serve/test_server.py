@@ -26,6 +26,8 @@ from repro.serve.client import (
     build_query_body,
 )
 
+from ..engine.verdict_rows import rows
+
 REPO = Path(__file__).resolve().parents[2]
 
 
@@ -105,8 +107,8 @@ class TestEndpoints:
     def test_server_cache_entries_match_cli_written_ones(
         self, tmp_path, disagree
     ):
-        """The serve path and the library path produce identical disk
-        entries (same keys, same bytes) — CACHE_VERSION unchanged."""
+        """The serve path and the library path produce identical stored
+        rows (same keys, same bytes) — CACHE_VERSION unchanged."""
         from repro.engine.cache import VerdictCache
         from repro.engine.explorer import can_oscillate
         from repro.models.taxonomy import model
@@ -124,13 +126,9 @@ class TestEndpoints:
         with ReproServer(service) as srv:
             with ServeClient(srv.url) as client:
                 client.query(disagree, ["R1O"], queue_bound=2)
-        direct_entries = {
-            p.name: p.read_bytes() for p in direct_dir.rglob("*.json")
-        }
-        serve_entries = {
-            p.name: p.read_bytes() for p in serve_dir.rglob("*.json")
-        }
-        assert direct_entries == serve_entries
+        direct_rows = rows(direct_dir)
+        assert len(direct_rows) == 1
+        assert rows(serve_dir) == direct_rows
 
 
 class TestAdmissionOverHTTP:

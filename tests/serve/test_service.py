@@ -328,3 +328,44 @@ class TestResponseHotTier:
         import json
 
         assert json.loads(cold)["results"] == json.loads(warm)["results"]
+
+
+class TestBoot:
+    def test_boot_opens_no_database(self, tmp_path, disagree):
+        """The verdict store is opened by the first query that reaches
+        it, never by a boot: a service that only answers from memory
+        never loads SQLite."""
+        service = make_service(tmp_path)
+        try:
+            assert service.cache._conn is None
+            assert not (tmp_path / "cache" / "verdicts.sqlite").exists()
+            service.handle_query(build_query_body(disagree, ["R1O"], queue_bound=2))
+            assert service.cache._conn is not None
+            assert service.cache.stats()["entries"] == 1
+        finally:
+            service.close()
+
+    def test_boot_imports_no_sqlite(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import sys\n"
+            "from repro.serve import ReproServer, ServeConfig, VerdictService\n"
+            f"service = VerdictService(ServeConfig(cache_dir={str(tmp_path)!r}))\n"
+            "server = ReproServer(service)\n"
+            "server.start_background()\n"
+            "server.close()\n"
+            "print('sqlite3' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.split() == ["False"]

@@ -129,11 +129,22 @@ class TestOneSpanPrimitive:
 
 
 class TestOneWorkQueue:
-    """``repro.campaign.queue`` is the only module that knows the queue's
-    schema; a second ``sqlite3`` importer means SQL is leaking out."""
+    """The work queue and the verdict cache reach SQLite only through
+    ``repro.sqlstore``, and each is the only module that knows its own
+    store: a second ``sqlite3`` importer means SQL is leaking out, and a
+    second module naming the cache's database means a reader is growing
+    beside the cache."""
 
     def test_sqlite3_imported_once(self):
-        assert _importers("sqlite3") == ["src/repro/campaign/queue.py"]
+        assert _importers("sqlite3") == ["src/repro/sqlstore.py"]
+
+    def test_only_the_cache_names_its_store(self):
+        naming = [
+            path.relative_to(REPO).as_posix()
+            for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+            if "verdicts.sqlite" in path.read_text()
+        ]
+        assert naming == ["src/repro/engine/cache.py"]
 
 
 class TestStoresOwnTheirChecks:
