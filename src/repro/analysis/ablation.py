@@ -41,9 +41,6 @@ class AblationRow:
     complete: bool
     states: int
 
-    def as_tuple(self) -> tuple:
-        return (self.label, self.oscillates, self.complete, self.states)
-
 
 def queue_bound_sweep(
     instance: SPPInstance,

@@ -103,11 +103,6 @@ class RunResult:
     recurrence: "tuple | None" = None
     trace: "Trace | None" = None
 
-    @property
-    def stable(self) -> bool:
-        """Alias: did the run reach a fixed point within budget?"""
-        return self.converged
-
 
 def simulate(
     instance: SPPInstance,

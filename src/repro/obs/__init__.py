@@ -2,22 +2,25 @@
 
 The observability layer the search/cache/fan-out stack reports into
 (see ``docs/observability.md``).  Its one instrumentation primitive is
-:func:`trace_span`: with telemetry live, every span feeds the summary
-totals and the ``/metrics`` latency histogram and writes one ``span``
-record into the trace tree; with telemetry off it is a shared no-op.
+:func:`trace_span`: with telemetry live, every span feeds one latency
+histogram — the store both the summary totals and ``/metrics`` read —
+and writes one ``span`` record into the trace tree; with telemetry off
+it is a shared no-op.
 Six pieces:
 
 * :mod:`~repro.obs.telemetry` — the process-wide active sink: a
-  counter/gauge/span-timing registry and a structured JSONL event
-  stream (run metadata, exploration heartbeats, per-verdict records,
-  span records, a final summary), plus :func:`metrics_text`, the one
-  ``GET /metrics`` renderer.  Disabled by default at negligible cost.
+  counter/gauge registry, its own span histograms, and a structured
+  JSONL event stream (run metadata, exploration heartbeats,
+  per-verdict records, span records, a final summary), plus
+  :func:`metrics_text`, the one ``GET /metrics`` renderer.  Disabled
+  by default at negligible cost.
 * :mod:`~repro.obs.tracing` — :func:`trace_span` and distributed
   request tracing: W3C-style trace/span IDs propagated across threads,
   HTTP hops, and worker processes; ``span`` JSONL records
   reconstructed by ``repro trace show``.
 * :mod:`~repro.obs.metrics` — log-bucketed sliding-window histograms
-  (p50/p95/p99) fed by span timings, exported as Prometheus text.
+  (count, sum, max, p50/p95/p99), one registry per live telemetry,
+  exported as Prometheus text.
 * :mod:`~repro.obs.stats` — aggregates one or more JSONL files into a
   per-phase wall-time breakdown (``repro stats``).
 * :mod:`~repro.obs.progress` — a live stderr heartbeat printer
@@ -44,7 +47,6 @@ __getattr__, __dir__ = lazy_exports(
             "LogHistogram",
             "MetricsRegistry",
             "parse_prometheus",
-            "registry",
             "render_prometheus",
         ],
         ".progress": ["ProgressReporter"],
@@ -101,7 +103,6 @@ __all__ = [
     "metrics_text",
     "parse_prometheus",
     "read_records",
-    "registry",
     "render_counters",
     "render_phase_table",
     "render_prometheus",

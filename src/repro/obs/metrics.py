@@ -1,9 +1,8 @@
 """Log-bucketed streaming histograms and the Prometheus text exposition.
 
-The span/counter registries in :mod:`~repro.obs.telemetry` answer "how
-much total time went where"; they cannot answer "what is the p99 right
-now".  This module adds the missing primitive: :class:`LogHistogram`, a
-fixed-memory streaming histogram with
+One primitive answers both "how much total time went where" and "what
+is the p99 right now": :class:`LogHistogram`, a fixed-memory streaming
+histogram with
 
 * **geometric buckets** — boundaries at ``lowest * 10**(i/n)`` so one
   histogram covers sub-millisecond cache hits and multi-second cold
@@ -12,7 +11,7 @@ fixed-memory streaming histogram with
 * **cumulative totals** — monotone per-bucket counters plus ``count``
   and ``sum``, which is exactly the Prometheus histogram contract (the
   scraper derives windowed quantiles with ``histogram_quantile`` over
-  ``rate()``);
+  ``rate()``), and the running ``max``;
 * **a sliding window** — a ring of rotating slices so the process can
   answer "p50/p95/p99 over the last N seconds" locally, without a
   scraper (``repro top`` and the ``/metrics`` window gauges use this).
@@ -21,12 +20,13 @@ Quantiles are nearest-rank over bucket counts and report the bucket's
 *upper* bound, so ``quantile(q)`` is monotone in ``q`` by construction
 and never under-reports a latency.
 
-A process-wide :class:`MetricsRegistry` (:func:`registry`) is the
-default destination: every live :class:`~repro.obs.telemetry.Telemetry`
-feeds its span timings into it, which is what wires ``serve.request``,
-``serve.compute``, ``cache.*``, and ``worker.*`` distributions up for
-``GET /metrics`` without any call-site changes.  Everything here is
-stdlib-only and observation-only: no verdict depends on a histogram.
+Each live :class:`~repro.obs.telemetry.Telemetry` owns one
+:class:`MetricsRegistry` and feeds every span timing into it; the
+histograms are the only record of a span name, so the summary totals
+(count, sum, max) and the ``GET /metrics`` distributions of
+``serve.request``, ``cache.*``, and ``worker.*`` are read from the same
+store.  Everything here is stdlib-only and observation-only: no verdict
+depends on a histogram.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "MetricsRegistry",
     "parse_prometheus",
     "quantile_from_buckets",
-    "registry",
     "render_prometheus",
 ]
 
@@ -102,6 +101,7 @@ class LogHistogram:
         self.counts = [0] * size
         self.count = 0
         self.sum = 0.0
+        self.max = 0.0
         # Window ring: (slice_start, per-bucket counts).  The head
         # slice is the one currently written to.
         self._slice_s = self.window_s / slices
@@ -131,12 +131,15 @@ class LogHistogram:
             self.counts[index] += 1
             self.count += 1
             self.sum += value
+            if value > self.max:
+                self.max = value
             self._ring[-1][1][index] += 1
 
-    def merge(self, counts, count: int, total: float) -> None:
+    def merge(self, counts, count: int, total: float, peak: float) -> None:
         """Add another histogram's cumulative growth — per-bucket
-        ``counts`` over the same boundaries, ``count`` and ``total`` —
-        as if its samples were observed now (a pool worker's spans)."""
+        ``counts`` over the same boundaries, ``count``, ``total`` and
+        its ``peak`` — as if its samples were observed now (a pool
+        worker's spans)."""
         if len(counts) != len(self.counts):
             raise ValueError("histogram boundaries differ")
         with self._lock:
@@ -147,6 +150,8 @@ class LogHistogram:
                 head[index] += value
             self.count += count
             self.sum += total
+            if peak > self.max:
+                self.max = peak
 
     # -- reading ----------------------------------------------------------
     def window_counts(self) -> list:
@@ -184,23 +189,10 @@ class LogHistogram:
                 return self.boundaries[min(index, len(self.boundaries) - 1)]
         return self.boundaries[-1]  # pragma: no cover - defensive
 
-    def cumulative(self) -> "tuple[list, int, float]":
-        """A consistent ``(per-bucket counts, count, sum)`` snapshot."""
+    def cumulative(self) -> "tuple[list, int, float, float]":
+        """A consistent ``(per-bucket counts, count, sum, max)`` snapshot."""
         with self._lock:
-            return list(self.counts), self.count, self.sum
-
-    def snapshot(self) -> dict:
-        """Cumulative totals plus window quantiles (for JSON surfaces)."""
-        with self._lock:
-            count, total = self.count, self.sum
-        return {
-            "count": count,
-            "sum": round(total, 6),
-            "quantiles": {
-                f"p{int(q * 100)}": self.quantile(q)
-                for q in WINDOW_QUANTILES
-            },
-        }
+            return list(self.counts), self.count, self.sum, self.max
 
 
 class MetricsRegistry:
@@ -227,22 +219,6 @@ class MetricsRegistry:
     def names(self) -> list:
         with self._lock:
             return sorted(self._histograms)
-
-    def snapshot(self) -> dict:
-        return {name: self.histogram(name).snapshot() for name in self.names()}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._histograms.clear()
-
-
-#: The process-wide registry live telemetry feeds span timings into.
-_REGISTRY = MetricsRegistry()
-
-
-def registry() -> MetricsRegistry:
-    """The process's shared metrics registry (always live, never None)."""
-    return _REGISTRY
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +264,7 @@ def render_prometheus(
         for name in metrics.names():
             histogram = metrics.histogram(name)
             metric = f"{prefix}_{_sanitize(name)}_seconds"
-            counts, count, total = histogram.cumulative()
+            counts, count, total, _ = histogram.cumulative()
             lines.append(f"# TYPE {metric} histogram")
             cumulative = 0
             for boundary, cell in zip(histogram.boundaries, counts):

@@ -14,9 +14,11 @@ witness, state count, or cache key depends on whether it is enabled
 
 **Span timings** are fed by :func:`repro.obs.tracing.trace_span`, the
 one timed-region primitive, and by :meth:`Telemetry.timing` for
-durations the fan-out derives.  Each span name accumulates ``(calls,
-total seconds, max seconds)`` and a latency histogram.  Span names are
-dot-separated; the first segment is the *phase* the ``repro stats``
+durations the fan-out derives.  Each span name has one latency
+histogram in the telemetry's own
+:class:`~repro.obs.metrics.MetricsRegistry`, and the summary's
+``(calls, total seconds, max seconds)`` are read from it.  Span names
+are dot-separated; the first segment is the *phase* the ``repro stats``
 aggregator groups by (``explore`` / ``reduction`` / ``cache`` /
 ``worker``).
 
@@ -127,13 +129,11 @@ class Telemetry:
         self,
         path: "str | os.PathLike | None" = None,
         run: "dict | None" = None,
-        metrics: "_metrics_module.MetricsRegistry | None" = None,
     ) -> None:
         self.path = None if path is None else os.fspath(path)
         self.counters: dict = {}
         self.gauges: dict = {}
-        self.timings: dict = {}  # name → [calls, total_s, max_s]
-        self.metrics = _metrics_module.registry() if metrics is None else metrics
+        self.metrics = _metrics_module.MetricsRegistry()
         self._listeners: list = []
         self._lock = threading.Lock()
         self._started = time.perf_counter()
@@ -160,14 +160,6 @@ class Telemetry:
         self.gauges[name] = value
 
     def timing(self, name: str, seconds: float) -> None:
-        cell = self.timings.get(name)
-        if cell is None:
-            self.timings[name] = [1, seconds, seconds]
-        else:
-            cell[0] += 1
-            cell[1] += seconds
-            if seconds > cell[2]:
-                cell[2] = seconds
         self.metrics.observe(name, seconds)
 
     # -- merging another process's growth (pool workers) -----------------
@@ -175,59 +167,50 @@ class Telemetry:
         """The registries as they stand, for :meth:`growth_since`."""
         return (
             dict(self.counters),
-            {name: tuple(cell) for name, cell in self.timings.items()},
             {
                 name: self.metrics.histogram(name).cumulative()
-                for name in self.timings
+                for name in self.metrics.names()
             },
         )
 
     def growth_since(self, mark) -> tuple:
-        """``(counters, timings)`` this registry gained since ``mark``.
+        """``(counters, histograms)`` this registry gained since ``mark``.
 
         A counter created since ``mark`` is kept even at zero growth,
         so a registry that merges the growth has the same names as one
-        that did the work itself.  Each grown span carries ``(calls,
-        total, peak, histogram)``, the histogram as the
-        :meth:`~repro.obs.metrics.LogHistogram.merge` arguments.
+        that did the work itself.  Each grown span carries its
+        histogram's growth as the
+        :meth:`~repro.obs.metrics.LogHistogram.merge` arguments, with
+        the peak over the histogram's whole life.
         """
-        counters_0, timings_0, histograms_0 = mark
+        counters_0, histograms_0 = mark
         counters = {
             name: value - counters_0.get(name, 0)
             for name, value in self.counters.items()
             if name not in counters_0 or value != counters_0[name]
         }
-        timings = {}
-        for name, (calls, total, peak) in self.timings.items():
-            calls_0, total_0, _ = timings_0.get(name, (0, 0.0, 0.0))
-            if calls == calls_0:
-                continue
-            counts, count, hsum = self.metrics.histogram(name).cumulative()
-            counts_0, count_0, hsum_0 = histograms_0.get(
-                name, ((0,) * len(counts), 0, 0.0)
+        histograms = {}
+        for name in self.metrics.names():
+            counts, count, total, peak = self.metrics.histogram(name).cumulative()
+            counts_0, count_0, total_0, _ = histograms_0.get(
+                name, ((0,) * len(counts), 0, 0.0, 0.0)
             )
-            histogram = (
+            if count == count_0:
+                continue
+            histograms[name] = (
                 [now - then for now, then in zip(counts, counts_0)],
                 count - count_0,
-                hsum - hsum_0,
+                total - total_0,
+                peak,
             )
-            timings[name] = (calls - calls_0, total - total_0, peak, histogram)
-        return counters, timings
+        return counters, histograms
 
     def merge(self, growth) -> None:
         """Add another registry's :meth:`growth_since` to this one."""
-        counters, timings = growth
+        counters, histograms = growth
         for name, value in counters.items():
             self.count(name, value)
-        for name, (calls, total, peak, histogram) in timings.items():
-            cell = self.timings.get(name)
-            if cell is None:
-                self.timings[name] = [calls, total, peak]
-            else:
-                cell[0] += calls
-                cell[1] += total
-                if peak > cell[2]:
-                    cell[2] = peak
+        for name, histogram in histograms.items():
             self.metrics.histogram(name).merge(*histogram)
 
     # -- events ---------------------------------------------------------
@@ -295,18 +278,19 @@ class Telemetry:
         return round(time.perf_counter() - self._started, 6)
 
     def summary(self) -> dict:
+        spans = {}
+        for name in self.metrics.names():
+            _, calls, total, peak = self.metrics.histogram(name).cumulative()
+            spans[name] = {
+                "calls": calls,
+                "total_s": round(total, 6),
+                "max_s": round(peak, 6),
+            }
         return {
             "elapsed_s": self.elapsed(),
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
-            "spans": {
-                name: {
-                    "calls": calls,
-                    "total_s": round(total, 6),
-                    "max_s": round(peak, 6),
-                }
-                for name, (calls, total, peak) in sorted(self.timings.items())
-            },
+            "spans": spans,
         }
 
     def emit_summary(self) -> None:
@@ -357,16 +341,15 @@ def metrics_text(counters: "dict | None" = None, gauges: "dict | None" = None) -
 
     The active telemetry's counters and gauges, overlaid with the
     caller's own (which win: a daemon's request counters are
-    authoritative even when telemetry is off), plus the latency
-    histograms of its metrics registry — the process-wide one when no
-    telemetry is live.
+    authoritative even when telemetry is off), plus the active
+    telemetry's latency histograms (none while telemetry is off).
     """
     merged_counters = dict(getattr(_active, "counters", None) or {})
     merged_counters.update(counters or {})
     merged_gauges = dict(getattr(_active, "gauges", None) or {})
     merged_gauges.update(gauges or {})
     return _metrics_module.render_prometheus(
-        metrics=getattr(_active, "metrics", None) or _metrics_module.registry(),
+        metrics=getattr(_active, "metrics", None),
         counters=merged_counters,
         gauges=merged_gauges,
     )

@@ -364,19 +364,6 @@ def render_trace_tree(spans: list) -> str:
     return "\n".join(lines)
 
 
-def trace_tree_from_files(paths, trace_id: str) -> str:
-    """``repro trace show``: merge JSONL files and render one trace."""
-    from .stats import read_records
-
-    records: list = []
-    for path in paths:
-        records.extend(read_records(path))
-    spans = collect_trace(records, trace_id)
-    if not spans:
-        return f"(no spans for trace {trace_id!r})"
-    return render_trace_tree(spans)
-
-
 def list_traces(records) -> dict:
     """``{trace_id: span count}`` over ``records`` (for discovery)."""
     traces: dict = {}

@@ -174,7 +174,7 @@ class TestTelemetryVisibility:
         from repro.campaign.runner import compute_shard_records
 
         def observe(workers):
-            telemetry = obs.Telemetry(metrics=obs.MetricsRegistry())
+            telemetry = obs.Telemetry()
             previous = obs.install(telemetry)
             try:
                 compute_shard_records(
@@ -189,8 +189,8 @@ class TestTelemetryVisibility:
         for name in ("explore.runs", "explore.states", "explore.states_pruned"):
             assert pooled.counters[name] == serial.counters[name] > 0, name
         assert (
-            pooled.timings["explore.search"][0]
-            == serial.timings["explore.search"][0]
+            pooled.summary()["spans"]["explore.search"]["calls"]
+            == serial.summary()["spans"]["explore.search"]["calls"]
         )
         assert any(
             name.startswith("worker.w") and name.endswith(".tasks")

@@ -69,7 +69,6 @@ class TestSimulate:
         result = simulate(canonical.good_gadget(), model("RMS"), seed=0)
         assert result.instance_name == "GOOD-GADGET"
         assert result.model_name == "RMS"
-        assert result.stable is result.converged
 
     def test_keep_trace(self):
         result = simulate(

@@ -60,6 +60,14 @@ def _square(x):
     return x * x
 
 
+def _record_timing(x):
+    """Record a span of ``x / 10`` seconds in the worker's telemetry."""
+    from repro import obs
+
+    obs.active().timing("test.task", x / 10)
+    return x
+
+
 class TestExplorationFanOut:
     def test_workers_do_not_change_verdicts(self):
         instance = canonical.disagree()
@@ -137,10 +145,32 @@ class TestFanOutTelemetry:
         }
         assert sum(task_counts.values()) == 8
         assert telemetry.gauges["worker.count"] == len(task_counts) <= 2
-        assert telemetry.timings["worker.task"][0] == 8
-        assert telemetry.timings["worker.queue_wait"][0] == 8
-        assert telemetry.timings["worker.pool"][0] == 1
-        assert telemetry.timings["worker.idle"][0] == 1
+        spans = telemetry.summary()["spans"]
+        assert spans["worker.task"]["calls"] == 8
+        assert spans["worker.queue_wait"]["calls"] == 8
+        assert spans["worker.pool"]["calls"] == 1
+        assert spans["worker.idle"]["calls"] == 1
+
+    def test_pooled_spans_merge_the_worker_peak(self, tmp_path):
+        from repro import obs
+
+        previous = obs.active()
+        telemetry = obs.configure(tmp_path / "t.jsonl")
+        try:
+            parallel_map(_record_timing, list(range(8)), workers=2)
+        finally:
+            obs.install(previous)
+            telemetry.close()
+        spans = telemetry.summary()["spans"]
+        assert spans["test.task"]["calls"] == 8
+        assert spans["test.task"]["max_s"] == 0.7
+        for name, span in spans.items():
+            _, count, total, peak = telemetry.metrics.histogram(name).cumulative()
+            assert (span["calls"], span["total_s"], span["max_s"]) == (
+                count,
+                round(total, 6),
+                round(peak, 6),
+            ), name
 
     def test_worker_spans_cross_process_boundaries(self, tmp_path):
         """Fan-out workers emit ``worker.run`` spans parented on the

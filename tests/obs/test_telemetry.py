@@ -66,10 +66,26 @@ class TestRegistries:
         tel.timing("explore.search", 0.25)
         tel.timing("explore.search", 1.0)
         tel.timing("explore.search", 0.5)
-        calls, total, peak = tel.timings["explore.search"]
-        assert calls == 3
-        assert total == pytest.approx(1.75)
-        assert peak == pytest.approx(1.0)
+        assert tel.summary()["spans"]["explore.search"] == {
+            "calls": 3,
+            "total_s": 1.75,
+            "max_s": 1.0,
+        }
+
+    def test_span_totals_are_read_from_the_histograms(self):
+        tel = Telemetry()
+        for seconds in (0.1, 0.2, 0.7, 0.3):
+            tel.timing("explore.search", seconds)
+        tel.timing("cache.get", 0.001)
+        spans = tel.summary()["spans"]
+        assert list(spans) == tel.metrics.names()
+        for name, span in spans.items():
+            _, count, total, peak = tel.metrics.histogram(name).cumulative()
+            assert (span["calls"], span["total_s"], span["max_s"]) == (
+                count,
+                round(total, 6),
+                round(peak, 6),
+            )
 
     def test_summary_shape(self):
         tel = Telemetry()
@@ -87,9 +103,7 @@ class TestGrowthMerge:
     """A pool worker ships ``growth_since(mark)``; the parent merges it."""
 
     def test_merged_growth_matches_doing_the_work(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        worker = Telemetry(metrics=MetricsRegistry())
+        worker = Telemetry()
         worker.count("explore.runs")
         worker.timing("explore.search", 0.25)
         mark = worker.mark()
@@ -97,16 +111,27 @@ class TestGrowthMerge:
         worker.count("explore.orbits_merged", 0)
         worker.timing("explore.search", 0.5)
         worker.timing("cache.get", 0.001)
-        parent = Telemetry(metrics=MetricsRegistry())
+        parent = Telemetry()
         parent.merge(worker.growth_since(mark))
         assert parent.counters == {"explore.runs": 2, "explore.orbits_merged": 0}
-        assert parent.timings == {
-            "explore.search": [1, 0.5, 0.5],
-            "cache.get": [1, 0.001, 0.001],
+        assert parent.summary()["spans"] == {
+            "cache.get": {"calls": 1, "total_s": 0.001, "max_s": 0.001},
+            "explore.search": {"calls": 1, "total_s": 0.5, "max_s": 0.5},
         }
         assert parent.metrics.names() == ["cache.get", "explore.search"]
-        counts, count, total = parent.metrics.histogram("explore.search").cumulative()
-        assert (sum(counts), count, total) == (1, 1, 0.5)
+        counts, count, total, peak = parent.metrics.histogram(
+            "explore.search"
+        ).cumulative()
+        assert (sum(counts), count, total, peak) == (1, 1, 0.5, 0.5)
+
+    def test_merge_keeps_the_larger_peak(self):
+        worker = Telemetry()
+        mark = worker.mark()
+        worker.timing("explore.search", 0.2)
+        parent = Telemetry()
+        parent.timing("explore.search", 0.9)
+        parent.merge(worker.growth_since(mark))
+        assert parent.summary()["spans"]["explore.search"]["max_s"] == 0.9
 
     def test_unchanged_names_are_not_shipped(self):
         tel = Telemetry()
@@ -121,10 +146,10 @@ class TestSpanTimings:
         obs.install(tel)
         with trace_span("reduction.tables"):
             pass
-        calls, total, peak = tel.timings["reduction.tables"]
-        assert calls == 1
-        assert total >= 0.0
-        assert peak == total
+        span = tel.summary()["spans"]["reduction.tables"]
+        assert span["calls"] == 1
+        assert span["total_s"] >= 0.0
+        assert span["max_s"] == span["total_s"]
 
     def test_nested_spans_accumulate_independently(self):
         tel = Telemetry()
@@ -132,8 +157,51 @@ class TestSpanTimings:
         with trace_span("explore.search"):
             with trace_span("cache.get"):
                 pass
-        assert tel.timings["explore.search"][0] == 1
-        assert tel.timings["cache.get"][0] == 1
+        spans = tel.summary()["spans"]
+        assert spans["explore.search"]["calls"] == 1
+        assert spans["cache.get"]["calls"] == 1
+
+    def test_concurrent_spans_lose_no_call(self):
+        tel = Telemetry()
+        obs.install(tel)
+
+        def record():
+            for _ in range(500):
+                with trace_span("x"):
+                    pass
+
+        threads = [threading.Thread(target=record) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        _, count, _, _ = tel.metrics.histogram("x").cumulative()
+        assert tel.summary()["spans"]["x"]["calls"] == count == 2000
+
+    def test_each_telemetry_owns_its_histograms(self):
+        first = Telemetry()
+        obs.install(first)
+        with trace_span("first.only"):
+            pass
+        second = Telemetry()
+        obs.install(second)
+        with trace_span("second.only"):
+            pass
+        assert first.metrics.names() == ["first.only"]
+        assert second.metrics.names() == ["second.only"]
+        text = obs.metrics_text()
+        assert "repro_second_only_seconds_count 1" in text
+        assert "first_only" not in text
+
+    def test_no_histograms_without_live_telemetry(self):
+        tel = Telemetry()
+        obs.install(tel)
+        with trace_span("explore.search"):
+            pass
+        obs.install(NULL)
+        text = obs.metrics_text(counters={"serve.requests": 1})
+        assert "repro_serve_requests_total 1" in text
+        assert "_seconds" not in text
 
 
 class TestEventSink:

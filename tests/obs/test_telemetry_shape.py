@@ -37,7 +37,7 @@ from repro.campaign import CampaignSpec
 from repro.campaign.runner import compute_shard_records
 from repro.config import RunConfig
 from repro.core.instances import disagree, fig7_gadget
-from repro.obs.metrics import MetricsRegistry, parse_prometheus, render_prometheus
+from repro.obs.metrics import parse_prometheus, render_prometheus
 from repro.obs.telemetry import Telemetry
 from repro.serve import ReproServer, ServeConfig, VerdictService
 from repro.serve.client import ServeClient, build_query_body
@@ -73,7 +73,7 @@ def _observe(directory: Path, run) -> dict:
     """
     directory.mkdir()
     path = directory / "t.jsonl"
-    telemetry = Telemetry(path, run={"command": "shape"}, metrics=MetricsRegistry())
+    telemetry = Telemetry(path, run={"command": "shape"})
     previous = obs.install(telemetry)
     try:
         text = run(directory)

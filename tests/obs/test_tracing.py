@@ -123,7 +123,6 @@ class TestTraceSpan:
 
     def test_timing_feeds_the_histogram_registry(self, tmp_path):
         tel = Telemetry(tmp_path / "t.jsonl")
-        tel.metrics.clear()
         obs.install(tel)
         with tracing.trace_span("serve.request"):
             pass
@@ -240,12 +239,3 @@ class TestReconstruction:
         )
         assert [r["name"] for r in dumped] == ["client.query", "serve.request"]
 
-    def test_trace_tree_from_files_merges_streams(self, tmp_path):
-        records = self._records()
-        client = tmp_path / "client.jsonl"
-        server = tmp_path / "server.jsonl"
-        client.write_text(json.dumps(records[1]) + "\n")
-        server.write_text(json.dumps(records[2]) + "\n")
-        text = tracing.trace_tree_from_files([client, server], "a" * 32)
-        assert "2 process(es)" in text
-        assert "(no spans" in tracing.trace_tree_from_files([client], "dead")

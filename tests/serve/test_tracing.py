@@ -206,16 +206,12 @@ class TestSingleflightAttribution:
 class TestMetricsEndpoint:
     def test_metrics_scrape_is_sane(self, tmp_path, disagree):
         obs.install(Telemetry(None, run={"command": "test"}))
-        obs.active().metrics.clear()
-        try:
-            with make_server(tmp_path) as server:
-                with ServeClient(server.url) as client:
-                    body = build_query_body(disagree, ["R1O"], queue_bound=2)
-                    client.query_raw(body)
-                    client.query_raw(body)
-                    text = client.metrics_text()
-        finally:
-            obs.active().metrics.clear()
+        with make_server(tmp_path) as server:
+            with ServeClient(server.url) as client:
+                body = build_query_body(disagree, ["R1O"], queue_bound=2)
+                client.query_raw(body)
+                client.query_raw(body)
+                text = client.metrics_text()
         assert text.startswith("# TYPE")
         samples = parse_prometheus(text)
         assert samples[("repro_serve_requests_total", ())] == 2

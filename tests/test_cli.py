@@ -13,6 +13,14 @@ from repro.cli import build_parser, main
 from repro.realization import closure
 
 
+@pytest.fixture(autouse=True)
+def _cwd_in_tmp_path(tmp_path, monkeypatch):
+    """Run each command from ``tmp_path``: a command without
+    ``--cache-dir`` writes the default cache there, not into the
+    checkout, where the next run would read it back as hits."""
+    monkeypatch.chdir(tmp_path)
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -429,6 +437,24 @@ class TestTraceCli:
         assert [span["name"] for span in spans] == [
             "client.query", "serve.request",
         ]
+
+    def test_trace_show_merges_client_and_server_streams(self, capsys, tmp_path):
+        path, trace = self._telemetry_file(tmp_path)
+        client_record, server_record = path.read_text().splitlines()
+        client = tmp_path / "client.jsonl"
+        server = tmp_path / "server.jsonl"
+        client.write_text(client_record + "\n")
+        server.write_text(server_record + "\n")
+        assert main([
+            "trace", "show", trace, "--telemetry", str(client), str(server),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "2 span(s), 2 process(es)" in out
+        assert "client.query" in out and "serve.request" in out
+        assert main([
+            "trace", "show", "dead", "--telemetry", str(client),
+        ]) == 1
+        assert "(no spans" in capsys.readouterr().out
 
     def test_trace_list(self, capsys, tmp_path):
         path, trace = self._telemetry_file(tmp_path)
