@@ -832,22 +832,22 @@ def can_oscillate(
 
 
 #: The memos of the outermost live :func:`_shared_searches` block, as
-#: ``(owner pid, {search key: (instance, result)}, {symmetry key:
-#: (instance, context)})``; ``None`` outside one.
+#: ``(owner pid, {search key: (instance, result)}, {layout key:
+#: (instance, layout)})``; ``None`` outside one.
 _SHARED: ContextVar = ContextVar("repro_shared_searches", default=None)
 
 
 @contextmanager
 def _shared_searches():
     """Within the block, run each search of this thread at most once,
-    and compile each instance's symmetry once.
+    and lay out each instance's packed words once.
 
     :func:`repro.engine.parallel.run_explorations` enters this around
     its whole fan-out and every pooled worker around each item it runs
     (:func:`repro.engine.parallel._explore_together`), so the twin
     lookups of one task (:func:`_settle`) and the batch's own tasks for
     those twins share one search, and every packed search of one
-    instance shares one symmetry context (:func:`_shared_symmetry`);
+    instance shares one word layout (:func:`_shared_layout`);
     :func:`can_oscillate` enters it too, so a call outside any fan-out
     never repeats a twin search either.  An enclosing block of this
     process is reused, not replaced.  The memos die with the outermost
@@ -870,10 +870,12 @@ def _live_block():
     return shared if shared is not None and shared[0] == os.getpid() else None
 
 
-def _shared_symmetry(instance, reduction, queue_bound, build):
-    """The symmetry context of ``instance``'s packed searches at
-    ``(reduction, queue_bound)``: the live block's, made by ``build()``
-    on first use, or a private ``build()`` outside any block.
+def _shared_layout(instance, reduction, queue_bound, build):
+    """The word layout of ``instance``'s packed searches at
+    ``(reduction, queue_bound)``, with its compiled automorphism group
+    and orbit memo: the live block's, made by ``build(instance,
+    reduction, queue_bound)`` on first use, or a private one outside any
+    block.
 
     Sound because a search's word layout, and so each orbit, is a pure
     function of the instance, the reduction and the queue bound.  As in
@@ -882,15 +884,15 @@ def _shared_symmetry(instance, reduction, queue_bound, build):
     """
     shared = _live_block()
     if shared is None:
-        return build()
-    contexts = shared[2]
+        return build(instance, reduction, queue_bound)
+    layouts = shared[2]
     key = (id(instance), reduction, queue_bound)
-    entry = contexts.get(key)
+    entry = layouts.get(key)
     if entry is not None and entry[0] is instance:
         return entry[1]
-    context = build()
-    contexts[key] = (instance, context)
-    return context
+    layout = build(instance, reduction, queue_bound)
+    layouts[key] = (instance, layout)
+    return layout
 
 
 def _settle(instance, model, bounds):

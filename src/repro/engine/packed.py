@@ -30,7 +30,8 @@ zero).  Three consequences drive the speed:
 * **Search-time symmetry quotienting.**  The instance's automorphism
   group (:func:`repro.core.canonical.automorphisms`) is compiled into
   index permutations on packed words; every successor is replaced by
-  the lexicographic minimum of its orbit before dedup, so symmetric
+  the lexicographic minimum of its orbit (images summed from per-node
+  lookup tables, see :class:`_Layout`) before dedup, so symmetric
   interleavings merge *during* search and compound with the ample-set
   reduction.  Fair-cycle detection on the quotient graph is done on
   the **threaded** (permutation-annotated) product — a plain quotient
@@ -71,7 +72,7 @@ from ..models.taxonomy import CommunicationModel
 from ..obs import active as _telemetry
 from .activation import INFINITY
 from .codec import apply_packed, codec_for
-from .explorer import _shared_symmetry
+from .explorer import _shared_layout
 from .reduction import (
     absorption_allowed,
     representative_tables,
@@ -116,40 +117,278 @@ class _PackedOp:
         self.nid = nid
 
 
-class _Symmetry:
-    """The instance's automorphism group compiled for one word layout —
-    node/channel/route permutations, per-channel digit translations, the
-    composition and inverse tables — plus the memos every search of that
-    layout may share: channel-mask images and the orbit memo (raw word →
-    ``(representative, τ)``).  The layout depends only on the instance,
-    the reduction and the queue bound, never on the model, so the
-    searches of one fan-out share one context
-    (:func:`repro.engine.explorer._shared_symmetry`).
+class _Layout:
+    """The word layout of one ``(instance, reduction, queue_bound)`` and
+    the automorphism group compiled for it.
+
+    Nothing here depends on the model, so the packed searches of one
+    fan-out share one layout (:func:`repro.engine.explorer._shared_layout`):
+    the bit offsets and masks, the stored-digit tables ``wval``, the
+    fused preference and append tables, the node masks; the group's
+    node/channel/route permutations, per-channel digit translations,
+    composition and inverse tables; and the memos every search may
+    share — channel-mask images, the orbit memo (raw word →
+    ``(representative, τ)``) and the image tables below.
+
+    **Orbit images by table lookup.**  σ_g sends each field of a word to
+    a disjoint field, and digit 0 to 0 (ε is route 0 and is its own
+    representative on every channel), so σ_g(word) = Σ_k σ_g(word & M_k)
+    for any partition of the word into masks M_k.  ``parts`` partitions
+    it by node — a node's π and announced digits plus the ρ digit and
+    queue field of each of its in-channels — and ``images[g - 1]`` maps
+    a nonzero sub-word to its image under σ_g, filled on first sight by
+    the digit-by-digit :meth:`_image`.  An orbit is then |G| − 1 sums of
+    a few dict lookups.
     """
 
-    __slots__ = (
-        "size",
-        "node_perms",
-        "chperms",
-        "rperms",
-        "strans",
-        "comp_tab",
-        "inv_tab",
-        "mask_img",
-        "orbits",
-    )
+    def __init__(self, instance: SPPInstance, reduction: str,
+                 queue_bound: int) -> None:
+        codec = codec_for(instance)
+        self.n_nodes = n_nodes = len(codec.nodes)
+        self.n_channels = n_channels = len(codec.channels)
+        n_routes = len(codec.routes)
+        # Write-time canonicalization: stored queue/ρ digits are always
+        # ext-class representatives (the identity without reduction), so
+        # projection never needs a post-hoc pass — wval[cid][r] is the
+        # digit actually written when route r lands on channel cid.
+        if reduction == "ample":
+            self.wval = wval = representative_tables(instance)
+        else:
+            ident = tuple(range(n_routes))
+            self.wval = wval = tuple(ident for _ in codec.channels)
 
-    def __init__(self, size, node_perms, chperms, rperms, strans, comp_tab,
-                 inv_tab):
-        self.size = size
-        self.node_perms = node_perms
-        self.chperms = chperms
-        self.rperms = rperms
-        self.strans = strans
-        self.comp_tab = comp_tab
-        self.inv_tab = inv_tab
+        # ---- bit layout -------------------------------------------------
+        self.rb = rb = max(1, (n_routes - 1).bit_length())
+        slots = queue_bound + 1  # one transient slot beyond the bound
+        self.lb = lb = slots.bit_length()
+        cw = lb + slots * rb
+        self.rmask = rmask = (1 << rb) - 1
+        self.lmask = lmask = (1 << lb) - 1
+        self.fmask = fmask = (1 << cw) - 1
+        self.pi_off = pi_off = tuple(nid * rb for nid in range(n_nodes))
+        self.ann_off = ann_off = tuple(
+            (n_nodes + nid) * rb for nid in range(n_nodes)
+        )
+        self.rho_off = rho_off = tuple(
+            (2 * n_nodes + cid) * rb for cid in range(n_channels)
+        )
+        q_base = (2 * n_nodes + n_channels) * rb
+        self.q_off = q_off = tuple(
+            q_base + cid * cw for cid in range(n_channels)
+        )
+        self.pimask = (1 << (n_nodes * rb)) - 1
+        self.ann_dest_off = ann_off[codec.dest_id]
+        self.total_bound = queue_bound * max(1, n_channels)
+
+        self.recv = recv = tuple(
+            codec.node_id[channel[1]] for channel in codec.channels
+        )
+        self.dest_in = dest_in = set(codec.dest_in)
+
+        # Fused preference table: pe[cid][r] is the preference position
+        # the channel's receiver assigns to the feasible extension of r.
+        self.pe = tuple(
+            tuple(
+                codec.pref_index[recv[cid]][codec.ext[cid][r]]
+                for r in range(n_routes)
+            )
+            for cid in range(n_channels)
+        )
+        self.no_choice = codec.no_choice
+        # route_by_pref padded so position == no_choice yields ε.
+        self.rbp = tuple(
+            tuple(codec.route_by_pref[nid])
+            + (0,) * (codec.no_choice + 1 - len(codec.route_by_pref[nid]))
+            for nid in range(n_nodes)
+        )
+        self.pin_factor = tuple(
+            (1 << pi_off[nid]) + (1 << ann_off[nid]) for nid in range(n_nodes)
+        )
+        self.in_qmask = tuple(
+            sum(fmask << q_off[cid] for cid in codec.in_ch[nid])
+            for nid in range(n_nodes)
+        )
+        self.out_eff = out_eff = tuple(
+            tuple(cid for cid in codec.out_ch[nid] if cid not in dest_in)
+            for nid in range(n_nodes)
+        )
+        # Append constants: adding ap[ocid][route][ln] to a word appends
+        # the (projected) route to out-channel ocid currently ln deep.
+        # cv[ocid][route] is the collapsed (length-1) replacement field.
+        self.ap = tuple(
+            tuple(
+                tuple(
+                    (1 + (wval[ocid][r] << (lb + ln * rb))) << q_off[ocid]
+                    for ln in range(slots)
+                )
+                for r in range(n_routes)
+            )
+            for ocid in range(n_channels)
+        )
+        self.cv = tuple(
+            tuple(
+                ((wval[ocid][r] << lb) | 1) << q_off[ocid]
+                for r in range(n_routes)
+            )
+            for ocid in range(n_channels)
+        )
+
+        # Node-local masks: every bit a node's menu expansion reads —
+        # its π digit, in-channel queue fields and ρ digits, and the
+        # out-channel queue fields touched by an announcement.  Two
+        # global states agreeing under the mask share the exact same
+        # successor deltas, so expansions memoize on the masked word.
+        # ``parts`` is the node partition the orbit images sum over.
+        node_masks = []
+        parts = []
+        for nid in range(n_nodes):
+            own = (rmask << pi_off[nid]) | (rmask << ann_off[nid])
+            mask = rmask << pi_off[nid]
+            for cid in codec.in_ch[nid]:
+                field = (fmask << q_off[cid]) | (rmask << rho_off[cid])
+                mask |= field
+                own |= field
+            for ocid in out_eff[nid]:
+                mask |= fmask << q_off[ocid]
+            node_masks.append(mask)
+            parts.append(own)
+        self.node_mask = tuple(node_masks)
+        self.parts = tuple(parts)
+        # _entry_count reads only the destination's announced digit and
+        # the queue lengths, so it memoizes on this narrower mask.
+        ecmask = rmask << self.ann_dest_off
+        for cid in range(n_channels):
+            ecmask |= lmask << q_off[cid]
+        self.ecmask = ecmask
+
+        self.relevant_cids = tuple(
+            cid for cid in range(n_channels) if cid not in dest_in
+        )
+        self.relevant_mask = sum(1 << cid for cid in self.relevant_cids)
+
+        self._compile_group(instance, codec)
+        self.images = tuple({} for _ in range(1, self.size))
         self.mask_img: dict = {}
         self.orbits: dict = {}
+
+    def _compile_group(self, instance: SPPInstance, codec) -> None:
+        """The automorphism group compiled for this word layout."""
+        group = automorphisms(instance)
+        self.size = size = len(group)
+        if size == 1:
+            self.node_perms = self.chperms = self.rperms = self.strans = ()
+            self.comp_tab = ((0,),)
+            self.inv_tab = (0,)
+            return
+        n_routes = len(codec.routes)
+        n_channels = len(codec.channels)
+        wval = self.wval
+        nperms = []
+        chperms = []
+        rperms = []
+        strans = []
+        for sigma in group:
+            nperm = tuple(codec.node_id[sigma[n]] for n in codec.nodes)
+            chperm = tuple(
+                codec.channel_id[(sigma[c[0]], sigma[c[1]])]
+                for c in codec.channels
+            )
+            rperm = tuple(
+                0 if r == EPSILON
+                else codec.route_id[tuple(sigma[hop] for hop in r)]
+                for r in codec.routes
+            )
+            # Stored digits are channel-local representatives, so the
+            # image digit is re-projected for the image channel.
+            st = tuple(
+                tuple(wval[chperm[cid]][rperm[r]] for r in range(n_routes))
+                for cid in range(n_channels)
+            )
+            nperms.append(nperm)
+            chperms.append(chperm)
+            rperms.append(rperm)
+            strans.append(st)
+        key = {perm: g for g, perm in enumerate(nperms)}
+        n_nodes = len(codec.nodes)
+        comp_tab = []
+        for a in range(size):
+            row = []
+            pa = nperms[a]
+            for b in range(size):
+                pb = nperms[b]
+                row.append(key[tuple(pa[pb[i]] for i in range(n_nodes))])
+            comp_tab.append(tuple(row))
+        inv = [0] * size
+        for g, perm in enumerate(nperms):
+            ip = [0] * n_nodes
+            for i, j in enumerate(perm):
+                ip[j] = i
+            inv[g] = key[tuple(ip)]
+        self.node_perms = tuple(nperms)
+        self.chperms = tuple(chperms)
+        self.rperms = tuple(rperms)
+        self.strans = tuple(strans)
+        self.comp_tab = tuple(comp_tab)
+        self.inv_tab = tuple(inv)
+
+    def _image(self, word: int, g: int) -> int:
+        """σ_g applied to a packed word (result is canonical again),
+        digit by digit: the filler of the image tables."""
+        rmask = self.rmask
+        lmask = self.lmask
+        fmask = self.fmask
+        lb = self.lb
+        rb = self.rb
+        nperm = self.node_perms[g]
+        chperm = self.chperms[g]
+        rperm = self.rperms[g]
+        strans = self.strans[g]
+        pi_off = self.pi_off
+        ann_off = self.ann_off
+        rho_off = self.rho_off
+        q_off = self.q_off
+        out = 0
+        for nid in range(self.n_nodes):
+            tgt = nperm[nid]
+            out |= rperm[(word >> pi_off[nid]) & rmask] << pi_off[tgt]
+            out |= rperm[(word >> ann_off[nid]) & rmask] << ann_off[tgt]
+        for cid in range(self.n_channels):
+            tgt = chperm[cid]
+            st = strans[cid]
+            out |= st[(word >> rho_off[cid]) & rmask] << rho_off[tgt]
+            fld = (word >> q_off[cid]) & fmask
+            ln = fld & lmask
+            if ln:
+                nf = ln
+                vals = fld >> lb
+                pos = lb
+                for _ in range(ln):
+                    nf |= st[vals & rmask] << pos
+                    vals >>= rb
+                    pos += rb
+                out |= nf << q_off[tgt]
+        return out
+
+    def orbit(self, raw: int) -> tuple:
+        """(orbit representative, τ) with rep = σ_τ(raw), the lowest τ
+        on ties; stored in the orbit memo."""
+        keys = [key for key in map(raw.__and__, self.parts) if key]
+        try:
+            imgs = [sum(map(table.__getitem__, keys)) for table in self.images]
+        except KeyError:
+            self._fill(keys)
+            imgs = [sum(map(table.__getitem__, keys)) for table in self.images]
+        best = min(imgs, default=raw)
+        pair = (best, imgs.index(best) + 1) if best < raw else (raw, 0)
+        self.orbits[raw] = pair
+        return pair
+
+    def _fill(self, keys: list) -> None:
+        """Enter the sub-words not yet seen into every image table."""
+        for g, table in enumerate(self.images, 1):
+            for key in keys:
+                if key not in table:
+                    table[key] = self._image(key, g)
 
 
 class PackedExplorer:
@@ -173,136 +412,24 @@ class PackedExplorer:
         self.max_states = max_states
         self.reduction = validate_reduction(reduction)
         self.codec = codec = codec_for(instance)
+        # The searches of one instance in a live fan-out block share one
+        # layout (it does not depend on the model).
+        self._layout = layout = _shared_layout(
+            instance, self.reduction, queue_bound, _Layout
+        )
         self._collapse = (
             model.count is MessageCount.ALL
             and model.reliability is Reliability.RELIABLE
         )
         self._count_all = model.count is MessageCount.ALL
+        self._absorb = self.reduction == "ample" and absorption_allowed(model)
         self._combo_cache: dict = {}
-        # Write-time canonicalization: stored queue/ρ digits are always
-        # ext-class representatives (the identity without reduction), so
-        # projection never needs a post-hoc pass — wval[cid][r] is the
-        # digit actually written when route r lands on channel cid.
-        if self.reduction == "ample":
-            self._wval = representative_tables(instance)
-            self._absorb = absorption_allowed(model)
-        else:
-            ident = tuple(range(len(codec.routes)))
-            self._wval = tuple(ident for _ in codec.channels)
-            self._absorb = False
-
-        n_nodes = len(codec.nodes)
-        n_channels = len(codec.channels)
-        n_routes = len(codec.routes)
-        self._n_nodes = n_nodes
-        self._n_channels = n_channels
-
-        # ---- bit layout -------------------------------------------------
-        rb = max(1, (n_routes - 1).bit_length())
-        slots = queue_bound + 1  # one transient slot beyond the bound
-        lb = slots.bit_length()
-        cw = lb + slots * rb
-        self._rb, self._lb, self._cw, self._slots = rb, lb, cw, slots
-        self._rmask = (1 << rb) - 1
-        self._lmask = (1 << lb) - 1
-        self._fmask = (1 << cw) - 1
-        self._pi_off = tuple(nid * rb for nid in range(n_nodes))
-        self._ann_off = tuple((n_nodes + nid) * rb for nid in range(n_nodes))
-        self._rho_off = tuple(
-            (2 * n_nodes + cid) * rb for cid in range(n_channels)
-        )
-        q_base = (2 * n_nodes + n_channels) * rb
-        self._q_off = tuple(q_base + cid * cw for cid in range(n_channels))
-        self._pimask = (1 << (n_nodes * rb)) - 1
-        self._ann_dest_off = self._ann_off[codec.dest_id]
-        self._total_bound = queue_bound * max(1, n_channels)
-
-        self._recv = tuple(
-            codec.node_id[channel[1]] for channel in codec.channels
-        )
-        dest_in = set(codec.dest_in)
-        self._dest_in_set = dest_in
-
-        # Fused preference table: pe[cid][r] is the preference position
-        # the channel's receiver assigns to the feasible extension of r.
-        self._pe = tuple(
-            tuple(
-                codec.pref_index[self._recv[cid]][codec.ext[cid][r]]
-                for r in range(n_routes)
-            )
-            for cid in range(n_channels)
-        )
-        self._no_choice = codec.no_choice
-        # route_by_pref padded so position == no_choice yields ε.
-        self._rbp = tuple(
-            tuple(codec.route_by_pref[nid])
-            + (0,) * (codec.no_choice + 1 - len(codec.route_by_pref[nid]))
-            for nid in range(n_nodes)
-        )
-        self._pin_factor = tuple(
-            (1 << self._pi_off[nid]) + (1 << self._ann_off[nid])
-            for nid in range(n_nodes)
-        )
-        self._in_qmask = tuple(
-            sum(self._fmask << self._q_off[cid] for cid in codec.in_ch[nid])
-            for nid in range(n_nodes)
-        )
-        self._out_eff = tuple(
-            tuple(cid for cid in codec.out_ch[nid] if cid not in dest_in)
-            for nid in range(n_nodes)
-        )
-        # Append constants: adding ap[ocid][route][ln] to a word appends
-        # the (projected) route to out-channel ocid currently ln deep.
-        # cv[ocid][route] is the collapsed (length-1) replacement field.
-        self._ap = tuple(
-            tuple(
-                tuple(
-                    (1 + (self._wval[ocid][r] << (lb + ln * rb)))
-                    << self._q_off[ocid]
-                    for ln in range(slots)
-                )
-                for r in range(n_routes)
-            )
-            for ocid in range(n_channels)
-        )
-        self._cv = tuple(
-            tuple(
-                ((self._wval[ocid][r] << lb) | 1) << self._q_off[ocid]
-                for r in range(n_routes)
-            )
-            for ocid in range(n_channels)
-        )
-
-        # Node-local masks: every bit a node's menu expansion reads —
-        # its π digit, in-channel queue fields and ρ digits, and the
-        # out-channel queue fields touched by an announcement.  Two
-        # global states agreeing under the mask share the exact same
-        # successor deltas, so expansions memoize on the masked word.
-        node_masks = []
-        for nid in range(n_nodes):
-            mask = self._rmask << self._pi_off[nid]
-            for cid in codec.in_ch[nid]:
-                mask |= self._fmask << self._q_off[cid]
-                mask |= self._rmask << self._rho_off[cid]
-            for ocid in self._out_eff[nid]:
-                mask |= self._fmask << self._q_off[ocid]
-            node_masks.append(mask)
-        self._node_mask = tuple(node_masks)
-        # _entry_count reads only the destination's announced digit and
-        # the queue lengths, so it memoizes on this narrower mask.
-        ecmask = self._rmask << self._ann_dest_off
-        for cid in range(n_channels):
-            ecmask |= self._lmask << self._q_off[cid]
-        self._ecmask = ecmask
 
         # ---- fairness masks ---------------------------------------------
-        self._relevant_cids = tuple(
-            cid for cid in range(n_channels) if cid not in dest_in
-        )
-        self._relevant_mask = sum(1 << cid for cid in self._relevant_cids)
         if model.scope is NeighborScope.EVERY:
+            dest_in = layout.dest_in
             e_nodes = []
-            for nid in range(n_nodes):
+            for nid in range(layout.n_nodes):
                 mask = sum(
                     1 << cid
                     for cid in codec.in_ch[nid]
@@ -320,27 +447,11 @@ class PackedExplorer:
         self._chfx: dict = {}
         self._entry_ops: dict = {}
         self._emask_memo: dict = {}
-        self._node_memo = tuple({} for _ in range(n_nodes))
+        self._node_memo = tuple({} for _ in range(layout.n_nodes))
         self._ec_memo: dict = {}
         self._pruned = 0
         self._orbits_merged = 0
         self._init_tau = 0
-
-        # ---- automorphism group -----------------------------------------
-        # The searches of one instance in a live fan-out block share one
-        # context (its word layout does not depend on the model).
-        sym = _shared_symmetry(
-            instance, self.reduction, queue_bound, self._setup_group
-        )
-        self._gsize = sym.size
-        self._node_perms = sym.node_perms
-        self._chperms = sym.chperms
-        self._rperms = sym.rperms
-        self._strans = sym.strans
-        self._comp_tab = sym.comp_tab
-        self._inv_tab = sym.inv_tab
-        self._mask_img_memo = sym.mask_img
-        self._orbits = sym.orbits
         # This search's own sightings: ``orbits_merged`` counts a merge
         # on the first one, whichever search computed the orbit.
         self._omemo: dict = {}
@@ -352,10 +463,10 @@ class PackedExplorer:
         """The codec-tuple twin of ``Explorer.canonicalize``: destination
         in-channels cleared, reliable count-A queues collapsed to their
         newest message, and every known route and queued message
-        written as its stored digit (see ``_wval``)."""
+        written as its stored digit (see ``_Layout.wval``)."""
         pi, rho, channels, announced = packed
-        dest_in = self._dest_in_set
-        wval = self._wval
+        dest_in = self._layout.dest_in
+        wval = self._layout.wval
         rho = tuple(
             0 if cid in dest_in else wval[cid][r] for cid, r in enumerate(rho)
         )
@@ -428,119 +539,13 @@ class PackedExplorer:
     # ------------------------------------------------------------------
     # Symmetry machinery
     # ------------------------------------------------------------------
-    def _setup_group(self) -> _Symmetry:
-        """The automorphism group compiled for this word layout."""
-        codec = self.codec
-        group = automorphisms(self.instance)
-        if len(group) == 1:
-            return _Symmetry(1, (), (), (), (), ((0,),), (0,))
-        n_routes = len(codec.routes)
-        n_channels = len(codec.channels)
-        nperms = []
-        chperms = []
-        rperms = []
-        strans = []
-        for sigma in group:
-            nperm = tuple(codec.node_id[sigma[n]] for n in codec.nodes)
-            chperm = tuple(
-                codec.channel_id[(sigma[c[0]], sigma[c[1]])]
-                for c in codec.channels
-            )
-            rperm = tuple(
-                0 if r == EPSILON
-                else codec.route_id[tuple(sigma[hop] for hop in r)]
-                for r in codec.routes
-            )
-            # Stored digits are channel-local representatives, so the
-            # image digit is re-projected for the image channel.
-            st = tuple(
-                tuple(
-                    self._wval[chperm[cid]][rperm[r]]
-                    for r in range(n_routes)
-                )
-                for cid in range(n_channels)
-            )
-            nperms.append(nperm)
-            chperms.append(chperm)
-            rperms.append(rperm)
-            strans.append(st)
-        key = {perm: g for g, perm in enumerate(nperms)}
-        size = len(group)
-        n_nodes = len(codec.nodes)
-        comp_tab = []
-        for a in range(size):
-            row = []
-            pa = nperms[a]
-            for b in range(size):
-                pb = nperms[b]
-                row.append(key[tuple(pa[pb[i]] for i in range(n_nodes))])
-            comp_tab.append(tuple(row))
-        inv = [0] * size
-        for g, perm in enumerate(nperms):
-            ip = [0] * n_nodes
-            for i, j in enumerate(perm):
-                ip[j] = i
-            inv[g] = key[tuple(ip)]
-        return _Symmetry(
-            size,
-            tuple(nperms),
-            tuple(chperms),
-            tuple(rperms),
-            tuple(strans),
-            tuple(comp_tab),
-            tuple(inv),
-        )
-
-    def _image(self, word: int, g: int) -> int:
-        """σ_g applied to a packed word (result is canonical again)."""
-        rmask = self._rmask
-        lmask = self._lmask
-        fmask = self._fmask
-        lb = self._lb
-        rb = self._rb
-        nperm = self._node_perms[g]
-        chperm = self._chperms[g]
-        rperm = self._rperms[g]
-        strans = self._strans[g]
-        pi_off = self._pi_off
-        ann_off = self._ann_off
-        rho_off = self._rho_off
-        q_off = self._q_off
-        out = 0
-        for nid in range(self._n_nodes):
-            tgt = nperm[nid]
-            out |= rperm[(word >> pi_off[nid]) & rmask] << pi_off[tgt]
-            out |= rperm[(word >> ann_off[nid]) & rmask] << ann_off[tgt]
-        for cid in range(self._n_channels):
-            tgt = chperm[cid]
-            st = strans[cid]
-            out |= st[(word >> rho_off[cid]) & rmask] << rho_off[tgt]
-            fld = (word >> q_off[cid]) & fmask
-            ln = fld & lmask
-            if ln:
-                nf = ln
-                vals = fld >> lb
-                pos = lb
-                for _ in range(ln):
-                    nf |= st[vals & rmask] << pos
-                    vals >>= rb
-                    pos += rb
-                out |= nf << q_off[tgt]
-        return out
-
     def _orbit_min(self, raw: int) -> tuple:
         """(orbit representative, τ) with rep = σ_τ(raw); memoized in
-        the symmetry context and recorded as seen by this search."""
-        pair = self._orbits.get(raw)
+        the layout and recorded as seen by this search."""
+        layout = self._layout
+        pair = layout.orbits.get(raw)
         if pair is None:
-            best = raw
-            tau = 0
-            for g in range(1, self._gsize):
-                img = self._image(raw, g)
-                if img < best:
-                    best = img
-                    tau = g
-            pair = self._orbits[raw] = (best, tau)
+            pair = layout.orbit(raw)
         if pair[0] != raw:
             self._orbits_merged += 1
         self._omemo[raw] = pair
@@ -550,11 +555,11 @@ class PackedExplorer:
         """A channel bitmask pushed through σ_g's channel permutation."""
         if not mask or not g:
             return mask
-        memo = self._mask_img_memo
+        memo = self._layout.mask_img
         cached = memo.get((mask, g))
         if cached is not None:
             return cached
-        chperm = self._chperms[g]
+        chperm = self._layout.chperms[g]
         out = 0
         m = mask
         while m:
@@ -566,16 +571,15 @@ class PackedExplorer:
 
     def _realized_pi(self, word: int, g: int) -> tuple:
         """π digits of σ_g(word) as a route-id tuple in node-id order."""
-        rmask = self._rmask
-        pi_off = self._pi_off
+        layout = self._layout
+        rmask = layout.rmask
+        pi_off = layout.pi_off
         if not g:
-            return tuple(
-                (word >> pi_off[nid]) & rmask for nid in range(self._n_nodes)
-            )
-        nperm = self._node_perms[g]
-        rperm = self._rperms[g]
-        out = [0] * self._n_nodes
-        for nid in range(self._n_nodes):
+            return tuple((word >> off) & rmask for off in pi_off)
+        nperm = layout.node_perms[g]
+        rperm = layout.rperms[g]
+        out = [0] * layout.n_nodes
+        for nid in range(layout.n_nodes):
             out[nperm[nid]] = rperm[(word >> pi_off[nid]) & rmask]
         return tuple(out)
 
@@ -584,41 +588,37 @@ class PackedExplorer:
     # ------------------------------------------------------------------
     def _encode(self, packed: tuple) -> int:
         pi, rho, channels, announced = packed
-        lb = self._lb
-        rb = self._rb
+        layout = self._layout
+        lb = layout.lb
+        rb = layout.rb
         word = 0
         for nid, r in enumerate(pi):
-            word |= r << self._pi_off[nid]
+            word |= r << layout.pi_off[nid]
         for nid, r in enumerate(announced):
-            word |= r << self._ann_off[nid]
+            word |= r << layout.ann_off[nid]
         for cid, r in enumerate(rho):
-            word |= r << self._rho_off[cid]
+            word |= r << layout.rho_off[cid]
         for cid, queue in enumerate(channels):
             fld = len(queue)
             pos = lb
             for m in queue:
                 fld |= m << pos
                 pos += rb
-            word |= fld << self._q_off[cid]
+            word |= fld << layout.q_off[cid]
         return word
 
     def _decode(self, word: int) -> tuple:
-        rmask = self._rmask
-        lmask = self._lmask
-        fmask = self._fmask
-        lb = self._lb
-        rb = self._rb
-        pi = tuple(
-            (word >> off) & rmask for off in self._pi_off
-        )
-        announced = tuple(
-            (word >> off) & rmask for off in self._ann_off
-        )
-        rho = tuple(
-            (word >> off) & rmask for off in self._rho_off
-        )
+        layout = self._layout
+        rmask = layout.rmask
+        lmask = layout.lmask
+        fmask = layout.fmask
+        lb = layout.lb
+        rb = layout.rb
+        pi = tuple((word >> off) & rmask for off in layout.pi_off)
+        announced = tuple((word >> off) & rmask for off in layout.ann_off)
+        rho = tuple((word >> off) & rmask for off in layout.rho_off)
         channels = []
-        for off in self._q_off:
+        for off in layout.q_off:
             fld = (word >> off) & fmask
             ln = fld & lmask
             vals = fld >> lb
@@ -639,18 +639,18 @@ class PackedExplorer:
         this exact queue field and ρ digit; the position is the
         receiver's preference index of the post-read known route's
         extension (the step-2 candidate)."""
-        lmask = self._lmask
-        lb = self._lb
-        rb = self._rb
-        ln = qf & lmask
+        layout = self._layout
+        lb = layout.lb
+        rb = layout.rb
+        ln = qf & layout.lmask
         queue = []
         vals = qf >> lb
         for _ in range(ln):
-            queue.append(vals & self._rmask)
+            queue.append(vals & layout.rmask)
             vals >>= rb
-        q_shift = self._q_off[cid]
-        rho_shift = self._rho_off[cid]
-        pe = self._pe[cid]
+        q_shift = layout.q_off[cid]
+        rho_shift = layout.rho_off[cid]
+        pe = layout.pe[cid]
         effects = []
         for count, drops in self._combos_for(ln):
             take = ln if count == INFINITY else min(count, ln)
@@ -774,21 +774,22 @@ class PackedExplorer:
         only on the destination's announced digit and the queue
         lengths, so it memoizes on the word masked down to those bits.
         """
-        key = word & self._ecmask
+        layout = self._layout
+        key = word & layout.ecmask
         cached = self._ec_memo.get(key)
         if cached is not None:
             return cached
         total = (
             1
-            if ((word >> self._ann_dest_off) & self._rmask)
+            if ((word >> layout.ann_dest_off) & layout.rmask)
             != self.codec.dest_route_id
             else 0
         )
-        lmask = self._lmask
-        q_off = self._q_off
+        lmask = layout.lmask
+        q_off = layout.q_off
         menus = self._menus
-        for nid in range(self._n_nodes):
-            if not (word & self._in_qmask[nid]):
+        for nid in range(layout.n_nodes):
+            if not (word & layout.in_qmask[nid]):
                 continue
             sig = tuple(
                 (word >> q_off[cid]) & lmask
@@ -812,11 +813,12 @@ class PackedExplorer:
         masked bits.  Only the message-total bound (which depends on the
         global total) is re-checked at the point of use.
         """
-        fmask = self._fmask
-        lmask = self._lmask
-        q_off = self._q_off
-        rho_off = self._rho_off
-        pe = self._pe
+        layout = self._layout
+        fmask = layout.fmask
+        lmask = layout.lmask
+        q_off = layout.q_off
+        rho_off = layout.rho_off
+        pe = layout.pe
         chfx_get = self._chfx.get
         cids = self.codec.in_ch[nid]
         sig = []
@@ -824,7 +826,7 @@ class PackedExplorer:
         spv = []
         for cid in cids:
             qf = (key >> q_off[cid]) & fmask
-            rv = (key >> rho_off[cid]) & self._rmask
+            rv = (key >> rho_off[cid]) & layout.rmask
             sig.append(qf & lmask)
             eff = chfx_get((cid, qf, rv))
             if eff is None:
@@ -835,15 +837,15 @@ class PackedExplorer:
         menu = self._menus.get((nid, sig))
         if menu is None:
             menu = self._build_menu(nid, sig)
-        pi_r = (key >> self._pi_off[nid]) & self._rmask
-        rbp_n = self._rbp[nid]
-        no_choice = self._no_choice
+        pi_r = (key >> layout.pi_off[nid]) & layout.rmask
+        rbp_n = layout.rbp[nid]
+        no_choice = layout.no_choice
         collapse = self._collapse
         qb = self.queue_bound
-        out_eff = self._out_eff[nid]
-        ap = self._ap
-        cv = self._cv
-        pin = self._pin_factor[nid]
+        out_eff = layout.out_eff[nid]
+        ap = layout.ap
+        cv = layout.cv
+        pin = layout.pin_factor[nid]
         entries = []
         nbad = 0
         for op in menu:
@@ -911,16 +913,17 @@ class PackedExplorer:
         mirrors Explorer._absorption on packed digits (stored
         digits are representatives, so the rep-table comparison is a
         plain digit equality)."""
-        fmask = self._fmask
-        lmask = self._lmask
-        rmask = self._rmask
-        lb = self._lb
-        rb = self._rb
-        q_off = self._q_off
-        rho_off = self._rho_off
+        layout = self._layout
+        fmask = layout.fmask
+        lmask = layout.lmask
+        rmask = layout.rmask
+        lb = layout.lb
+        rb = layout.rb
+        q_off = layout.q_off
+        rho_off = layout.rho_off
         count_all = self._count_all
         dest_id = self.codec.dest_id
-        for cid in range(self._n_channels):
+        for cid in range(layout.n_channels):
             fld = (word >> q_off[cid]) & fmask
             if not fld:
                 continue
@@ -929,7 +932,7 @@ class PackedExplorer:
                 continue
             if ((fld >> lb) & rmask) != ((word >> rho_off[cid]) & rmask):
                 continue
-            nid = self._recv[cid]
+            nid = layout.recv[cid]
             if nid == dest_id:
                 continue
             count = INFINITY if count_all else 1
@@ -955,7 +958,7 @@ class PackedExplorer:
             total += length
             if length > self.queue_bound:
                 return None
-        if total > self._total_bound:
+        if total > self._layout.total_bound:
             return None
         op = self._entry_op(kick, takes=0)
         return op, self._encode(nxt), total
@@ -966,6 +969,7 @@ class PackedExplorer:
     def explore(self):
         from .explorer import ExplorationResult
 
+        layout = self._layout
         tel = _telemetry()
         search_start = time.perf_counter()
         self._pruned = 0
@@ -975,7 +979,7 @@ class PackedExplorer:
         codec = self.codec
         init4 = self.canonicalize(codec.initial_packed())
         word0 = self._encode(init4)
-        if self._gsize > 1:
+        if layout.size > 1:
             word0, self._init_tau = self._orbit_min(word0)
         else:
             self._init_tau = 0
@@ -997,16 +1001,16 @@ class PackedExplorer:
         checkpoint = 1024
 
         # Local bindings for the hot loop.
-        rmask = self._rmask
-        in_qmask = self._in_qmask
-        total_bound = self._total_bound
+        rmask = layout.rmask
+        in_qmask = layout.in_qmask
+        total_bound = layout.total_bound
         max_states = self.max_states
         absorb = self._absorb
-        n_nodes = self._n_nodes
-        gsize = self._gsize
+        n_nodes = layout.n_nodes
+        gsize = layout.size
         dest_route_id = codec.dest_route_id
-        ann_dest_off = self._ann_dest_off
-        node_mask = self._node_mask
+        ann_dest_off = layout.ann_dest_off
+        node_mask = layout.node_mask
         node_memo = self._node_memo
         omemo_get = self._omemo.get
         index_get = index_of.get
@@ -1259,7 +1263,7 @@ class PackedExplorer:
         if not edge_tgt:
             return []
         comps = self._sccs_csr(len(states), adj_start, adj_end, edge_tgt)
-        if self._gsize == 1:
+        if self._layout.size == 1:
             return [c for c in comps if len(c) > 1]
         out = []
         for comp in comps:
@@ -1280,11 +1284,12 @@ class PackedExplorer:
     def _empty_mask(self, s: int, states: list) -> int:
         mask = self._emask_memo.get(s)
         if mask is None:
+            layout = self._layout
             word = states[s]
-            fmask = self._fmask
-            q_off = self._q_off
+            fmask = layout.fmask
+            q_off = layout.q_off
             mask = 0
-            for cid in self._relevant_cids:
+            for cid in layout.relevant_cids:
                 if not ((word >> q_off[cid]) & fmask):
                     mask |= 1 << cid
             self._emask_memo[s] = mask
@@ -1311,8 +1316,9 @@ class PackedExplorer:
         return serviced, dropped, delivered, full_nodes
 
     def _plain_qualifies(self, comp, graph) -> bool:
+        layout = self._layout
         states = graph[0]
-        pimask = self._pimask
+        pimask = layout.pimask
         assignments = set()
         for s in comp:
             assignments.add(states[s] & pimask)
@@ -1327,7 +1333,7 @@ class PackedExplorer:
         empty_union = 0
         for s in comp:
             empty_union |= self._empty_mask(s, states)
-        if self._relevant_mask & ~(serviced | empty_union):
+        if layout.relevant_mask & ~(serviced | empty_union):
             return False
         for nid, nmask in self._e_nodes:
             if (full_nodes >> nid) & 1:
@@ -1343,7 +1349,7 @@ class PackedExplorer:
 
     def _find_fair_oscillation(self, graph):
         comps = self._candidate_components(graph)
-        if self._gsize == 1:
+        if self._layout.size == 1:
             # The reference engine returns the *first* qualifying SCC in
             # Tarjan emission order; replicate that exactly so trivial-
             # group witnesses stay bit-identical.
@@ -1408,7 +1414,7 @@ class PackedExplorer:
 
         codec = self.codec
         states = graph[0]
-        pimask = self._pimask
+        pimask = self._layout.pimask
         members = set(comp)
         anchor = min(comp)
         anchor_pi = states[anchor] & pimask
@@ -1442,11 +1448,12 @@ class PackedExplorer:
         """Adjacency of the Ip–Dill product restricted to one quotient
         SCC: node (s, g) realizes σ_g(s); a quotient edge s →(op, τ) t
         lifts to (s, g) → (t, g·τ⁻¹) realized as σ_g(op)."""
+        layout = self._layout
         states, totals, adj_start, adj_end, edge_op, edge_tgt, edge_tau, \
             parent_src, parent_op, parent_tau = graph
-        comp_tab = self._comp_tab
-        inv_tab = self._inv_tab
-        gsize = self._gsize
+        comp_tab = layout.comp_tab
+        inv_tab = layout.inv_tab
+        gsize = layout.size
         tadj: dict = {}
         for s in comp:
             a = adj_start[s]
@@ -1542,8 +1549,9 @@ class PackedExplorer:
 
     def _threaded_fairness(self, tcomp, inner, states) -> bool:
         """The reference fairness predicate on the realized component."""
+        layout = self._layout
         ops = self._ops
-        nperms = self._node_perms
+        nperms = layout.node_perms
         mask_img = self._mask_img
         serviced = dropped = delivered = full_nodes = 0
         for (s, g), _target, uid in inner:
@@ -1559,7 +1567,7 @@ class PackedExplorer:
         empty_union = 0
         for mask in empties:
             empty_union |= mask
-        if self._relevant_mask & ~(serviced | empty_union):
+        if layout.relevant_mask & ~(serviced | empty_union):
             return False
         for nid, nmask in self._e_nodes:
             if (full_nodes >> nid) & 1:
@@ -1577,8 +1585,9 @@ class PackedExplorer:
         if not g:
             return entry
         node_ids, combo = entry
-        nperm = self._node_perms[g]
-        chperm = self._chperms[g]
+        layout = self._layout
+        nperm = layout.node_perms[g]
+        chperm = layout.chperms[g]
         return (
             tuple(sorted(nperm[nid] for nid in node_ids)),
             tuple(
@@ -1614,10 +1623,11 @@ class PackedExplorer:
     def _build_witness_threaded(self, tcomp, tset, tadj, graph):
         from .explorer import OscillationWitness
 
+        layout = self._layout
         codec = self.codec
         states = graph[0]
-        comp_tab = self._comp_tab
-        inv_tab = self._inv_tab
+        comp_tab = layout.comp_tab
+        inv_tab = layout.inv_tab
         ops = self._ops
 
         anchor = min(tcomp)

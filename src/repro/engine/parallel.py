@@ -20,8 +20,8 @@ seed — so the fan-out here is parallel *and* reproducible:
   that settle a model (DESIGN.md §7.4) reuse the batch's own tasks for
   those twins, and each model is searched at most once per call at
   every worker count;
-* the packed searches of one instance in one process share its
-  compiled symmetry group and orbit memo (DESIGN.md §6.4).
+* the packed searches of one instance in one process share its word
+  layout, compiled symmetry group and orbit memo (DESIGN.md §6.4).
 
 Tasks and results travel by pickle: :class:`~repro.core.spp.SPPInstance`,
 :class:`~repro.engine.explorer.ExplorationResult`, and witnesses are
@@ -453,7 +453,7 @@ def run_explorations(tasks, *, config: "RunConfig | None" = None) -> list:
     ``(instance, model, bounds)`` is searched once, whichever worker
     runs it (:func:`_explore_grouped`).  An in-process fan-out runs
     all its items in one sharing block, so the packed searches of one
-    instance also share one symmetry context; a pool worker opens one
+    instance also share one word layout; a pool worker opens one
     block per item.
     """
     tasks = list(tasks)

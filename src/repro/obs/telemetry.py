@@ -136,6 +136,9 @@ class Telemetry:
         self.metrics = _metrics_module.MetricsRegistry()
         self._listeners: list = []
         self._lock = threading.Lock()
+        # Request threads and batch workers count into one telemetry;
+        # ``_lock`` is held across sink writes, so counts take their own.
+        self._count_lock = threading.Lock()
         self._started = time.perf_counter()
         self._closed = False
         self._handle = None
@@ -154,7 +157,8 @@ class Telemetry:
 
     # -- registries -----------------------------------------------------
     def count(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
+        with self._count_lock:
+            self.counters[name] = self.counters.get(name, 0) + n
 
     def gauge(self, name: str, value) -> None:
         self.gauges[name] = value

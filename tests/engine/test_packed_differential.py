@@ -28,6 +28,7 @@ from repro.core.generators import random_instance
 from repro.engine.execution import Execution
 from repro.engine.explorer import Explorer, can_oscillate
 from repro.engine.packed import PackedExplorer
+from repro.engine.reduction import representative_tables
 from repro.engine.state import NetworkState
 from repro.models.constraints import is_legal_entry
 from repro.models.taxonomy import ALL_MODELS, model
@@ -209,7 +210,9 @@ class TestPackedWitnesses:
 class TestOrbitCanonicalizer:
     """Idempotence and group-invariance of ``_orbit_min`` — the
     state-level counterpart of the instance-level label-invariance
-    pinned in tests/core/test_canonical.py."""
+    pinned in tests/core/test_canonical.py — and the additivity the
+    image tables rest on.  The digit-by-digit ``_Layout._image`` of the
+    whole word is the oracle throughout."""
 
     @staticmethod
     def _sample_words(instance, name, limit=60):
@@ -232,32 +235,54 @@ class TestOrbitCanonicalizer:
             packed._encode(codec.pack_state(state)) for state in seen
         ]
 
+    @staticmethod
+    def _assert_additive(instance, layout, words):
+        """σ_g(word) = Σ_k σ_g(word & M_k) over the node partition, for
+        every g and word; ε (digit 0) is its own representative."""
+        assert all(table[0] == 0 for table in representative_tables(instance))
+        for word in words:
+            for g in range(1, layout.size):
+                assert layout._image(word, g) == sum(
+                    layout._image(word & mask, g) for mask in layout.parts
+                )
+
     @pytest.mark.parametrize(
         "factory,name",
-        [(gadgets.disagree, "R1O"), (gadgets.bad_gadget, "UEA")],
-        ids=lambda value: getattr(value, "__name__", value),
+        [
+            (gadgets.disagree, "R1O"),
+            (gadgets.bad_gadget, "UEA"),
+            (lambda: gadgets.disagree_grid(2), "RMS"),
+        ],
+        ids=["disagree", "bad_gadget", "disagree_grid"],
     )
     def test_idempotent_and_group_invariant(self, factory, name):
         instance = factory()
         packed, words = self._sample_words(instance, name)
-        assert packed._gsize == len(automorphisms(instance)) > 1
+        layout = packed._layout
+        assert layout.size == len(automorphisms(instance)) > 1
+        self._assert_additive(instance, layout, words)
         for word in words:
             rep, tau = packed._orbit_min(word)
-            # The stored τ actually maps the raw word onto its rep.
-            assert packed._image(word, tau) == rep
+            # The stored τ is the lowest element mapping the raw word
+            # onto its rep (the identity when the word is its own rep).
+            assert tau == min(
+                g for g in range(layout.size) if layout._image(word, g) == rep
+            )
             # Idempotence: a representative is its own representative.
             assert packed._orbit_min(rep) == (rep, 0)
             # Invariance: every relabeled image of the state (the
             # whole orbit) canonicalizes to the same representative.
-            for g in range(packed._gsize):
-                assert packed._orbit_min(packed._image(word, g))[0] == rep
+            for g in range(layout.size):
+                assert packed._orbit_min(layout._image(word, g))[0] == rep
 
     @settings(**SLOW)
     @given(seeds)
     def test_random_symmetric_states(self, seed):
         instance = random_instance(seed % 40, n_nodes=3)
         packed, words = self._sample_words(instance, "R1O", limit=25)
-        trivial = packed._gsize == 1
+        layout = packed._layout
+        trivial = layout.size == 1
+        self._assert_additive(instance, layout, words)
         for word in words[:10]:
             rep, tau = packed._orbit_min(word)
             if trivial:
@@ -265,7 +290,7 @@ class TestOrbitCanonicalizer:
                 # permutation tables are never built.
                 assert (rep, tau) == (word, 0)
             else:
-                assert packed._image(word, tau) == rep
+                assert layout._image(word, tau) == rep
             assert packed._orbit_min(rep) == (rep, 0)
 
 

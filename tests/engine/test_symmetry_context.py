@@ -1,11 +1,13 @@
-"""One symmetry context per instance inside a fan-out.
+"""One word layout per instance inside a fan-out.
 
 Within a live sharing block (:func:`repro.engine.explorer._shared_searches`)
 every packed search of one instance object at one reduction and queue
-bound uses one compiled automorphism group and one orbit memo
-(DESIGN.md §6.4).  These tests pin that the sharing changes no result
-and no ``explore.orbits_merged`` total, that it really computes each
-orbit once, and that it leaves nothing behind once the block is gone.
+bound uses one layout: one word layout, one compiled automorphism
+group, one orbit memo and one set of image tables (DESIGN.md §6.4).
+These tests pin that the sharing changes no result and no
+``explore.orbits_merged`` total, that it really builds the layout once,
+computes each orbit once and translates each sub-word once, and that
+it leaves nothing behind once the block is gone.
 """
 
 import pickle
@@ -105,30 +107,39 @@ def test_certification_equals_standalone_searches(label, workers):
 
 @pytest.fixture
 def orbit_work(monkeypatch):
-    """``_image`` calls, distinct raw words canonicalized and symmetry
-    tables built, over every packed search while the fixture lives."""
-    work = {"images": 0, "raw": set(), "tables": 0}
-    image, orbit_min, setup = (
-        packed.PackedExplorer._image,
-        packed.PackedExplorer._orbit_min,
-        packed.PackedExplorer._setup_group,
+    """Over every packed search while the fixture lives: orbits computed
+    and the distinct raw words among them, ``_image`` calls (image-table
+    fills) and the distinct sub-words they translated, and layouts and
+    symmetry groups built."""
+    work = {"orbits": 0, "raw": set(), "images": 0, "keys": set(),
+            "layouts": 0, "groups": 0}
+    layout = packed._Layout
+    image, orbit, init, compile_group = (
+        layout._image, layout.orbit, layout.__init__, layout._compile_group
     )
 
     def counted_image(self, word, g):
         work["images"] += 1
+        work["keys"].add(word)
         return image(self, word, g)
 
-    def counted_orbit_min(self, raw):
+    def counted_orbit(self, raw):
+        work["orbits"] += 1
         work["raw"].add(raw)
-        return orbit_min(self, raw)
+        return orbit(self, raw)
 
-    def counted_setup(self):
-        work["tables"] += 1
-        return setup(self)
+    def counted_init(self, *args):
+        work["layouts"] += 1
+        init(self, *args)
 
-    monkeypatch.setattr(packed.PackedExplorer, "_image", counted_image)
-    monkeypatch.setattr(packed.PackedExplorer, "_orbit_min", counted_orbit_min)
-    monkeypatch.setattr(packed.PackedExplorer, "_setup_group", counted_setup)
+    def counted_compile_group(self, *args):
+        work["groups"] += 1
+        compile_group(self, *args)
+
+    monkeypatch.setattr(layout, "_image", counted_image)
+    monkeypatch.setattr(layout, "orbit", counted_orbit)
+    monkeypatch.setattr(layout, "__init__", counted_init)
+    monkeypatch.setattr(layout, "_compile_group", counted_compile_group)
     return work
 
 
@@ -138,8 +149,11 @@ def test_cold_certification_computes_each_orbit_once(orbit_work):
     assert order == 8
     matrix_certification(instance=instance, config=CONFIG.replace(workers=1))
     assert orbit_work["raw"]
-    assert orbit_work["images"] == (order - 1) * len(orbit_work["raw"])
-    assert orbit_work["tables"] == 1
+    assert orbit_work["orbits"] == len(orbit_work["raw"])
+    # Each nonzero sub-word is translated once per non-identity element.
+    assert orbit_work["keys"] and 0 not in orbit_work["keys"]
+    assert orbit_work["images"] == (order - 1) * len(orbit_work["keys"])
+    assert orbit_work["layouts"] == orbit_work["groups"] == 1
 
 
 def test_tables_are_built_once_per_reduction(orbit_work):
@@ -152,14 +166,14 @@ def test_tables_are_built_once_per_reduction(orbit_work):
         for name in ("R1O", "UMS", "REA")
     ]
     run_explorations(tasks, config=CONFIG.replace(workers=1))
-    assert orbit_work["tables"] == 2
+    assert orbit_work["layouts"] == orbit_work["groups"] == 2
 
 
 def test_a_search_outside_any_block_builds_its_own(orbit_work):
     instance = canonical.disagree_grid(2)
     for name in ("R1O", "RMO"):
         Explorer(instance, model(name), queue_bound=2).explore()
-    assert orbit_work["tables"] == 2
+    assert orbit_work["layouts"] == orbit_work["groups"] == 2
 
 
 def test_instances_are_not_shared_by_equality(orbit_work):
@@ -170,11 +184,11 @@ def test_instances_are_not_shared_by_equality(orbit_work):
         for name in ("R1O", "RMO")
     ]
     run_explorations(tasks, config=CONFIG.replace(workers=1))
-    assert orbit_work["tables"] == 2
+    assert orbit_work["layouts"] == orbit_work["groups"] == 2
 
 
 #: What the instance object holds after a search: its own lazy caches,
-#: the codec and the reduction tables — and no symmetry context.
+#: the codec and the reduction tables — and no layout.
 INSTANCE_KEYS = frozenset(
     {
         "_automorphisms",

@@ -178,6 +178,20 @@ class TestSpanTimings:
         _, count, _, _ = tel.metrics.histogram("x").cumulative()
         assert tel.summary()["spans"]["x"]["calls"] == count == 2000
 
+    def test_concurrent_counts_lose_no_increment(self):
+        tel = Telemetry()
+
+        def record():
+            for _ in range(200_000):
+                tel.count("cache.hit")
+
+        threads = [threading.Thread(target=record) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert tel.counters["cache.hit"] == 800_000
+
     def test_each_telemetry_owns_its_histograms(self):
         first = Telemetry()
         obs.install(first)

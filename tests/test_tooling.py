@@ -128,6 +128,16 @@ class TestOneSpanPrimitive:
         assert pools == [("src/repro/engine/parallel.py", "_pooled")]
 
 
+class TestOrbitImagesByTable:
+    """An orbit image is a sum of image-table lookups: only the table
+    fill walks a word digit by digit.  A second caller of ``_image``
+    means the per-word hot path is walking digits again."""
+
+    def test_only_the_table_fill_calls_image(self):
+        callers = [(module, function) for module, function, _ in _calls("_image")]
+        assert callers == [("src/repro/engine/packed.py", "_fill")]
+
+
 class TestOneWorkQueue:
     """The work queue and the verdict cache reach SQLite only through
     ``repro.sqlstore``, and each is the only module that knows its own
