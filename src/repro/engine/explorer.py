@@ -352,11 +352,12 @@ class Explorer:
     def _absorption(self, state: NetworkState):
         """The forced absorption step at ``state``, if one applies.
 
-        Mirror of ``PackedExplorer._absorption_succ`` (same channel scan
-        order, same guards) — see :mod:`repro.engine.reduction` for the
-        soundness argument.  The successor is built directly: reading a
-        front message that is ext-equivalent to the known route cannot
-        change ρ's class, the best response, or announcements.
+        Mirror of ``PackedExplorer._absorption_succ`` (the same lowest
+        channel, found through the packed per-node memo; same guards) —
+        see :mod:`repro.engine.reduction` for the soundness argument.
+        The successor is built directly: reading a front message that is
+        ext-equivalent to the known route cannot change ρ's class, the
+        best response, or announcements.
         """
         rep = self._rep_paths
         count_all = self.model.count is MessageCount.ALL
@@ -390,7 +391,10 @@ class Explorer:
         return None
 
     def _full_entry_count(self, state: NetworkState) -> int:
-        """How many entries unreduced enumeration would yield here."""
+        """How many entries unreduced enumeration would yield here.
+
+        The per-node terms are the closed forms of the packed twin,
+        ``PackedExplorer._menu_size``."""
         total = 0 if self._destination_kickoff(state) is None else 1
         scope = self.model.scope
         for node in self.instance.sorted_nodes:

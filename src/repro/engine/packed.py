@@ -61,6 +61,7 @@ reference.complete`` always holds.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from array import array
 
@@ -163,7 +164,7 @@ class _Layout:
         self.lb = lb = slots.bit_length()
         cw = lb + slots * rb
         self.rmask = rmask = (1 << rb) - 1
-        self.lmask = lmask = (1 << lb) - 1
+        self.lmask = (1 << lb) - 1
         self.fmask = fmask = (1 << cw) - 1
         self.pi_off = pi_off = tuple(nid * rb for nid in range(n_nodes))
         self.ann_off = ann_off = tuple(
@@ -180,7 +181,7 @@ class _Layout:
         self.ann_dest_off = ann_off[codec.dest_id]
         self.total_bound = queue_bound * max(1, n_channels)
 
-        self.recv = recv = tuple(
+        recv = tuple(
             codec.node_id[channel[1]] for channel in codec.channels
         )
         self.dest_in = dest_in = set(codec.dest_in)
@@ -254,12 +255,15 @@ class _Layout:
             parts.append(own)
         self.node_mask = tuple(node_masks)
         self.parts = tuple(parts)
-        # _entry_count reads only the destination's announced digit and
-        # the queue lengths, so it memoizes on this narrower mask.
-        ecmask = rmask << self.ann_dest_off
-        for cid in range(n_channels):
-            ecmask |= lmask << q_off[cid]
-        self.ecmask = ecmask
+        # The forced step reads only a node's in-channel queue fields and
+        # ρ digits: ``in_mask`` pairs each node that can absorb (not the
+        # destination, at least one in-channel) with that mask.
+        self.in_mask = tuple(
+            (nid, sum((fmask << q_off[cid]) | (rmask << rho_off[cid])
+                      for cid in codec.in_ch[nid]))
+            for nid in range(n_nodes)
+            if nid != codec.dest_id and codec.in_ch[nid]
+        )
 
         self.relevant_cids = tuple(
             cid for cid in range(n_channels) if cid not in dest_in
@@ -448,7 +452,7 @@ class PackedExplorer:
         self._entry_ops: dict = {}
         self._emask_memo: dict = {}
         self._node_memo = tuple({} for _ in range(layout.n_nodes))
-        self._ec_memo: dict = {}
+        self._local = tuple({} for _ in range(layout.n_nodes))
         self._pruned = 0
         self._orbits_merged = 0
         self._init_tau = 0
@@ -768,39 +772,20 @@ class PackedExplorer:
         self._menus[(nid, sig)] = menu
         return menu
 
-    def _entry_count(self, word: int) -> int:
-        """Unreduced entry count at ``word`` (states_pruned accounting);
-        the packed twin of Explorer._full_entry_count.  Depends
-        only on the destination's announced digit and the queue
-        lengths, so it memoizes on the word masked down to those bits.
-        """
-        layout = self._layout
-        key = word & layout.ecmask
-        cached = self._ec_memo.get(key)
-        if cached is not None:
-            return cached
-        total = (
-            1
-            if ((word >> layout.ann_dest_off) & layout.rmask)
-            != self.codec.dest_route_id
-            else 0
-        )
-        lmask = layout.lmask
-        q_off = layout.q_off
-        menus = self._menus
-        for nid in range(layout.n_nodes):
-            if not (word & layout.in_qmask[nid]):
-                continue
-            sig = tuple(
-                (word >> q_off[cid]) & lmask
-                for cid in self.codec.in_ch[nid]
-            )
-            menu = menus.get((nid, sig))
-            if menu is None:
-                menu = self._build_menu(nid, sig)
-            total += len(menu)
-        self._ec_memo[key] = total
-        return total
+    def _menu_size(self, sig: tuple) -> int:
+        """``len(_build_menu(nid, sig))`` in closed form, without building
+        the menu: the packed twin of Explorer._full_entry_count's
+        per-node term (states_pruned accounting)."""
+        if not any(sig):
+            return 0
+        combos = self._combos_for
+        scope = self.model.scope
+        if scope is NeighborScope.EVERY:
+            return math.prod(len(combos(p)) for p in sig)
+        busy = [len(combos(p)) for p in sig if p]
+        if scope is NeighborScope.ONE:
+            return sum(busy)
+        return math.prod(1 + c for c in busy) - 1
 
     def _node_entries(self, nid: int, key: int) -> tuple:
         """Cached menu expansion of node ``nid`` at its node-local state.
@@ -909,38 +894,73 @@ class PackedExplorer:
         return op
 
     def _absorption_succ(self, word: int) -> "tuple | None":
-        """(op, successor word) when the forced absorption step applies;
-        mirrors Explorer._absorption on packed digits (stored
-        digits are representatives, so the rep-table comparison is a
-        plain digit equality)."""
+        """(op, successor word, unreduced entry count) when the forced
+        absorption step applies; mirrors Explorer._absorption on packed
+        digits (stored digits are representatives, so the rep-table
+        comparison is a plain digit equality).
+
+        The count is a sum, and the absorbable channel a minimum, over
+        what each node's in-channel fields decide, so both are read from
+        the per-node memo ``_local``; the lowest channel id across nodes
+        is the one the reference channel scan meets first.
+        """
+        layout = self._layout
+        local = self._local
+        total = 0
+        best = None
+        for nid, mask in layout.in_mask:
+            key = word & mask
+            if not key:
+                continue
+            hit = local[nid].get(key)
+            if hit is None:
+                hit = self._forced_local(nid, key)
+            total += hit[0]
+            if hit[1] is not None and (best is None or hit[1] < best[1]):
+                best = hit
+        if best is None:
+            return None
+        if ((word >> layout.ann_dest_off) & layout.rmask) \
+                != self.codec.dest_route_id:
+            total += 1  # the destination kickoff
+        return self._entry_op(best[2], takes=1), word + best[3], total
+
+    def _forced_local(self, nid: int, key: int) -> tuple:
+        """Fill ``_local[nid][key]``, where ``key`` is ``word & mask`` for
+        the node's ``_Layout.in_mask``: ``(menu size, lowest absorbable
+        in-channel id or None, its absorption entry, its word delta)``."""
         layout = self._layout
         fmask = layout.fmask
         lmask = layout.lmask
         rmask = layout.rmask
         lb = layout.lb
-        rb = layout.rb
         q_off = layout.q_off
         rho_off = layout.rho_off
         count_all = self._count_all
-        dest_id = self.codec.dest_id
-        for cid in range(layout.n_channels):
-            fld = (word >> q_off[cid]) & fmask
-            if not fld:
-                continue
+        sig = []
+        best = None
+        for cid in self.codec.in_ch[nid]:
+            fld = (key >> q_off[cid]) & fmask
             ln = fld & lmask
-            if count_all and ln != 1:
-                continue
-            if ((fld >> lb) & rmask) != ((word >> rho_off[cid]) & rmask):
-                continue
-            nid = layout.recv[cid]
-            if nid == dest_id:
-                continue
+            sig.append(ln)
+            if (
+                ln
+                and not (count_all and ln != 1)
+                and ((fld >> lb) & rmask) == ((key >> rho_off[cid]) & rmask)
+                and (best is None or cid < best)
+            ):
+                best = cid
+        size = self._menu_size(tuple(sig))
+        if best is None:
+            hit = (size, None, None, 0)
+        else:
+            fld = (key >> q_off[best]) & fmask
+            new_fld = ((fld >> (lb + layout.rb)) << lb) | ((fld & lmask) - 1)
             count = INFINITY if count_all else 1
-            entry = ((nid,), ((cid, count, _NO_DROPS),))
-            op = self._entry_op(entry, takes=1)
-            new_fld = ((fld >> (lb + rb)) << lb) | (ln - 1)
-            return op, word + ((new_fld - fld) << q_off[cid])
-        return None
+            entry = ((nid,), ((best, count, _NO_DROPS),))
+            hit = (size, best, entry, (new_fld - fld) << q_off[best])
+        self._local[nid][key] = hit
+        return hit
 
     def _kickoff_succ(self, word: int) -> "tuple | None":
         """(op, successor word, total) for the destination kickoff, or
@@ -1057,8 +1077,9 @@ class PackedExplorer:
             # the per-node menu successors are emitted inline.
             forced = self._absorption_succ(word) if absorb else None
             if forced is not None:
-                self._pruned += self._entry_count(word) - 1
-                candidates = [(forced[0], forced[1], tcur - forced[0].takes)]
+                op, succ, n_entries = forced
+                self._pruned += n_entries - 1
+                candidates = [(op, succ, tcur - op.takes)]
             else:
                 candidates = ()
                 if ((word >> ann_dest_off) & rmask) != dest_route_id:
@@ -1182,8 +1203,14 @@ class PackedExplorer:
     # SCC enumeration
     # ------------------------------------------------------------------
     def _sccs_csr(self, n, adj_start, adj_end, edge_tgt):
-        """Iterative Tarjan over the CSR arrays, components in emission
-        order.
+        """Iterative Tarjan over the CSR arrays: the components that can
+        host a cycle, in emission order, members in stack-pop order.
+
+        A component qualifies if it has two members or more, or is a
+        single state with a self-loop; any other singleton is popped
+        without allocating.  (A self-loop singleton fails the plain
+        two-assignment gate at once, but under a nontrivial group it can
+        unroll to a real multi-state cycle.)
 
         ``index[v]`` is -1 before ``v`` is reached, its DFS number while
         it is on the SCC stack, and ``n`` (above every DFS number) once
@@ -1229,15 +1256,22 @@ class PackedExplorer:
                         u = vstack[-1]
                         if lv < low[u]:
                             low[u] = lv
-                    if lv == index[v]:
-                        comp = []
-                        while True:
-                            w = scc_stack.pop()
-                            index[w] = n
-                            comp.append(w)
-                            if w == v:
-                                break
-                        comps.append(comp)
+                    if lv != index[v]:
+                        continue
+                    if scc_stack[-1] == v:
+                        scc_stack.pop()
+                        index[v] = n
+                        if v in targets[starts[v]:e]:
+                            comps.append([v])
+                        continue
+                    comp = []
+                    while True:
+                        w = scc_stack.pop()
+                        index[w] = n
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
                     continue
                 # Descend into the unreached target t.
                 low[v] = lv
@@ -1248,35 +1282,6 @@ class PackedExplorer:
                 vstack.append(t)
                 pstack.append(starts[t])
         return comps
-
-    def _candidate_components(self, graph) -> list:
-        """Components that could host a fair cycle, as index lists in
-        Tarjan emission order.
-
-        Trivial group: only multi-member SCCs can satisfy the two-
-        assignment gate.  Nontrivial group: a singleton quotient state
-        with a self-loop can unroll to a real multi-state cycle, so
-        those are kept too.
-        """
-        states, totals, adj_start, adj_end, edge_op, edge_tgt, edge_tau, \
-            parent_src, parent_op, parent_tau = graph
-        if not edge_tgt:
-            return []
-        comps = self._sccs_csr(len(states), adj_start, adj_end, edge_tgt)
-        if self._layout.size == 1:
-            return [c for c in comps if len(c) > 1]
-        out = []
-        for comp in comps:
-            if len(comp) > 1:
-                out.append(comp)
-                continue
-            s = comp[0]
-            a = adj_start[s]
-            if a >= 0 and any(
-                edge_tgt[k] == s for k in range(a, adj_end[s])
-            ):
-                out.append(comp)
-        return out
 
     # ------------------------------------------------------------------
     # Fairness gates
@@ -1348,7 +1353,7 @@ class PackedExplorer:
         return True
 
     def _find_fair_oscillation(self, graph):
-        comps = self._candidate_components(graph)
+        comps = self._sccs_csr(len(graph[0]), graph[2], graph[3], graph[5])
         if self._layout.size == 1:
             # The reference engine returns the *first* qualifying SCC in
             # Tarjan emission order; replicate that exactly so trivial-

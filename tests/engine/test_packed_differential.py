@@ -14,13 +14,21 @@ contract against the reference engine:
   never shrinks), and witnesses — reconstructed by orbit-unwinding —
   still replay as model-legal periodic oscillations;
 * the orbit canonicalizer is idempotent and invariant under the group
-  action (the state-level face of label-invariance).
+  action (the state-level face of label-invariance);
+* the forced step's pruned count is a closed form of each menu's
+  length, so menus are built only to be expanded, and Tarjan emits
+  exactly the components that can host a cycle.
 """
+
+import itertools
+import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import matrix_certification
 from repro.config import RunConfig
 from repro.core import instances as gadgets
 from repro.core.canonical import automorphisms
@@ -357,3 +365,175 @@ class TestExplorerEquivalence:
         multi = model("R1A").with_concurrency(NodeConcurrency.UNRESTRICTED)
         with pytest.raises(ValueError):
             PackedExplorer(disagree, multi)
+
+
+class TestForcedStepAccounting:
+    """The forced absorption step prunes a state's whole menu; the count
+    it adds to ``states_pruned`` is ``_menu_size``, a closed form of the
+    menu's length, so no menu is built just to be measured (the pins of
+    ``states_pruned`` against the reference are in the classes above)."""
+
+    @staticmethod
+    def _assert_closed_form(instance, m, queue_bound=2):
+        packed = PackedExplorer(instance, m, queue_bound=queue_bound)
+        in_ch = packed.codec.in_ch
+        for nid in range(len(in_ch)):
+            # Every queue length up to the transient slot.
+            lengths = range(queue_bound + 2)
+            for sig in itertools.product(lengths, repeat=len(in_ch[nid])):
+                menu = packed._build_menu(nid, sig)
+                assert packed._menu_size(sig) == len(menu), (m.name, nid, sig)
+
+    @pytest.mark.parametrize("m", SINGLE_NODE_MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize(
+        "factory",
+        [gadgets.fig7_gadget, gadgets.disagree, lambda: gadgets.disagree_grid(2)],
+        ids=["fig7", "disagree", "disagree_grid"],
+    )
+    def test_menu_size_is_the_menu_length(self, factory, m):
+        self._assert_closed_form(factory(), m)
+
+    @settings(**SLOW)
+    @given(seeds, model_indexes)
+    def test_menu_size_on_random_instances(self, seed, model_index):
+        m = ALL_MODELS[model_index]
+        if m.concurrency.name != "ONE":
+            return
+        self._assert_closed_form(random_instance(seed % 40, n_nodes=3), m)
+
+    def test_cold_fig7_builds_only_the_menus_it_expands(self, monkeypatch):
+        work = {"builds": 0, "unexpanded": 0}
+        expanding = []
+        build = PackedExplorer._build_menu
+        expand = PackedExplorer._node_entries
+
+        def counted_build(self, nid, sig):
+            work["builds"] += 1
+            if not expanding:
+                work["unexpanded"] += 1
+            return build(self, nid, sig)
+
+        def counted_expand(self, nid, key):
+            # _node_entries walks every op of the menu it looks up.
+            expanding.append(nid)
+            try:
+                return expand(self, nid, key)
+            finally:
+                expanding.pop()
+
+        monkeypatch.setattr(PackedExplorer, "_build_menu", counted_build)
+        monkeypatch.setattr(PackedExplorer, "_node_entries", counted_expand)
+        results = matrix_certification(
+            instance=gadgets.fig7_gadget(),
+            config=RunConfig(engine="packed", queue_bound=2, cache=False,
+                             workers=1),
+        )
+        assert work == {"builds": 123, "unexpanded": 0}
+        assert sum(r.states_pruned for r in results.values()) == 111_750
+
+
+def _csr_graph(rng, n):
+    """A random search graph in CSR form: unexpanded states
+    (``adj_start == adj_end == -1``), expanded states without edges,
+    self-loops and parallel edges all occur."""
+    adj_start = array("q")
+    adj_end = array("q")
+    edge_tgt = array("q")
+    for v in range(n):
+        draw = rng.random()
+        if draw < 0.15:
+            adj_start.append(-1)
+            adj_end.append(-1)
+            continue
+        adj_start.append(len(edge_tgt))
+        for _ in range(rng.randrange(0 if draw < 0.3 else 1, 4)):
+            edge_tgt.append(v if rng.random() < 0.1 else rng.randrange(n))
+        adj_end.append(len(edge_tgt))
+    return adj_start, adj_end, edge_tgt
+
+
+def _successors(v, adj_start, adj_end, edge_tgt):
+    return [edge_tgt[k] for k in range(adj_start[v], adj_end[v])]
+
+
+def _full_tarjan(n, adj_start, adj_end, edge_tgt):
+    """Textbook recursive Tarjan, roots in id order and edges in CSR
+    order: every component, in emission order, members in pop order."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    comps: list = []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for t in _successors(v, adj_start, adj_end, edge_tgt):
+            if t not in index:
+                visit(t)
+                low[v] = min(low[v], low[t])
+            elif t in on_stack:
+                low[v] = min(low[v], index[t])
+        if low[v] == index[v]:
+            comp = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                comp.append(w)
+                if w == v:
+                    break
+            comps.append(comp)
+
+    for v in range(n):
+        if v not in index:
+            visit(v)
+    return comps
+
+
+def _reachability_sccs(n, adj_start, adj_end, edge_tgt):
+    """Brute force: u and v share a component iff each reaches the other."""
+    reach = []
+    for v in range(n):
+        seen = {v}
+        todo = [v]
+        while todo:
+            for t in _successors(todo.pop(), adj_start, adj_end, edge_tgt):
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        reach.append(seen)
+    return {
+        frozenset(u for u in reach[v] if v in reach[u]) for v in range(n)
+    }
+
+
+class TestTarjanComponents:
+    """``_sccs_csr`` emits exactly the components that can host a cycle
+    (two members or more, or a self-loop) in full-Tarjan emission order,
+    members in pop order; every other singleton is dropped unseen."""
+
+    def test_matches_the_filtered_full_tarjan(self, disagree):
+        packed = PackedExplorer(disagree, model("R1O"))
+        seen = {"unexpanded": 0, "isolated": 0, "self_loop": 0, "multi": 0}
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randrange(1, 40)
+            graph = _csr_graph(rng, n)
+            full = _full_tarjan(n, *graph)
+            assert {frozenset(c) for c in full} == _reachability_sccs(n, *graph)
+            expected = [
+                c for c in full
+                if len(c) > 1 or c[0] in _successors(c[0], *graph)
+            ]
+            assert packed._sccs_csr(n, *graph) == expected, seed
+            adj_start, adj_end, edge_tgt = graph
+            targets = set(edge_tgt)
+            seen["unexpanded"] += adj_start.count(-1)
+            seen["isolated"] += sum(
+                adj_start[v] == adj_end[v] and v not in targets
+                for v in range(n)
+            )
+            seen["self_loop"] += sum(len(c) == 1 for c in expected)
+            seen["multi"] += sum(len(c) > 1 for c in expected)
+        assert all(seen.values()), seen

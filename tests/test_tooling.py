@@ -138,6 +138,19 @@ class TestOrbitImagesByTable:
         assert callers == [("src/repro/engine/packed.py", "_fill")]
 
 
+class TestMenusBuiltOnlyToExpand:
+    """The forced step's pruned count is a closed form of a menu's
+    length, so a menu is built only by the expansion that walks it.  A
+    second caller of ``_build_menu`` means menus are being built again
+    only to be measured."""
+
+    def test_only_the_node_expansion_builds_menus(self):
+        callers = [
+            (module, function) for module, function, _ in _calls("_build_menu")
+        ]
+        assert callers == [("src/repro/engine/packed.py", "_node_entries")]
+
+
 class TestOneWorkQueue:
     """The work queue and the verdict cache reach SQLite only through
     ``repro.sqlstore``, and each is the only module that knows its own
