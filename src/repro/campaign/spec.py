@@ -73,11 +73,12 @@ class CampaignSpec:
     cache: bool = True
     #: Extra attempts per worker item after a worker crash/timeout (an
     #: item is one simulation task, or the explore tasks of one
-    #: instance and message count, which share their searches).
+    #: instance, which share their searches and store round trips).
     retries: int = 2
     #: Base of the exponential retry backoff, in seconds.
     retry_backoff: float = 0.25
-    #: Seconds before a worker item is declared hung (``None`` = never).
+    #: Seconds before a worker item (in explore mode, all the tasks of
+    #: one instance) is declared hung (``None`` = never).
     task_timeout: "float | None" = None
 
     def __post_init__(self) -> None:

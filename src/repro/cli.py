@@ -257,13 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serving worker threads draining the cold-miss batch queue",
     )
     serve.add_argument(
-        "--compute-procs",
-        type=int,
-        default=1,
-        help="process fan-out inside one batch (1 keeps batches "
-        "in-process so per-instance tables are built once)",
-    )
-    serve.add_argument(
         "--queue-cap",
         type=int,
         default=64,
@@ -863,7 +856,6 @@ def _cmd_serve(args) -> int:
             port=args.port,
             engine=args.engine,
             workers=args.workers,
-            compute_procs=args.compute_procs,
             queue_cap=args.queue_cap,
             deadline_s=args.deadline,
             retry_after_s=args.retry_after,

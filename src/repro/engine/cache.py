@@ -29,17 +29,20 @@ payload TEXT NOT NULL)`` in ``<root>/verdicts.sqlite`` (default root
 ``.repro-cache``, or ``REPRO_CACHE_DIR``), opened through
 :mod:`repro.sqlstore` like the campaign work queue.  A row holds the
 canonical JSON text of one payload and is written once (``INSERT OR
-IGNORE``): racing writers of a key carry identical text.  Nothing is
-opened, nor :mod:`sqlite3` imported, until the first read or write, and
-a forked pool worker opens its own connection.
+IGNORE``): racing writers of a key carry identical text.  Keys are
+read with one ``SELECT`` and rows written in one transaction per batch
+(:meth:`VerdictCache.get_many`, :meth:`VerdictCache.put_many`).  Nothing
+is opened, nor :mod:`sqlite3` imported, until the first read or write,
+and a forked pool worker opens its own connection.
 
 **Integrity and degradation.**  A row that fails :func:`payload_issue`
 (unparseable, checksum mismatch, stale :data:`CACHE_VERSION`) is
 deleted — only while it still holds the text that was read — counted
 as ``cache.quarantined``, and recomputed.  Any ``OSError`` or SQLite
-error (a junk ``verdicts.sqlite`` included) turns a read into a miss
-and a write into a memo-only store, counted as ``cache.io_error``: a
-broken cache directory can slow a campaign down but cannot abort it.
+error (a junk ``verdicts.sqlite`` included) turns a read into misses
+and a write into a memo-only store of its whole batch, counted as
+``cache.io_error``: a broken cache directory can slow a campaign down
+but cannot abort it.
 
 **Hot tier.**  Entries that have been verified once (checksum checked
 on first disk read, or produced by this process) are kept in a bounded
@@ -67,12 +70,13 @@ from pathlib import Path
 from ..core.canonical import canonical_hash, canonical_labeling
 from ..core.spp import SPPInstance
 from ..faults import fault_point
-from ..fsutil import quarantine_on_repair, write_retrying
+from ..fsutil import quarantine_on_repair
 from ..obs import active as _telemetry
 from ..obs import trace_span
-from .activation import INFINITY, ActivationEntry
+from .activation import ActivationEntry
 from .explorer import ENGINE_REVISION, ExplorationResult, OscillationWitness
 from .reduction import REDUCTION_REVISION
+from .serialization import _decode_count, _encode_count
 
 __all__ = [
     "CACHE_VERSION",
@@ -176,14 +180,6 @@ def verdict_key(
 
 # ----------------------------------------------------------------------
 # Witness translation: node names <-> canonical indices.
-
-def _encode_count(count) -> "int | str":
-    return "inf" if count == INFINITY else count
-
-
-def _decode_count(raw) -> "int | float":
-    return INFINITY if raw == "inf" else raw
-
 
 def _entry_to_jsonable(entry: ActivationEntry, index: dict) -> dict:
     data = {
@@ -317,7 +313,7 @@ _SCHEMA = (
     "CREATE TABLE IF NOT EXISTS verdicts "
     "(key TEXT PRIMARY KEY, payload TEXT NOT NULL)"
 )
-_SELECT = "SELECT payload FROM verdicts WHERE key=?"
+_SELECT = "SELECT key, payload FROM verdicts WHERE key IN ({})"
 _INSERT = "INSERT OR IGNORE INTO verdicts (key, payload) VALUES (?, ?)"
 # Compare-and-delete on the bytes that were read.
 _DELETE_IF = "DELETE FROM verdicts WHERE key=? AND CAST(payload AS BLOB)=?"
@@ -341,6 +337,24 @@ def _connect(path: Path, *, timeout: float, wal: bool = True):
     conn = sqlstore.connect(path, timeout=timeout, wal=wal)
     conn.text_factory = bytes
     return conn
+
+
+def _select(keys: list, conn) -> list:
+    """``(key, raw payload)`` of every stored row among ``keys``."""
+    rows = conn.execute(_SELECT.format(",".join("?" * len(keys))), keys)
+    return [(key.decode("ascii"), raw) for key, raw in rows]
+
+
+def _insert(rows: list, conn) -> int:
+    """Insert the ``(key, text)`` rows in one transaction (the
+    ``cache.write`` fault site sees each text); returns how many were new."""
+    from .. import sqlstore
+
+    with sqlstore.transaction(conn):
+        return sum(
+            conn.execute(_INSERT, (key, fault_point("cache.write", text))).rowcount
+            for key, text in rows
+        )
 
 
 def is_cache_root(root) -> bool:
@@ -512,22 +526,12 @@ class VerdictCache:
     # -- core operations ------------------------------------------------
     def get(self, key: str, instance: SPPInstance) -> "ExplorationResult | None":
         """The cached result for ``key``, re-labeled for ``instance``."""
-        tel = _telemetry()
-        with trace_span("cache.get"):
-            payload, _ = self._fetch_payload(key)
-            result = None
-            if payload is not None:
-                try:
-                    result = _result_from_jsonable(payload, instance)
-                except (KeyError, IndexError, TypeError, ValueError):
-                    self._discard(key, _encode(payload).encode("utf-8"))
-            if result is None:
-                self.misses += 1
-                tel.count("cache.miss")
-                return None
-            self.hits += 1
-        tel.count("cache.hit")
-        return result
+        return self.get_many([key], instance)[0]
+
+    def get_many(self, keys, instance: SPPInstance) -> list:
+        """The cached result for each of ``keys`` (``None`` where there
+        is none), re-labeled for ``instance``."""
+        return [result for result, _ in self._lookup(keys, instance)]
 
     def get_payload(self, key: str) -> "tuple[dict | None, str]":
         """The verified raw payload for ``key`` plus the tier that served it.
@@ -538,75 +542,81 @@ class VerdictCache:
         memoized), or ``"miss"`` (``payload is None``).  Maintains the
         same hit/miss accounting as :meth:`get`.
         """
-        tel = _telemetry()
-        with trace_span("cache.get"):
-            payload, tier = self._fetch_payload(key)
-            if payload is None:
-                self.misses += 1
-                tel.count("cache.miss")
-            else:
-                self.hits += 1
-                tel.count("cache.hit")
-        return payload, tier
+        return self._lookup([key])[0]
 
-    def _fetch_payload(self, key: str) -> "tuple[dict | None, str]":
-        """Memo-then-store payload fetch; verifies before memoizing."""
-        payload = self.peek_memo(key)
-        if payload is not None:
-            self.mem_hits += 1
-            _telemetry().count("cache.mem_hit")
-            return payload, "memory"
-        try:
-            fault_point("cache.read", key)
-            row = self._with_store(lambda conn: conn.execute(_SELECT, (key,)).fetchone())
-        except OSError:
-            # Unreadable store (I/O error, permissions, not a database):
-            # degrade to a recompute without touching the row — it may
-            # be perfectly healthy once the filesystem recovers.
-            self.io_errors += 1
-            _telemetry().count("cache.io_error")
-            return None, "miss"
-        if row is None:
-            return None, "miss"
-        payload, issue = _parse_entry(row[0])
-        if issue is not None:
-            # Corrupt, checksum-failing, or version-skewed: never
-            # trusted — deleted, so the write-once store can re-fill the
-            # slot, and recomputed.
-            self._discard(key, row[0])
-            return None, "miss"
-        self.remember(key, payload)
-        return payload, "disk"
+    def _lookup(self, keys, instance=None) -> list:
+        """``(value, tier)`` for each of ``keys``, counted as a hit or a
+        miss: the verified payload, or the result decoded for
+        ``instance``.  The memo answers what it holds and one store
+        read the rest; a payload is verified before it is memoized."""
+        tel = _telemetry()
+        found: dict = {}
+        with trace_span("cache.get"):
+            for key in keys:
+                payload = self.peek_memo(key)
+                if payload is not None:
+                    self.mem_hits += 1
+                    tel.count("cache.mem_hit")
+                    found[key] = (payload, "memory")
+            rest = [key for key in dict.fromkeys(keys) if key not in found]
+            stored: list = []
+            if rest:
+                try:
+                    fault_point("cache.read", rest)
+                    stored = self._with_store(partial(_select, rest)) or []
+                except OSError:  # rows left alone: they may be healthy later
+                    self.io_errors += 1
+                    tel.count("cache.io_error")
+            for key, raw in stored:
+                payload, issue = _parse_entry(raw)
+                if issue is not None:  # deleted, so the slot can refill
+                    self._discard(key, raw)
+                    continue
+                self.remember(key, payload)
+                found[key] = (payload, "disk")
+            answers = []
+            for key in keys:
+                value, tier = found.get(key, (None, "miss"))
+                if value is not None and instance is not None:
+                    try:
+                        value = _result_from_jsonable(value, instance)
+                    except (KeyError, IndexError, TypeError, ValueError):
+                        self._discard(key, _encode(value).encode("utf-8"))
+                        value, tier = None, "miss"
+                if value is None:
+                    self.misses += 1
+                    tel.count("cache.miss")
+                else:
+                    self.hits += 1
+                    tel.count("cache.hit")
+                answers.append((value, tier))
+        return answers
 
     def put(self, key: str, instance: SPPInstance, result: ExplorationResult) -> None:
-        """Store ``result`` under ``key`` (no-op if already present).
+        """Store ``result`` under ``key`` (no-op if already present)."""
+        self.put_many([(key, result)], instance)
 
-        Write failures (disk full, read-only or unreadable store)
-        degrade to the in-process memo — a broken cache directory never
-        aborts the computation that produced ``result``.
-        """
+    def put_many(self, rows, instance: SPPInstance) -> None:
+        """Store each ``(key, result)`` of ``rows`` in one transaction
+        (present keys are left as they are).  A failed write stores no
+        row of the batch and degrades to the in-process memo — a broken
+        cache directory never aborts the computation."""
         tel = _telemetry()
         with trace_span("cache.put"):
-            payload = result_to_payload(result, instance)
-            self.remember(key, payload)
+            texts = []
+            for key, result in rows:
+                payload = result_to_payload(result, instance)
+                self.remember(key, payload)
+                texts.append((key, _encode(payload)))
             try:
-                inserted = write_retrying(
-                    partial(self._insert, key), _encode(payload),
-                    fault_site="cache.write", retries=0,
-                )
+                inserted = self._with_store(partial(_insert, texts), create=True)
             except OSError:
                 self.io_errors += 1
                 tel.count("cache.io_error")
                 return
         if inserted:
-            self.writes += 1
-            tel.count("cache.write")
-
-    def _insert(self, key: str, text: str) -> bool:
-        cursor = self._with_store(
-            lambda conn: conn.execute(_INSERT, (key, text)), create=True
-        )
-        return cursor.rowcount == 1
+            self.writes += inserted
+            tel.count("cache.write", inserted)
 
     # -- maintenance ----------------------------------------------------
     def stats(self) -> dict:

@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
@@ -774,11 +774,11 @@ def can_oscillate(
       state space is orders of magnitude smaller.  Only that subgraph
       was searched, so the result is ``complete=False``.
 
-    Only a model neither edge settles is searched itself.  Inside a
-    fan-out (:func:`repro.engine.parallel.run_explorations`, campaign
-    shards) twin searches and the batch's own tasks for those twins
-    share one run.  ``reliable_twin_first=False`` searches the model
-    directly.
+    Only a model neither edge settles is searched itself.  This call is
+    the one-model case of the path every fan-out item takes
+    (:func:`_certify`), so inside a fan-out twin searches and the
+    batch's own tasks for those twins share one run.
+    ``reliable_twin_first=False`` searches the model directly.
 
     ``config`` tunes the run: a :class:`repro.RunConfig` carrying the
     engine, partial-order reducer, bounds (``queue_bound``,
@@ -793,46 +793,66 @@ def can_oscillate(
     smaller and it can report ``complete`` within a budget the
     reference engine exhausts.
     """
-    if config is None:
-        config = RunConfig()
-    queue_bound = config.queue_bound
-    max_states = config.max_states
-    engine = config.engine
-    reduction = config.reduction
-    cache = config.resolved_cache()
-    validate_reduction(reduction)
-    tel = _telemetry()
-    key = None
-    cache_status = "off"
-    if cache is not None:
-        from .cache import as_cache, verdict_key
+    request = (model, reliable_twin_first, RunConfig() if config is None else config)
+    return _certify(instance, [request])[0]
 
-        cache = as_cache(cache)
-        key = verdict_key(
-            instance,
-            model.name,
-            queue_bound=queue_bound,
-            max_states=max_states,
-            reliable_twin_first=reliable_twin_first,
-            reduction=reduction,
-        )
-        hit = cache.get(key, instance)
-        if hit is not None:
-            hit = replace(hit, cache_hit=True)
-            _record_verdict(tel, hit, cache="hit")
-            return hit
-        cache_status = "miss"
-    bounds = (queue_bound, max_states, engine, reduction)
-    if reliable_twin_first:
+
+def _certify(instance, requests, around=nullcontext) -> list:
+    """The results of ``requests``, ``(model, reliable_twin_first,
+    config)`` triples on ``instance``, in order: each verdict key is
+    derived once, each cache answers its keys with one read and takes
+    the new rows in one write (also when a request raises: the rows
+    finished before it are kept), and only the missing models are
+    settled, in one :func:`_shared_searches` block.  ``around(i)`` is
+    entered while request ``i`` is answered (a pool item's per-task
+    span)."""
+    tel = _telemetry()
+    slots = [_cache_slot(instance, *request) for request in requests]
+    hits: dict = {}
+    for cache in dict.fromkeys(cache for cache, _ in slots if cache is not None):
+        keys = [key for owner, key in slots if owner is cache]
+        hits.update(zip([(cache, key) for key in keys], cache.get_many(keys, instance)))
+    fresh: dict = {}
+    results = []
+    try:
         with _shared_searches():
-            result, implied_by = _settle(instance, model, bounds)
-    else:
-        result, implied_by = _search(instance, model, *bounds), None
-    if cache is not None:
-        cache.put(key, instance, result)
-        result = replace(result, cache_hit=False)
-    _record_verdict(tel, result, cache=cache_status, implied_by=implied_by)
-    return result
+            for index, ((model, twin_first, config), (cache, key)) in enumerate(
+                zip(requests, slots)
+            ):
+                hit, implied_by, status = hits.get((cache, key)), None, "off"
+                with around(index):
+                    if hit is not None:
+                        result, status = replace(hit, cache_hit=True), "hit"
+                    else:
+                        bounds = (config.queue_bound, config.max_states,
+                                  config.engine, config.reduction)
+                        if twin_first:
+                            result, implied_by = _settle(instance, model, bounds)
+                        else:
+                            result = _search(instance, model, *bounds)
+                        if cache is not None:
+                            fresh.setdefault(cache, []).append((key, result))
+                            result, status = replace(result, cache_hit=False), "miss"
+                    _record_verdict(tel, result, cache=status, implied_by=implied_by)
+                results.append(result)
+    finally:  # what finished is stored even if a later request raised
+        for cache, rows in fresh.items():
+            cache.put_many(rows, instance)
+    return results
+
+
+def _cache_slot(instance, model, reliable_twin_first, config) -> tuple:
+    """``(cache, verdict key)`` of one request, or ``(None, None)``."""
+    cache = config.resolved_cache()
+    if cache is None:
+        return None, None
+    from .cache import as_cache, verdict_key
+
+    return as_cache(cache), verdict_key(
+        instance, model.name, queue_bound=config.queue_bound,
+        max_states=config.max_states, reliable_twin_first=reliable_twin_first,
+        reduction=config.reduction,
+    )
 
 
 #: The memos of the outermost live :func:`_shared_searches` block, as
@@ -846,14 +866,11 @@ def _shared_searches():
     """Within the block, run each search of this thread at most once,
     and lay out each instance's packed words once.
 
-    :func:`repro.engine.parallel.run_explorations` enters this around
-    its whole fan-out and every pooled worker around each item it runs
-    (:func:`repro.engine.parallel._explore_together`), so the twin
-    lookups of one task (:func:`_settle`) and the batch's own tasks for
-    those twins share one search, and every packed search of one
-    instance shares one word layout (:func:`_shared_layout`);
-    :func:`can_oscillate` enters it too, so a call outside any fan-out
-    never repeats a twin search either.  An enclosing block of this
+    :func:`_certify` enters this around the requests of one instance,
+    in whichever process runs them, so the twin lookups of one task
+    (:func:`_settle`) and the batch's own tasks for those twins share
+    one search, and every packed search of the instance shares one word
+    layout (:func:`_shared_layout`).  An enclosing block of this
     process is reused, not replaced.  The memos die with the outermost
     block, so a cold fan-out stays cold.  A process forked inside the
     block ignores the inherited memos (they belong to another pid).

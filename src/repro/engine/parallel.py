@@ -14,14 +14,11 @@ seed — so the fan-out here is parallel *and* reproducible:
 * ``workers=1`` (or a single work item) degrades to a plain in-process
   loop with no executor involved, which keeps the serial path exactly
   the code the parallel path runs per worker;
-* exploration tasks that can settle each other share searches: the
-  tasks of one instance object and one message count travel to a
-  worker as one item and share its search memo, so the twin lookups
-  that settle a model (DESIGN.md §7.4) reuse the batch's own tasks for
-  those twins, and each model is searched at most once per call at
-  every worker count;
-* the packed searches of one instance in one process share its word
-  layout, compiled symmetry group and orbit memo (DESIGN.md §6.4).
+* the instance is the unit of work: the tasks of one instance object
+  travel to a worker as one item, with one store read, one search memo
+  (so each model is searched at most once per call at every worker
+  count, DESIGN.md §7.4), one word layout (DESIGN.md §6.4) and one
+  store write.
 
 Tasks and results travel by pickle: :class:`~repro.core.spp.SPPInstance`,
 :class:`~repro.engine.explorer.ExplorationResult`, and witnesses are
@@ -46,7 +43,7 @@ from ..faults import ensure_armed_from_env, fault_point
 from ..models.taxonomy import model as _model
 from ..obs import active as _telemetry
 from ..obs import tracing as _tracing
-from .explorer import _shared_searches
+from .explorer import _certify
 
 __all__ = [
     "ExplorationTask",
@@ -312,9 +309,9 @@ class ExplorationTask:
     engine: str = DEFAULT_ENGINE
     reduction: str = "ample"
     #: Directory of a shared :class:`repro.engine.cache.VerdictCache`
-    #: (``None`` disables caching).  Safe across workers: entries are
-    #: write-once and written via atomic renames, so racing processes
-    #: only ever duplicate work, never corrupt the store.
+    #: (``None`` disables caching).  Safe across workers: rows are
+    #: write-once (``INSERT OR IGNORE``) with one text per key, so
+    #: racing processes only ever duplicate work.
     cache_dir: "str | None" = None
     #: W3C traceparent linking this task's ``worker.run`` span to the
     #: submitting request's trace (``None`` = untraced).  Purely
@@ -374,15 +371,9 @@ class ExplorationTask:
         )
 
 
-def _explore_one(task: ExplorationTask):
-    from ..models.taxonomy import model
-    from .cache import shared_cache
-    from .explorer import can_oscillate
-
-    # Chaos harness: pick up $REPRO_FAULT_PLAN in spawn-mode workers
-    # (forked workers inherit the armed state directly) and expose this
-    # task to worker-level faults (crash, stall).
-    ensure_armed_from_env()
+@contextmanager
+def _task_run(task: ExplorationTask):
+    """One task's ``worker.run`` fault site and span."""
     fault_point("worker.run", task)
     # Parent resolution order: the task payload (the serving tier
     # stamps its serve.compute span on every task), then the calling
@@ -395,43 +386,38 @@ def _explore_one(task: ExplorationTask):
     )
     with _tracing.trace_span("worker.run", parent=parent) as span:
         span.note(instance=task.instance.name, model=task.model_name)
-        config = task.run_config()
-        if task.cache_dir is not None:
-            # One cache object (and thus one in-memory hot tier) per
-            # directory per process: in-process fan-out and thread-based
-            # callers (the serving tier) share verified payloads instead
-            # of re-reading them into private memos.
-            config = config.replace(cache=shared_cache(task.cache_dir))
-        return can_oscillate(
-            task.instance,
-            model(task.model_name),
-            reliable_twin_first=task.reliable_twin_first,
-            config=config,
-        )
+        yield
 
 
 def _explore_together(tasks) -> list:
-    """Run ``tasks`` one after another in this process, sharing one
-    search memo."""
-    with _shared_searches():
-        return [_explore_one(task) for task in tasks]
+    """Answer the tasks of one instance object in this process
+    (:func:`repro.engine.explorer._certify`), each task under its own
+    ``worker.run`` span and fault site."""
+    # Chaos harness: pick up $REPRO_FAULT_PLAN in spawn-mode workers
+    # (forked workers inherit the armed state directly).
+    ensure_armed_from_env()
+    requests = [
+        (_model(task.model_name), task.reliable_twin_first, task.run_config())
+        for task in tasks
+    ]
+    return _certify(
+        tasks[0].instance, requests, around=lambda index: _task_run(tasks[index])
+    )
 
 
 def _explore_grouped(fan_out, tasks) -> list:
-    """:func:`_explore_one` over ``tasks`` through ``fan_out``, in task
-    order.
+    """:func:`_explore_together` over ``tasks`` through ``fan_out``, in
+    task order.
 
     ``fan_out(function, items)`` is :func:`parallel_map` or
-    :func:`parallel_map_retrying` with its worker settings bound.  A
-    model's containment twins have its message count (DESIGN.md §7.4),
-    so the tasks of one instance object and one count form one item:
-    whichever process runs it searches each of their models at most
-    once, and no twin lookup crosses items.
+    :func:`parallel_map_retrying` with its worker settings bound.  The
+    tasks of one instance object form one item, so a pool never has
+    more processes than the call has instances, and no twin lookup
+    (DESIGN.md §7.4) crosses items.
     """
     groups: dict = {}
     for index, task in enumerate(tasks):
-        key = (id(task.instance), _model(task.model_name).count)
-        groups.setdefault(key, []).append(index)
+        groups.setdefault(id(task.instance), []).append(index)
     members = list(groups.values())
     batches = fan_out(
         _explore_together, [[tasks[index] for index in group] for group in members]
@@ -449,17 +435,14 @@ def run_explorations(tasks, *, config: "RunConfig | None" = None) -> list:
     ``config.workers`` sets the fan-out width (``None``, also without a
     config, = one per core).  Verdicts are identical for every worker
     count: each exploration is a deterministic function of its task,
-    and merging follows task order.  Within the call each
-    ``(instance, model, bounds)`` is searched once, whichever worker
-    runs it (:func:`_explore_grouped`).  An in-process fan-out runs
-    all its items in one sharing block, so the packed searches of one
-    instance also share one word layout; a pool worker opens one
-    block per item.
+    and merging follows task order.  The instance is the unit of work
+    (:func:`_explore_grouped`): within the call each ``(instance, model,
+    bounds)`` is searched at most once, whichever worker runs it, and
+    each instance's verdicts take one store read and one store write.
     """
     tasks = list(tasks)
     workers = None if config is None else config.workers
-    with _shared_searches():
-        results = _explore_grouped(partial(parallel_map, workers=workers), tasks)
+    results = _explore_grouped(partial(parallel_map, workers=workers), tasks)
     return [
         (task.resolved_key(), result)
         for task, result in zip(tasks, results)

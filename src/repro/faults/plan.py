@@ -13,8 +13,8 @@ or killing the process.  Sites threaded through the package:
 ========================  ====================================================
 site                      where
 ========================  ====================================================
-``cache.read``            before a verdict-cache row is read from the store
-``cache.write``           the serialized payload text, before the row insert
+``cache.read``            before a batch of verdict-cache rows is read
+``cache.write``           each row's payload text, before its insert
 ``checkpoint.write``      the serialized campaign artifact (spec, manifest,
                           report) before the atomic write, and a shard's
                           result text before it is stored in its row

@@ -10,8 +10,8 @@ write.  Two hardenings on top of the bare rename:
   a concurrent cleanup); writes retry with bounded exponential backoff
   before giving up, and the retries are visible as the
   ``storage.enospc_retry`` telemetry counter (:func:`write_retrying`,
-  which also carries the fault site of the row writes of the SQLite
-  stores).
+  which also carries the fault site of the campaign store's shard-result
+  row writes).
 * **Orphan-temp sweep.**  A process killed between ``mkstemp`` and
   ``os.replace`` leaks a ``.<name>-XXXX.tmp`` file.  Campaigns sweep
   their directories on open (:func:`sweep_orphan_temps`, age-gated so

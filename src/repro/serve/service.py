@@ -116,10 +116,8 @@ class ServeConfig:
     """Deployment knobs for one :class:`VerdictService`.
 
     ``workers`` is the number of serving worker *threads* draining the
-    batch queue; ``compute_procs`` is the process fan-out *inside* one
-    batch (1 keeps batches in-process, which is what lets a batch share
-    one instance object and build reduction tables once — raise it only
-    for huge per-batch workloads).
+    batch queue.  A batch is the cold models of one instance, so it runs
+    in its worker thread: the instance is the fan-out's unit of work.
     """
 
     cache_dir: str
@@ -127,7 +125,6 @@ class ServeConfig:
     port: int = 0
     engine: str = DEFAULT_ENGINE
     workers: int = 2
-    compute_procs: int = 1
     queue_cap: int = 64
     deadline_s: float = 30.0
     retry_after_s: float = 1.0
@@ -139,8 +136,6 @@ class ServeConfig:
         validate_engine(self.engine)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.compute_procs < 1:
-            raise ValueError("compute_procs must be at least 1")
         # queue.Queue treats maxsize<=0 as unbounded, which would turn
         # admission control off silently — reject it here instead.
         if self.queue_cap < 1:
@@ -541,7 +536,7 @@ class VerdictService:
             engine=request.engine,
             reduction=request.reduction,
             cache_dir=self.config.cache_dir,
-            workers=self.config.compute_procs,
+            workers=1,
             queue_bound=request.queue_bound,
             step_bound=request.max_states,
         )
@@ -571,7 +566,7 @@ class VerdictService:
             ]
             outcomes = run_explorations(tasks, config=run_config)
         for (key, (_, result)) in zip(batch.jobs, outcomes):
-            # can_oscillate already stored the verdict through the
+            # The fan-out already stored the verdicts through the
             # shared cache, warming the payload memo; fall back to
             # encoding directly when the hot tier is disabled.
             payload = self.cache.peek_memo(key)

@@ -181,16 +181,18 @@ class TestFanOutTelemetry:
         from repro import obs
         from repro.obs.tracing import TraceContext
 
-        instance = canonical.disagree()
+        # Two instance objects, so the pool gets two items.
+        instance, twin = canonical.disagree(), canonical.disagree()
         parent = TraceContext.root()
         tasks = [
             ExplorationTask(
-                instance=instance,
+                instance=copy,
                 model_name=name,
                 queue_bound=2,
                 traceparent=parent.to_traceparent(),
             )
-            for name in ("R1O", "REA", "UMS", "RMS")
+            for copy in (instance, twin)
+            for name in ("R1O", "UMS")
         ]
         path = tmp_path / "t.jsonl"
         previous = obs.active()

@@ -145,11 +145,11 @@ def packed_searches(monkeypatch):
 
 
 #: GOOD GADGET has no oscillation in any model, and every M-scope model
-#: completes at :data:`CONFIG`'s bounds.  Per message count, the edges
-#: then search only RMx and UMx: UMx's reliable twin RMx finds no
+#: completes at :data:`CONFIG`'s bounds.  For each of the four message
+#: counts x, the edges then search only RMx and UMx: UMx's reliable twin RMx finds no
 #: witness, and all four 1/E models are implied by their M twin.
 GOOD_GADGET_SEARCHES = 4 * 2
-#: ``_search`` lookups per message count: RMx 1 (its own search), UMx 2
+#: ``_search`` lookups for each count x: RMx 1 (its own search), UMx 2
 #: (RMx, then itself), R1x and REx 1 each (RMx), U1x and UEx 2 each
 #: (UMx settles through RMx and itself) — 9, of which 2 run.
 GOOD_GADGET_SHARED = 4 * (9 - 2)
@@ -210,8 +210,8 @@ def searches_everywhere(monkeypatch, tmp_path):
 
 
 def test_pooled_batch_searches_each_model_once(searches_everywhere):
-    # The tasks of one message count share a worker and its memo, so a
-    # pool searches exactly what the in-process batch does.
+    # The tasks of one instance share a worker and its memo, so a pool
+    # searches exactly what the in-process batch does.
     instance = canonical.good_gadget()
     results = _batch(instance, U_FIRST, config=CONFIG.replace(workers=2))
     assert sorted(searches_everywhere()) == sorted(

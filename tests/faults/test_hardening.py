@@ -241,7 +241,8 @@ def test_junk_store_gives_identical_verdicts_and_is_set_aside(
         instance=instance, config=config.replace(cache=VerdictCache(root))
     )
     assert {name: replace(r, cache_hit=False) for name, r in found.items()} == expected
-    assert telemetry.counters["cache.io_error"] >= len(expected)
+    # One failed batch read and one failed batch write.
+    assert telemetry.counters["cache.io_error"] == 2
     assert store_path(root).read_bytes() == junk  # never overwritten
 
     assert cli.main(["doctor", str(root)]) == 1

@@ -18,7 +18,10 @@ every item to one worker.
 The expected sets are ``golden/telemetry_shape.json`` plus
 :data:`ADDITIONS`.  A pooled run (``workers2``) has every counter and
 span series of its serial twin: the pool merges each worker call's
-counter, span-total and histogram growth into the parent.  A
+counter, span-total and histogram growth into the parent.  The pool's
+unit is an instance, so the one-instance ``fig7-workers2`` runs
+in-process and has exactly its serial twin's shape; the two-instance
+shard run is the pooled one.  A
 deliberate change may list what it adds in :data:`ADDITIONS`; to fold
 them in, regenerate the golden file with
 ``PYTHONPATH=src python -m tests.obs.test_telemetry_shape``, empty

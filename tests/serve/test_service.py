@@ -49,7 +49,6 @@ class TestServeConfig:
         "field,value",
         [
             ("workers", 0),
-            ("compute_procs", 0),
             ("deadline_s", 0),
             ("retry_after_s", 0),
             ("response_cache_entries", -1),

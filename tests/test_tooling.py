@@ -6,6 +6,7 @@ packed ≡ reference runs in the default tier-1 invocation
 out of ``testpaths`` or renames it out of collection.
 """
 
+import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -168,6 +169,17 @@ class TestOneWorkQueue:
             if "verdicts.sqlite" in path.read_text()
         ]
         assert naming == ["src/repro/engine/cache.py"]
+
+    def test_only_the_cache_inserts_verdicts(self):
+        # Rows go in as one transaction per batch (``put_many``); an
+        # INSERT elsewhere would bypass the batch and its fault site.
+        insert = re.compile(r"INSERT\b[^\"']*\bINTO\s+verdicts\b", re.IGNORECASE)
+        inserting = [
+            path.relative_to(REPO).as_posix()
+            for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+            if insert.search(path.read_text())
+        ]
+        assert inserting == ["src/repro/engine/cache.py"]
 
 
 class TestStoresOwnTheirChecks:
